@@ -210,7 +210,7 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
     for left, right, parent in initial.sibling_pairs:
         pairs_left.setdefault(left, []).append((left, right, parent))
         pairs_right.setdefault(right, []).append((left, right, parent))
-    blinds_by_node: dict[int, set[bytes]] = {}
+    blinds_by_node: dict[int, dict[bytes, None]] = {}  # insertion-ordered sets
 
     queue: deque[bytes] = deque(facts)
 
@@ -246,10 +246,10 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
 
     def register_blind(value: bytes) -> None:
         for node in blind_oracle.get(value, ()):
-            per_node = blinds_by_node.setdefault(node, set())
+            per_node = blinds_by_node.setdefault(node, {})
             if value in per_node:
                 continue
-            per_node.add(value)
+            per_node[value] = None
             for left, right, parent in pairs_left.get(node, ()):
                 for partner in list(blinds_by_node.get(right, ())):
                     mixed = mix(SymKey(value), SymKey(partner))
@@ -357,9 +357,11 @@ def adversary_knowledge(
         if all_codes is None:
             raise ValueError("codes-public mode only applies to the coded protocol")
         codes.update(all_codes())
+    # sorted seeding fixes the closure's fact order, and so its witness text,
+    # independently of the process's string hash seed
     return KnowledgeSet(
-        keys=keys,
-        codes=codes,
+        keys=sorted(keys),
+        codes=sorted(codes),
         transcript=[d for d in trace.deliveries if isinstance(d, RekeyMessage)],
         rules=RULESETS[trace.scenario.protocol],
         derive_cap=len(trace.events),

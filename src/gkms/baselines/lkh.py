@@ -17,7 +17,6 @@ import random
 from gkms.core import (
     Bootstrap,
     CostMeter,
-    DiscardMeter,
     EventError,
     EventOutput,
     MemberView,
@@ -25,8 +24,8 @@ from gkms.core import (
     RekeyMessage,
     ServerProtocol,
 )
-from gkms.crypto import KeyRole, MeterLike, SymKey, random_key, unwrap, wrap
-from gkms.tree import KeyTree, build_balanced, detach_leaf, insert_leaf
+from gkms.crypto import SymKey, WrappedKey, random_key, unwrap, wrap
+from gkms.tree import InsertResult, KeyTree, build_balanced, detach_leaf, insert_leaf
 
 
 class LkhServer(ServerProtocol):
@@ -38,49 +37,16 @@ class LkhServer(ServerProtocol):
     def __init__(self, member_ids: list[str], rng: random.Random) -> None:
         if not member_ids:
             raise EventError("initial group must not be empty")
-        self.rng = rng
         self.tree: KeyTree = build_balanced(member_ids, arity=self.arity, rng=rng, coded=False)
-        setup = DiscardMeter()
+        setup = CostMeter()  # initial group setup is out of band, unmetered
         for node in self.tree.walk():
-            role = KeyRole.INDIVIDUAL if node.is_leaf else KeyRole.MIDDLE
-            if node.node_id == self.tree.root_id:
-                role = KeyRole.GROUP
-            node.key = random_key(rng, setup, role)
-
-    # -- state ------------------------------------------------------------
-
-    @property
-    def group_key(self) -> SymKey:
-        return self.tree.root.key
-
-    @property
-    def member_ids(self) -> tuple[str, ...]:
-        return list(self.tree.members)
-
-    def node_key(self, node_id: int) -> SymKey:
-        return self.tree.node(node_id).key
+            node.key = random_key(rng, setup)
 
     # -- event handling ---------------------------------------------------
 
     def handle_event(self, event: MembershipEvent, rng: random.Random, meter: CostMeter) -> EventOutput:
-        # One membership snapshot per event, maintained incrementally: the
-        # per-member helpers would otherwise walk the whole tree per sub-join.
-        current = list(self.member_ids)
-        self._validate(event, set(current))
-        output = EventOutput()
-        touched: set[int] = set()
-        individual_keygens = 0
-        for member in event.member_ids:
-            if event.op == "join":
-                chain = self._join_one(member, rng, meter, output, event.seq, current)
-                current.append(member)
-                individual_keygens += 1
-            else:
-                current.remove(member)
-                chain = self._leave_one(member, rng, meter, output, event.seq, current)
-            touched.update(chain)
-        output.stats["keygen_dedup"] = len(touched) + individual_keygens
-        return output
+        # each join draws the joiner's individual key besides its chain
+        return self._sequential_batch(event, rng, meter, 1, 0)
 
     def _join_one(
         self,
@@ -89,25 +55,11 @@ class LkhServer(ServerProtocol):
         meter: CostMeter,
         output: EventOutput,
         seq: int,
-        old_members: list[str],
     ) -> list[int]:
-        individual = random_key(rng, meter, KeyRole.INDIVIDUAL)
-        inserted = insert_leaf(self.tree, member, fill_slots=True)
-        leaf = self.tree.node(inserted.leaf_id)
-        leaf.key = individual
-
+        individual, old_members, inserted, split = self._place_joiner(member, rng, meter)
         chain = list(self.tree.ancestors(inserted.leaf_id))
         for node_id in chain:
-            role = KeyRole.GROUP if node_id == self.tree.root_id else KeyRole.MIDDLE
-            self.tree.node(node_id).key = random_key(rng, meter, role)
-
-        split = None
-        if inserted.split_member is not None:
-            split = {
-                "member": inserted.split_member,
-                "new_node": inserted.new_internal_id,
-                "joiner_leaf": inserted.leaf_id,
-            }
+            self.tree.node(node_id).key = random_key(rng, meter)
 
         # Chained unicast: each path key wrapped under the key one level below.
         payloads = []
@@ -125,32 +77,40 @@ class LkhServer(ServerProtocol):
             aux={"op": "join", "joined": [member], "targets": targets, "split": split},
             event_seq=seq,
         )
-        meter.count_message(joiner_msg)
-        output.deliveries.append(joiner_msg)
+        output.send(joiner_msg, meter)
 
-        # Multicast: each redrawn key wrapped under each child's current key.
-        payloads = []
-        targets = []
-        for node_id in chain:
-            node = self.tree.node(node_id)
-            for child_id in node.children:
-                if child_id == inserted.leaf_id:
-                    continue  # the joiner is served by the unicast
-                child_key = self.tree.node(child_id).key
-                payloads.append(wrap(child_key, node.key, meter, kek_id=child_id))
-                targets.append(node_id)
+        # Multicast to everyone else; the joiner is served by the unicast.
+        payloads, targets = self._wrap_under_children(chain, inserted.leaf_id, meter)
         group_msg = RekeyMessage(
             channel="multicast",
-            recipients=tuple(old_members),
-            payloads=tuple(payloads),
+            recipients=old_members,
+            payloads=payloads,
             aux={"op": "join", "joined": [member], "targets": targets, "split": split},
             event_seq=seq,
         )
-        meter.count_message(group_msg)
-        output.deliveries.append(group_msg)
+        output.send(group_msg, meter)
 
         output.bootstraps.append(self._bootstrap_for(member, individual))
         return chain
+
+    def _place_joiner(
+        self, member: str, rng: random.Random, meter: CostMeter
+    ) -> tuple[SymKey, tuple[str, ...], InsertResult, dict | None]:
+        """Draw the joiner's individual key and give it a leaf.  Returns the
+        key, the members before the join, the placement and the split record
+        (None when the joiner filled an open slot)."""
+        individual = random_key(rng, meter)
+        old_members = tuple(self.tree.members)
+        inserted = insert_leaf(self.tree, member, fill_slots=True)
+        self.tree.node(inserted.leaf_id).key = individual
+        split = None
+        if inserted.split_member is not None:
+            split = {
+                "member": inserted.split_member,
+                "new_node": inserted.new_internal_id,
+                "joiner_leaf": inserted.leaf_id,
+            }
+        return individual, old_members, inserted, split
 
     def _leave_one(
         self,
@@ -159,27 +119,18 @@ class LkhServer(ServerProtocol):
         meter: CostMeter,
         output: EventOutput,
         seq: int,
-        remaining: list[str],
     ) -> list[int]:
         detached = detach_leaf(self.tree, member)
 
         chain = list(detached.rekey_chain)
         for node_id in chain:
-            role = KeyRole.GROUP if node_id == self.tree.root_id else KeyRole.MIDDLE
-            self.tree.node(node_id).key = random_key(rng, meter, role)
+            self.tree.node(node_id).key = random_key(rng, meter)
 
-        payloads = []
-        targets = []
-        for node_id in chain:
-            node = self.tree.node(node_id)
-            for child_id in node.children:
-                child_key = self.tree.node(child_id).key
-                payloads.append(wrap(child_key, node.key, meter, kek_id=child_id))
-                targets.append(node_id)
+        payloads, targets = self._wrap_under_children(chain, None, meter)
         message = RekeyMessage(
             channel="multicast",
-            recipients=tuple(remaining),
-            payloads=tuple(payloads),
+            recipients=tuple(self.tree.members),
+            payloads=payloads,
             aux={
                 "op": "leave",
                 "left": [member],
@@ -188,9 +139,25 @@ class LkhServer(ServerProtocol):
             },
             event_seq=seq,
         )
-        meter.count_message(message)
-        output.deliveries.append(message)
+        output.send(message, meter)
         return chain
+
+    def _wrap_under_children(
+        self, chain: list[int], skip: int | None, meter: CostMeter
+    ) -> tuple[tuple[WrappedKey, ...], list[int]]:
+        """Each redrawn chain key wrapped under each child's current key,
+        except under ``skip``; returns the payloads and their target nodes."""
+        payloads = []
+        targets = []
+        for node_id in chain:
+            node = self.tree.node(node_id)
+            for child_id in node.children:
+                if child_id == skip:
+                    continue
+                child_key = self.tree.node(child_id).key
+                payloads.append(wrap(child_key, node.key, meter, kek_id=child_id))
+                targets.append(node_id)
+        return tuple(payloads), targets
 
     # -- member construction ------------------------------------------------
 
@@ -247,7 +214,7 @@ class LkhMember(MemberView):
             for node_id in deleted:
                 self.keys.pop(node_id, None)
 
-    def apply_message(self, message: RekeyMessage, meter: MeterLike) -> None:
+    def apply_message(self, message: RekeyMessage, meter: CostMeter) -> None:
         self._check_addressed(message.recipients)
         self._apply_structure(message.aux)
         targets = message.aux["targets"]

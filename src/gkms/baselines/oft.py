@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from gkms.core import (
     Bootstrap,
     CostMeter,
-    DiscardMeter,
     EventError,
     EventOutput,
     MemberView,
@@ -33,7 +32,7 @@ from gkms.core import (
     RekeyMessage,
     ServerProtocol,
 )
-from gkms.crypto import KeyRole, MeterLike, SymKey, blind, mix, random_key, unwrap, wrap
+from gkms.crypto import SymKey, blind, mix, random_key, unwrap, wrap
 from gkms.tree import KeyTree, Node, build_balanced, insert_leaf, remove_leaves
 
 
@@ -55,74 +54,32 @@ class OftServer(ServerProtocol):
     def __init__(self, member_ids: list[str], rng: random.Random) -> None:
         if not member_ids:
             raise EventError("initial group must not be empty")
-        self.rng = rng
         self.tree: KeyTree = build_balanced(member_ids, arity=self.arity, rng=rng, coded=False)
-        setup = DiscardMeter()
+        setup = CostMeter()  # initial group setup is out of band, unmetered
         for leaf_id in self.tree.leaf_ids():
-            self.tree.node(leaf_id).key = random_key(rng, setup, KeyRole.INDIVIDUAL)
-        self._fold_subtree(self.tree.root)
+            self.tree.node(leaf_id).key = random_key(rng, setup)
+        for node in reversed(list(self.tree.walk())):  # children before parents
+            if not node.is_leaf:
+                node.key = self._folded(node)
 
-    def _fold_subtree(self, node: Node) -> SymKey:
-        if node.is_leaf:
-            return node.key
+    def _folded(self, node: Node) -> SymKey:
+        """The mix of the blinded keys of an internal node's two children."""
         left, right = (self.tree.node(c) for c in node.children)
-        node.key = mix(blind(self._fold_subtree(left)), blind(self._fold_subtree(right)))
-        return node.key
-
-    def _fold_node(self, node: Node) -> None:
-        left, right = (self.tree.node(c) for c in node.children)
-        node.key = mix(blind(left.key), blind(right.key))
-
-    def _sibling(self, node_id: int) -> Node:
-        parent = self.tree.node(self.tree.node(node_id).parent)
-        others = [c for c in parent.children if c != node_id]
-        return self.tree.node(others[0])
-
-    # -- state ------------------------------------------------------------
-
-    @property
-    def group_key(self) -> SymKey:
-        return self.tree.root.key
-
-    @property
-    def member_ids(self) -> tuple[str, ...]:
-        return list(self.tree.members)
-
-    def node_key(self, node_id: int) -> SymKey:
-        return self.tree.node(node_id).key
+        return mix(blind(left.key), blind(right.key))
 
     def check_fold_invariant(self) -> bool:
         """True when every internal key equals the mix of its children's blinds."""
         for node in self.tree.walk():
-            if node.is_leaf:
-                continue
-            left, right = (self.tree.node(c) for c in node.children)
-            if node.key != mix(blind(left.key), blind(right.key)):
+            if not node.is_leaf and node.key != self._folded(node):
                 return False
         return True
 
     # -- event handling ---------------------------------------------------
 
     def handle_event(self, event: MembershipEvent, rng: random.Random, meter: CostMeter) -> EventOutput:
-        # One membership snapshot per event, maintained incrementally: the
-        # per-member helpers would otherwise walk the whole tree per sub-join.
-        current = list(self.member_ids)
-        self._validate(event, set(current))
-        output = EventOutput()
-        touched: set[int] = set()
-        individual_keygens = 0
-        for member in event.member_ids:
-            if event.op == "join":
-                chain = self._join_one(member, rng, meter, output, event.seq, current)
-                current.append(member)
-                individual_keygens += 2  # joiner key + split-victim refresh
-            else:
-                current.remove(member)
-                chain = self._leave_one(member, rng, meter, output, event.seq, current)
-                individual_keygens += 1  # promoted-leaf refresh
-            touched.update(chain)
-        output.stats["keygen_dedup"] = len(touched) + individual_keygens
-        return output
+        # a join draws the joiner's key and refreshes the split victim's; a
+        # leave refreshes one leaf of the promoted subtree
+        return self._sequential_batch(event, rng, meter, 2, 1)
 
     def _refresh_leaf(
         self,
@@ -134,7 +91,7 @@ class OftServer(ServerProtocol):
         aux: dict,
     ) -> None:
         old_key = leaf.key
-        new_key = random_key(rng, meter, KeyRole.INDIVIDUAL)
+        new_key = random_key(rng, meter)
         message = RekeyMessage(
             channel="unicast",
             recipients=(leaf.member,),
@@ -142,8 +99,7 @@ class OftServer(ServerProtocol):
             aux={"op": "refresh", "targets": [leaf.node_id], **aux},
             event_seq=seq,
         )
-        meter.count_message(message)
-        output.deliveries.append(message)
+        output.send(message, meter)
         leaf.key = new_key
 
     def _advert_multicast(
@@ -159,7 +115,7 @@ class OftServer(ServerProtocol):
         payloads = []
         targets = []
         for node in changed:
-            sibling = self._sibling(node.node_id)
+            sibling = self.tree.node(self.tree.siblings(node.node_id)[0])
             payloads.append(wrap(sibling.key, blind(node.key), meter, kek_id=sibling.node_id))
             targets.append(node.node_id)
         if not payloads:
@@ -171,8 +127,7 @@ class OftServer(ServerProtocol):
             aux={**aux, "targets": targets},
             event_seq=seq,
         )
-        meter.count_message(message)
-        output.deliveries.append(message)
+        output.send(message, meter)
 
     def _join_one(
         self,
@@ -181,9 +136,9 @@ class OftServer(ServerProtocol):
         meter: CostMeter,
         output: EventOutput,
         seq: int,
-        old_members: list[str],
     ) -> list[int]:
-        individual = random_key(rng, meter, KeyRole.INDIVIDUAL)
+        individual = random_key(rng, meter)
+        old_members = tuple(self.tree.members)
         inserted = insert_leaf(self.tree, member, fill_slots=False)
         if inserted.split_member is None or inserted.new_internal_id is None:
             raise EventError("binary folding tree requires a split at every join")
@@ -198,7 +153,7 @@ class OftServer(ServerProtocol):
 
         chain = [self.tree.node(i) for i in self.tree.ancestors(inserted.leaf_id)]
         for node in chain:
-            self._fold_node(node)
+            node.key = self._folded(node)
             meter.count("keygen")
 
         joiner_side = self.tree.node(inserted.new_internal_id).children.index(inserted.leaf_id)
@@ -211,17 +166,10 @@ class OftServer(ServerProtocol):
 
         # Unicast to the joiner: the blinded sibling at every level, plus the
         # group key, all wrapped under the joiner's new individual key.
-        payloads = []
-        targets = []
-        below = leaf.node_id
-        for node in chain:
-            sibling_id = [c for c in node.children if c != below][0]
-            sibling = self.tree.node(sibling_id)
-            payloads.append(wrap(individual, blind(sibling.key), meter, kek_id=leaf.node_id))
-            targets.append(sibling_id)
-            below = node.node_id
+        levels = self._levels_for(leaf.node_id, with_blinds=True)
+        payloads = [wrap(individual, blinded, meter, kek_id=leaf.node_id) for _, _, blinded in levels]
         payloads.append(wrap(individual, self.group_key, meter, kek_id=leaf.node_id))
-        targets.append(self.tree.root_id)
+        targets = [sibling_id for sibling_id, _, _ in levels] + [self.tree.root_id]
         joiner_msg = RekeyMessage(
             channel="unicast",
             recipients=(member,),
@@ -229,13 +177,12 @@ class OftServer(ServerProtocol):
             aux={"op": "join", "joined": [member], "targets": targets, "split": split},
             event_seq=seq,
         )
-        meter.count_message(joiner_msg)
-        output.deliveries.append(joiner_msg)
+        output.send(joiner_msg, meter)
 
         changed = ([leaf] + chain)[:-1]  # every changed node below the root
         self._advert_multicast(
             changed,
-            tuple(old_members),
+            old_members,
             {"op": "join", "joined": [member], "split": split},
             meter,
             output,
@@ -252,7 +199,6 @@ class OftServer(ServerProtocol):
         meter: CostMeter,
         output: EventOutput,
         seq: int,
-        remaining: list[str],
     ) -> list[int]:
         removal = remove_leaves(self.tree, [member])
         if not removal.promotions:
@@ -273,13 +219,13 @@ class OftServer(ServerProtocol):
 
         chain = [self.tree.node(i) for i in self.tree.ancestors(refresh_leaf.node_id)]
         for node in chain:
-            self._fold_node(node)
+            node.key = self._folded(node)
             meter.count("keygen")
 
         changed = ([refresh_leaf] + chain)[:-1]
         self._advert_multicast(
             changed,
-            tuple(remaining),
+            tuple(self.tree.members),
             {
                 "op": "leave",
                 "left": [member],
@@ -308,7 +254,7 @@ class OftServer(ServerProtocol):
         below = leaf_id
         for node_id in self.tree.ancestors(leaf_id):
             node = self.tree.node(node_id)
-            sibling_id = [c for c in node.children if c != below][0]
+            sibling_id = self.tree.siblings(below)[0]
             sibling = self.tree.node(sibling_id)
             side = node.children.index(sibling_id)
             blinded = blind(sibling.key) if with_blinds else None
@@ -352,20 +298,18 @@ class OftMember(MemberView):
                 self.knowledge.learn_key(level.blinded)
         self.computed: dict[int, SymKey] = {}
         if all(level.blinded is not None for level in self.levels):
-            self._fold(None)
+            self._fold(CostMeter())  # founding members' first fold is set-up
 
-    def _fold(self, meter: MeterLike | None) -> None:
+    def _fold(self, meter: CostMeter) -> None:
         key = self.individual_key
         self.computed = {}
         for level, parent_id in zip(self.levels, self.chain[1:]):
             if level.blinded is None:
                 raise EventError(f"cannot fold: missing blinded key below node {parent_id}")
             mine = blind(key)
-            if meter is not None:
-                meter.count_member_derivation()
+            meter.count_member_derivation()
             key = mix(level.blinded, mine) if level.side == 0 else mix(mine, level.blinded)
-            if meter is not None:
-                meter.count_member_derivation()
+            meter.count_member_derivation()
             self.computed[parent_id] = key
             self.knowledge.learn_key(key)
         self._learn_group_key(key)
@@ -401,7 +345,7 @@ class OftMember(MemberView):
             self.levels = new_levels
         return changed
 
-    def _apply_refresh(self, message: RekeyMessage, meter: MeterLike) -> None:
+    def _apply_refresh(self, message: RekeyMessage, meter: CostMeter) -> None:
         self._apply_structure(message.aux)
         payload = message.payloads[0]
         if payload.kek_id != self.leaf_id:
@@ -412,7 +356,7 @@ class OftMember(MemberView):
         if message.aux.get("fold", False):
             self._fold(meter)
 
-    def apply_message(self, message: RekeyMessage, meter: MeterLike) -> None:
+    def apply_message(self, message: RekeyMessage, meter: CostMeter) -> None:
         self._check_addressed(message.recipients)
         if message.aux.get("op") == "refresh":
             self._apply_refresh(message, meter)

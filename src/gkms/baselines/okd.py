@@ -28,8 +28,7 @@ from gkms.core import (
     Notice,
     RekeyMessage,
 )
-from gkms.crypto import KeyRole, MeterLike, SymKey, derive, random_key, wrap
-from gkms.tree import insert_leaf
+from gkms.crypto import derive, random_key, wrap
 
 
 class OkdServer(LkhServer):
@@ -45,20 +44,8 @@ class OkdServer(LkhServer):
         meter: CostMeter,
         output: EventOutput,
         seq: int,
-        old_members: list[str],
     ) -> list[int]:
-        individual = random_key(rng, meter, KeyRole.INDIVIDUAL)
-        inserted = insert_leaf(self.tree, member, fill_slots=True)
-        leaf = self.tree.node(inserted.leaf_id)
-        leaf.key = individual
-
-        split = None
-        if inserted.split_member is not None:
-            split = {
-                "member": inserted.split_member,
-                "new_node": inserted.new_internal_id,
-                "joiner_leaf": inserted.leaf_id,
-            }
+        individual, old_members, inserted, split = self._place_joiner(member, rng, meter)
         new_node_id = split["new_node"] if split else None
 
         chain = list(self.tree.ancestors(inserted.leaf_id))
@@ -68,7 +55,7 @@ class OkdServer(LkhServer):
                 # brand-new internal node: nothing exists to step, so it gets
                 # fresh randomness; the displaced member receives it by
                 # unicast below, everyone else never needs it
-                node.key = random_key(rng, meter, KeyRole.MIDDLE)
+                node.key = random_key(rng, meter)
             else:
                 node.key = derive(node.key)
                 meter.count("keygen")
@@ -84,8 +71,7 @@ class OkdServer(LkhServer):
             aux={"op": "join", "joined": [member], "targets": list(chain), "split": split},
             event_seq=seq,
         )
-        meter.count_message(joiner_msg)
-        output.deliveries.append(joiner_msg)
+        output.send(joiner_msg, meter)
 
         if split is not None:
             victim_leaf = self.tree.leaf_of(inserted.split_member)
@@ -108,17 +94,15 @@ class OkdServer(LkhServer):
                 },
                 event_seq=seq,
             )
-            meter.count_message(victim_msg)
-            output.deliveries.append(victim_msg)
+            output.send(victim_msg, meter)
 
         notice = Notice(
             kind="join",
-            recipients=tuple(old_members),
+            recipients=old_members,
             aux={"op": "join", "joined": [member], "chain": list(chain), "split": split},
             event_seq=seq,
         )
-        meter.count_notice()
-        output.deliveries.append(notice)
+        output.send(notice, meter)
 
         output.bootstraps.append(self._bootstrap_for(member, individual))
         return chain
@@ -130,7 +114,7 @@ class OkdServer(LkhServer):
 class OkdMember(LkhMember):
     """Member that steps its own path keys on a join notice."""
 
-    def apply_notice(self, notice: Notice, meter: MeterLike) -> None:
+    def apply_notice(self, notice: Notice, meter: CostMeter) -> None:
         self._check_addressed(notice.recipients)
         aux = notice.aux
         split = aux.get("split")

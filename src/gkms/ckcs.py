@@ -25,7 +25,6 @@ from gkms import tree as kt
 from gkms.core import (
     Bootstrap,
     CostMeter,
-    DiscardMeter,
     EventError,
     EventOutput,
     MembershipEvent,
@@ -35,7 +34,6 @@ from gkms.core import (
     ServerProtocol,
 )
 from gkms.crypto import (
-    KeyRole,
     SymKey,
     decode_code,
     derive,
@@ -52,10 +50,10 @@ class CkcsServer(ServerProtocol):
     arity = 2
 
     def __init__(self, member_ids: list[str], rng: Random, root_code: str | None = None) -> None:
-        setup = DiscardMeter()  # initial group setup is out of band, unmetered
+        setup = CostMeter()  # initial group setup is out of band, unmetered
         self.tree = kt.build_balanced(member_ids, self.arity, rng, root_code=root_code, coded=True)
         for leaf_id in self.tree.leaf_ids():
-            self.tree.nodes[leaf_id].key = random_key(rng, setup, KeyRole.INDIVIDUAL)
+            self.tree.nodes[leaf_id].key = random_key(rng, setup)
         self._group_key = random_key(rng, setup)
         self.epoch = 0
         self._middle_cache: dict[int, SymKey] = {}
@@ -68,10 +66,6 @@ class CkcsServer(ServerProtocol):
     @property
     def group_key(self) -> SymKey:
         return self._group_key
-
-    @property
-    def member_ids(self) -> list[str]:
-        return self.tree.members
 
     def node_key(self, node_id: int) -> SymKey:
         """Current key at any node: stored for leaves, group key at the root,
@@ -104,7 +98,7 @@ class CkcsServer(ServerProtocol):
     # -- event handling ----------------------------------------------------
 
     def handle_event(self, event: MembershipEvent, rng: Random, meter: CostMeter) -> EventOutput:
-        self._validate(event, set(self.member_ids))
+        self._validate(event)
         if event.op == "join":
             return self._join(event, rng, meter)
         return self._leave(event, rng, meter)
@@ -125,9 +119,7 @@ class CkcsServer(ServerProtocol):
         old_members = self.member_ids
         old_root_code = self.tree.root.code  # None when the root is a bare leaf
 
-        individual: dict[str, SymKey] = {
-            m: random_key(rng, meter, KeyRole.INDIVIDUAL) for m in joiners
-        }
+        individual: dict[str, SymKey] = {m: random_key(rng, meter) for m in joiners}
         subtree = kt.build_balanced(joiners, self.arity)
         for leaf_id in subtree.leaf_ids():
             node = subtree.nodes[leaf_id]
@@ -171,8 +163,7 @@ class CkcsServer(ServerProtocol):
                     aux={"op": "code_reset", "new_root": new_root_id},
                     event_seq=event.seq,
                 )
-                meter.count_message(reset)
-                output.deliveries.append(reset)
+                output.send(reset, meter)
 
         payloads = tuple(
             wrap(individual[m], new_group_key, meter, kek_id=self.tree.leaf_of(m).node_id)
@@ -185,20 +176,16 @@ class CkcsServer(ServerProtocol):
             aux={"op": "join", "joined": joiners, "new_root": new_root_id},
             event_seq=event.seq,
         )
-        meter.count_message(message)
-
         for m in joiners:
             output.bootstraps.append(self._bootstrap_for(m, individual[m]))
-        output.deliveries.append(message)
-        meter.count_notice()  # zero-payload signal, outside the size model
-        output.deliveries.append(
-            Notice(
-                kind="join",
-                recipients=tuple(old_members),
-                aux={"op": "join", "new_root": new_root_id, "joined": joiners},
-                event_seq=event.seq,
-            )
+        output.send(message, meter)
+        notice = Notice(
+            kind="join",
+            recipients=tuple(old_members),
+            aux={"op": "join", "new_root": new_root_id, "joined": joiners},
+            event_seq=event.seq,
         )
+        output.send(notice, meter)
         output.stats["keygen_dedup"] = len(joiners) + 1
         if fresh_code is not None:
             output.stats["code_resets"] = len(old_members)
@@ -230,9 +217,8 @@ class CkcsServer(ServerProtocol):
             },
             event_seq=event.seq,
         )
-        meter.count_message(message)
-
-        output = EventOutput(deliveries=[message])
+        output = EventOutput()
+        output.send(message, meter)
         output.stats["keygen_dedup"] = 1
         output.stats["cover_size"] = len(cover_ids)
         return output
@@ -283,7 +269,7 @@ class CkcsMember(MemberView):
         group_key = bootstrap.extra.get("group_key")
         if group_key is not None:
             self._learn_group_key(group_key)
-            self._recompute_middle_keys(DiscardMeter())
+            self._recompute_middle_keys(CostMeter())  # founding members: set-up
 
     def _recompute_middle_keys(self, meter) -> None:
         """Refresh every non-root path key from the current group key."""

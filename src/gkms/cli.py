@@ -62,9 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="sweep.csv", help="CSV filename (within --output-dir)")
 
     p_audit = sub.add_parser("audit", help="secrecy closure checks over random traces")
-    p_audit.add_argument("--trials", type=int, default=1000)
-    p_audit.add_argument("--max-n", type=int, default=64)
-    p_audit.add_argument("--max-events", type=int, default=8)
+    p_audit.add_argument("--trials", type=_int_at_least(1), default=1000)
+    p_audit.add_argument("--max-n", type=_int_at_least(2), default=64)
+    p_audit.add_argument("--max-events", type=_int_at_least(1), default=8)
     p_audit.add_argument("--seed", type=int, default=None)
     p_audit.add_argument(
         "--sample",
@@ -83,12 +83,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_at_least(low: int):
+    def integer(text: str) -> int:  # argparse names the type after the function
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _pick_seed(explicit: int | None) -> int:
     return explicit if explicit is not None else Random().randrange(10**9)
 
 
-def _check_vectors(quiet: bool) -> bool:
-    results = verify_golden_vectors()
+def _check_vectors(text: str | None, quiet: bool) -> bool:
+    """Verify ``text`` (the shipped vectors when None); False on a mismatch."""
+    results = verify_golden_vectors(text)
     bad = [r for r in results if not r.ok]
     if bad:
         for r in bad:
@@ -198,6 +209,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_vectors(args: argparse.Namespace) -> int:
+    text = None
     if args.file is not None:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
@@ -205,24 +217,18 @@ def _cmd_vectors(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot read vectors: {exc}", file=sys.stderr)
             return EXIT_VECTORS
-        results = verify_golden_vectors(text)
-        bad = [r for r in results if not r.ok]
-        if bad:
-            for r in bad:
-                print(
-                    f"vector line {r.line_no} ({r.function}): expected {r.expected}, got {r.actual}",
-                    file=sys.stderr,
-                )
-            return EXIT_VECTORS
-        print(f"golden vectors: {len(results)} ok")
-        return EXIT_OK
-    return EXIT_OK if _check_vectors(quiet=False) else EXIT_VECTORS
+    try:
+        ok = _check_vectors(text, quiet=False)
+    except ValueError as exc:
+        print(f"bad vector file: {exc}", file=sys.stderr)
+        return EXIT_VECTORS
+    return EXIT_OK if ok else EXIT_VECTORS
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command != "vectors" and not _check_vectors(quiet=True):
+    if args.command != "vectors" and not _check_vectors(None, quiet=True):
         return EXIT_VECTORS
     if args.command == "run":
         return _cmd_run(args)

@@ -18,6 +18,7 @@ from random import Random
 from typing import Literal
 
 from gkms.crypto import SymKey, WrappedKey
+from gkms.tree import KeyTree
 
 COST_KINDS = ("keygen", "encrypt", "unicast", "multicast", "payload_key")
 
@@ -120,6 +121,15 @@ class EventOutput:
     deliveries: list[RekeyMessage | Notice] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
+    def send(self, delivery: RekeyMessage | Notice, meter: CostMeter) -> None:
+        """Emit one delivery and meter it: a message by channel and size, a
+        notice outside the size model."""
+        if isinstance(delivery, Notice):
+            meter.count_notice()
+        else:
+            meter.count_message(delivery)
+        self.deliveries.append(delivery)
+
     @property
     def messages(self) -> list[RekeyMessage]:
         return [d for d in self.deliveries if isinstance(d, RekeyMessage)]
@@ -156,13 +166,21 @@ class CostReport:
 
 
 class CostMeter:
-    """Counts metered operations, with per-event snapshots."""
+    """Counts metered operations, with per-event snapshots.
+
+    It also logs which key wrapped each ciphertext.  The log is an
+    analysis-side artifact (the wire carries only ciphertexts); the secrecy
+    analyzer uses it to index unwrap attempts without changing their outcome,
+    since exactly the wrapping key can open a payload.  Work that is not
+    charged to anyone (set-up, probes) runs against a throwaway meter.
+    """
 
     def __init__(self) -> None:
         self._totals = dict.fromkeys(COST_KINDS, 0)
         self.member_derivations = 0
         self.notices = 0
         self.events: list[EventCost] = []
+        self.wrap_log: dict[bytes, bytes] = {}
         self._mark: dict | None = None
         self._event: tuple[int, Op, int] | None = None
 
@@ -170,6 +188,9 @@ class CostMeter:
         if kind not in self._totals:
             raise ValueError(f"unknown cost kind {kind!r}")
         self._totals[kind] += amount
+
+    def record_wrap(self, kek: SymKey, wrapped: WrappedKey) -> None:
+        self.wrap_log[wrapped.ciphertext] = kek.data
 
     def count_member_derivation(self, amount: int = 1) -> None:
         self.member_derivations += amount
@@ -223,22 +244,6 @@ class CostMeter:
             notices=self.notices,
             events=tuple(self.events),
         )
-
-
-class DiscardMeter:
-    """Meter that counts nothing; for probes and out-of-band re-execution."""
-
-    def count(self, kind: str, amount: int = 1) -> None:
-        pass
-
-    def count_member_derivation(self, amount: int = 1) -> None:
-        pass
-
-    def count_notice(self) -> None:
-        pass
-
-    def count_message(self, message: RekeyMessage) -> None:
-        pass
 
 
 def csv_row(protocol: str, n: int, cost: EventCost) -> dict:
@@ -318,22 +323,27 @@ class MemberView(ABC):
 
 
 class ServerProtocol(ABC):
-    """Server-side engine of one protocol instance."""
+    """Server-side engine of one protocol instance over its key tree."""
 
     name: str
     arity: int
+    tree: KeyTree
 
     @property
-    @abstractmethod
-    def group_key(self) -> SymKey: ...
+    def group_key(self) -> SymKey:
+        return self.tree.root.key
+
+    def node_key(self, node_id: int) -> SymKey:
+        """Current key of any tree node."""
+        return self.tree.node(node_id).key
 
     @property
-    @abstractmethod
-    def member_ids(self) -> list[str]: ...
+    def member_ids(self) -> list[str]:
+        return self.tree.members
 
     @property
     def member_count(self) -> int:
-        return len(self.member_ids)
+        return self.tree.member_count
 
     @abstractmethod
     def handle_event(self, event: MembershipEvent, rng: Random, meter: CostMeter) -> EventOutput: ...
@@ -342,14 +352,44 @@ class ServerProtocol(ABC):
     def build_member(self, bootstrap: Bootstrap) -> MemberView:
         """Construct the client view a bootstrap delivery creates."""
 
-    def _validate(self, event: MembershipEvent, members: set[str]) -> None:
+    def _validate(self, event: MembershipEvent) -> None:
         if event.op == "join":
-            stale = [m for m in event.member_ids if m in members]
+            stale = [m for m in event.member_ids if self.tree.has_member(m)]
             if stale:
                 raise EventError(f"members already present: {stale}")
         else:
-            unknown = [m for m in event.member_ids if m not in members]
+            unknown = [m for m in event.member_ids if not self.tree.has_member(m)]
             if unknown:
                 raise EventError(f"cannot remove unknown members: {unknown}")
-            if len(event.member_ids) >= len(members):
+            if len(event.member_ids) >= self.tree.member_count:
                 raise EventError("cannot remove every member; the group may not empty")
+
+    def _sequential_batch(
+        self,
+        event: MembershipEvent,
+        rng: Random,
+        meter: CostMeter,
+        join_individual_keys: int,
+        leave_individual_keys: int,
+    ) -> EventOutput:
+        """Run a batch as a sequence of single joins or leaves, in event order.
+
+        For the sequential baselines, which define ``_join_one`` and
+        ``_leave_one``; each returns the ancestor chain it rekeyed.  The
+        ``*_individual_keys`` counts are the leaf keys one join or leave draws
+        besides that chain; with the chains' union they make the
+        ``keygen_dedup`` stat.
+        """
+        self._validate(event)
+        output = EventOutput()
+        touched: set[int] = set()
+        if event.op == "join":
+            for member in event.member_ids:
+                touched.update(self._join_one(member, rng, meter, output, event.seq))
+            individual_keys = join_individual_keys * event.batch_size
+        else:
+            for member in event.member_ids:
+                touched.update(self._leave_one(member, rng, meter, output, event.seq))
+            individual_keys = leave_individual_keys * event.batch_size
+        output.stats["keygen_dedup"] = len(touched) + individual_keys
+        return output

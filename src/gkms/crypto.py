@@ -16,8 +16,7 @@ cannot run unmetered inside protocol code.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from importlib import resources
 from random import Random
 from typing import Iterable, Protocol
@@ -42,25 +41,18 @@ class UnwrapError(CryptoError):
 
 
 class MeterLike(Protocol):
-    """Anything that can count metered operations (see core.CostMeter)."""
+    """What the primitives meter through (implemented by core.CostMeter)."""
 
     def count(self, kind: str, amount: int = 1) -> None: ...
 
-
-class KeyRole(Enum):
-    """Descriptive label for where a key lives; never part of key equality."""
-
-    INDIVIDUAL = "individual"
-    MIDDLE = "middle"
-    GROUP = "group"
+    def record_wrap(self, kek: SymKey, wrapped: WrappedKey) -> None: ...
 
 
 @dataclass(frozen=True)
 class SymKey:
-    """A symmetric key value.  Equality and hashing use the bytes only."""
+    """A symmetric key value, compared and hashed by its bytes."""
 
     data: bytes
-    role: KeyRole = field(default=KeyRole.GROUP, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.data, bytes) or len(self.data) != KEY_LEN:
@@ -72,7 +64,7 @@ class SymKey:
         return self.data[:4].hex()
 
     def __repr__(self) -> str:  # avoid dumping full key material in logs
-        return f"SymKey({self.fingerprint}.., {self.role.value})"
+        return f"SymKey({self.fingerprint}..)"
 
 
 @dataclass(frozen=True)
@@ -97,17 +89,17 @@ def _hash(domain: bytes, payload: bytes) -> bytes:
 
 def derive(key: SymKey) -> SymKey:
     """One-way refresh: the holder of ``key`` can step it forward, never back."""
-    return SymKey(_hash(_DOMAIN_DERIVE, key.data), role=key.role)
+    return SymKey(_hash(_DOMAIN_DERIVE, key.data))
 
 
 def blind(key: SymKey) -> SymKey:
     """One-way image of a key that is safe to show to non-holders."""
-    return SymKey(_hash(_DOMAIN_BLIND, key.data), role=key.role)
+    return SymKey(_hash(_DOMAIN_BLIND, key.data))
 
 
 def mix(left: SymKey, right: SymKey) -> SymKey:
     """Combine two (blinded) child keys into a parent key; order matters."""
-    return SymKey(_hash(_DOMAIN_MIX, left.data + right.data), role=KeyRole.MIDDLE)
+    return SymKey(_hash(_DOMAIN_MIX, left.data + right.data))
 
 
 def encode_code(code: str) -> bytes:
@@ -124,7 +116,7 @@ def derive_with_code(group_key: SymKey, code: str) -> SymKey:
     """Key of a coded tree node: hash of the group key XOR its node code."""
     pad = encode_code(code)
     mixed = bytes(a ^ b for a, b in zip(group_key.data, pad))
-    return SymKey(_hash(_DOMAIN_CODE, mixed), role=KeyRole.MIDDLE)
+    return SymKey(_hash(_DOMAIN_CODE, mixed))
 
 
 def decode_code(block: bytes) -> str:
@@ -135,20 +127,19 @@ def decode_code(block: bytes) -> str:
     return code
 
 
-def random_key(rng: Random, meter: MeterLike, role: KeyRole = KeyRole.GROUP) -> SymKey:
+def random_key(rng: Random, meter: MeterLike) -> SymKey:
     """Fresh key from the seeded generator; metered as one key generation."""
     meter.count("keygen")
-    return SymKey(rng.randbytes(KEY_LEN), role=role)
+    return SymKey(rng.randbytes(KEY_LEN))
 
 
 def wrap(kek: SymKey, payload: SymKey, meter: MeterLike, kek_id: int | str) -> WrappedKey:
-    """Encrypt ``payload`` under ``kek``; metered as one encryption."""
+    """Encrypt ``payload`` under ``kek``; metered as one encryption, and the
+    meter logs which key did the wrapping."""
     meter.count("encrypt")
     ciphertext = AESSIV(kek.data).encrypt(payload.data, None)
     wrapped = WrappedKey(ciphertext=ciphertext, kek_id=kek_id)
-    record = getattr(meter, "record_wrap", None)
-    if record is not None:
-        record(kek, wrapped)
+    meter.record_wrap(kek, wrapped)
     return wrapped
 
 
@@ -184,15 +175,11 @@ def _compute_vector(function: str, inputs: list[bytes]) -> bytes:
         key, code_ascii = inputs
         return derive_with_code(SymKey(key), code_ascii.decode("ascii")).data
     if function == "wrap":
+        from gkms.core import CostMeter  # core imports this module
+
         kek, payload = inputs
-        meter = _NullCounter()
-        return wrap(SymKey(kek), SymKey(payload), meter, kek_id="vector").ciphertext
+        return wrap(SymKey(kek), SymKey(payload), CostMeter(), kek_id="vector").ciphertext
     raise ValueError(f"unknown vector function {function!r}")
-
-
-class _NullCounter:
-    def count(self, kind: str, amount: int = 1) -> None:
-        pass
 
 
 def iter_golden_vectors(text: str) -> Iterable[tuple[int, str, list[bytes], bytes]]:
@@ -200,9 +187,18 @@ def iter_golden_vectors(text: str) -> Iterable[tuple[int, str, list[bytes], byte
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        name, raw_inputs, raw_output = (part.strip() for part in line.split(","))
-        inputs = [bytes.fromhex(tok) for tok in raw_inputs.split()]
-        yield line_no, name, inputs, bytes.fromhex(raw_output)
+        fields = [part.strip() for part in line.split(",")]
+        if len(fields) != 3:
+            raise ValueError(
+                f"vector line {line_no}: expected 3 comma-separated fields, got {len(fields)}"
+            )
+        name, raw_inputs, raw_output = fields
+        try:
+            inputs = [bytes.fromhex(tok) for tok in raw_inputs.split()]
+            output = bytes.fromhex(raw_output)
+        except ValueError:
+            raise ValueError(f"vector line {line_no}: inputs and output must be hex") from None
+        yield line_no, name, inputs, output
 
 
 def default_vector_text() -> str:
@@ -215,7 +211,10 @@ def verify_golden_vectors(text: str | None = None) -> list[VectorResult]:
         text = default_vector_text()
     results = []
     for line_no, name, inputs, expected in iter_golden_vectors(text):
-        actual = _compute_vector(name, inputs)
+        try:
+            actual = _compute_vector(name, inputs)
+        except ValueError as exc:
+            raise ValueError(f"vector line {line_no}: {exc}") from None
         results.append(
             VectorResult(
                 line_no=line_no,

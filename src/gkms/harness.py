@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from random import Random
@@ -27,9 +28,7 @@ from gkms.baselines import LkhServer, OftServer, OkdServer
 from gkms.ckcs import CkcsServer
 from gkms.core import (
     CostMeter,
-    DiscardMeter,
     EventCost,
-    EventError,
     EventOutput,
     MembershipEvent,
     MemberView,
@@ -52,22 +51,6 @@ class ProbeError(AssertionError):
     """A probe test failed; carries the diagnostic state dump."""
 
 
-class RecordingMeter(CostMeter):
-    """Cost meter that additionally logs which key wrapped each ciphertext.
-
-    The log is an analysis-side artifact (the wire carries only ciphertexts);
-    the secrecy analyzer uses it to index unwrap attempts without changing
-    their outcome, since exactly the wrapping key can open a payload.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.wrap_log: dict[bytes, bytes] = {}
-
-    def record_wrap(self, kek, wrapped) -> None:
-        self.wrap_log[wrapped.ciphertext] = kek.data
-
-
 @dataclass(frozen=True)
 class Step:
     op: str  # "join" | "leave"
@@ -82,11 +65,14 @@ class Step:
             raise ScenarioError("step needs a count or explicit ids, not both")
         if self.count is not None and self.count < 1:
             raise ScenarioError("step batch size must be at least 1")
-        if self.ids is not None and self.op != "leave":
-            raise ScenarioError("explicit ids are only supported for leave steps")
-        if self.layout is not None:
+        if self.ids is not None:
             if self.op != "leave":
-                raise ScenarioError("layout applies to leave steps only")
+                raise ScenarioError("explicit ids are only supported for leave steps")
+            if not self.ids:
+                raise ScenarioError("explicit ids must name at least one member")
+        if self.layout is not None:
+            if self.op != "leave" or self.ids is not None:
+                raise ScenarioError("layout applies to counted leave steps only")
             if self.layout not in LAYOUTS:
                 raise ScenarioError(f"unknown layout {self.layout!r}")
 
@@ -127,7 +113,13 @@ def make_server(protocol: str, member_ids: list[str], rng: Random, root_code: st
 # -- scenario text format ----------------------------------------------------
 
 
+_INIT_KEYS = ("n", "protocol", "seed", "root_code")
+_UNSIGNED = re.compile(r"[0-9]+")
+_SIGNED = re.compile(r"-?[0-9]+")
+
+
 def parse_scenario(text: str) -> Scenario:
+    """Parse a scenario script; any malformed text raises ScenarioError."""
     init: dict | None = None
     steps: list[Step] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -143,6 +135,9 @@ def parse_scenario(text: str) -> Scenario:
             for required in ("n", "protocol", "seed"):
                 if required not in init:
                     raise ScenarioError(f"line {line_no}: init needs {required}=")
+            for key, pattern in (("n", _UNSIGNED), ("seed", _SIGNED)):
+                if not pattern.fullmatch(init[key]):
+                    raise ScenarioError(f"line {line_no}: {key} must be a decimal integer, got {init[key]!r}")
         elif kind in ("join", "leave"):
             if init is None:
                 raise ScenarioError(f"line {line_no}: init must come first")
@@ -166,25 +161,30 @@ def _parse_kv(tokens: list[str], line_no: int) -> dict:
         if "=" not in token:
             raise ScenarioError(f"line {line_no}: expected key=value, got {token!r}")
         key, value = token.split("=", 1)
+        if key not in _INIT_KEYS:
+            raise ScenarioError(f"line {line_no}: unknown init key {key!r}")
+        if key in out:
+            raise ScenarioError(f"line {line_no}: duplicate {key}=")
         out[key] = value
     return out
 
 
 def _parse_step(op: str, tokens: list[str], line_no: int) -> Step:
-    count: int | None = None
-    ids: tuple[str, ...] | None = None
-    layout: str | None = None
+    fields: dict = {}
     for token in tokens:
-        if token.isdigit():
-            count = int(token)
+        if _UNSIGNED.fullmatch(token):
+            name, value = "count", int(token)
         elif token.startswith("ids="):
-            ids = tuple(part for part in token[4:].split(",") if part)
+            name, value = "ids", tuple(part for part in token[4:].split(",") if part)
         elif token.startswith("layout="):
-            layout = token[7:]
+            name, value = "layout", token[7:]
         else:
             raise ScenarioError(f"line {line_no}: unexpected token {token!r}")
+        if name in fields:
+            raise ScenarioError(f"line {line_no}: step gives its {name} twice")
+        fields[name] = value
     try:
-        return Step(op=op, count=count, ids=ids, layout=layout)
+        return Step(op=op, **fields)
     except ScenarioError as exc:
         raise ScenarioError(f"line {line_no}: {exc}") from None
 
@@ -309,7 +309,7 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
     server = make_server(scenario.protocol, initial, rng, scenario.root_code)
     trace = TraceRecord(scenario=scenario, server=server)
     trace.group_key_history.append(server.group_key)
-    meter = RecordingMeter()
+    meter = CostMeter()
     trace.wrap_log = meter.wrap_log
     _log_tree(trace)
 
@@ -390,7 +390,7 @@ def _deliver(trace: TraceRecord, record: EventRecord, seq: int) -> None:
 
 
 def _run_probe(trace: TraceRecord, probe_rng: Random, event_seq: int) -> None:
-    quiet = DiscardMeter()
+    quiet = CostMeter()  # probes are not protocol work
     probe_payload = random_key(probe_rng, quiet)
     probe = wrap(trace.server.group_key, probe_payload, quiet, kek_id="probe")
     if set(trace.members) != set(trace.server.member_ids):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
-from gkms.crypto import SymKey
+from gkms.crypto import KEY_LEN, SymKey
 
 DIGITS = "0123456789"
 ROOT_CODE_LEN = 8  # fresh root codes leave headroom for repeated shortening
@@ -42,6 +42,8 @@ def parent_code(code: str) -> str:
 
 def child_code(parent: str, rng: Random, used: Iterable[str] = ()) -> str:
     """Extend ``parent`` by one random digit not used by existing siblings."""
+    if len(parent) >= KEY_LEN:
+        raise CodeSpaceError(f"code {parent!r} has no room for a child digit")
     taken = {code[-1] for code in used}
     free = [d for d in DIGITS if d not in taken]
     if not free:
@@ -392,7 +394,7 @@ def assign_codes_below(tree: KeyTree, top_id: int, rng: Random | None) -> None:
 
 
 def _checked_code(code: str) -> str:
-    if not code or not code.isdigit():
+    if not code or not code.isdigit() or len(code) > KEY_LEN:
         raise TreeError(f"invalid node code {code!r}")
     return code
 

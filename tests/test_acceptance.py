@@ -22,7 +22,7 @@ from gkms import tree as kt
 from gkms.analyzer import adversary_knowledge, audit, closure, verify_witness
 from gkms.baselines.oft import OftServer
 from gkms.ckcs import CkcsServer
-from gkms.core import DiscardMeter, MembershipEvent
+from gkms.core import CostMeter, MembershipEvent
 from gkms.harness import generate_random_scenario, parse_scenario, run, sweep
 
 from test_baselines import fold_oracle
@@ -377,7 +377,7 @@ def test_c8_oracle_equivalences():
                 m = rng.randint(1, min(4, server.member_count - 1))
                 ids = tuple(rng.sample(server.member_ids, m))
                 op = "leave"
-            server.handle_event(MembershipEvent(seq, op, ids), rng, DiscardMeter())
+            server.handle_event(MembershipEvent(seq, op, ids), rng, CostMeter())
             if fold_oracle(server.tree) != server.group_key:
                 problems.append(f"fold mismatch seed {seed} event {seq}")
             fold_checks += 1
@@ -400,7 +400,7 @@ def test_c8_oracle_equivalences():
                 m = rng.randint(1, min(4, server.member_count - 1))
                 ids = tuple(rng.sample(server.member_ids, m))
                 op = "leave"
-            output = server.handle_event(MembershipEvent(seq, op, ids), rng, DiscardMeter())
+            output = server.handle_event(MembershipEvent(seq, op, ids), rng, CostMeter())
             for bootstrap in output.bootstraps:
                 views[bootstrap.member_id] = server.build_member(bootstrap)
             deliver(views, output)

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from gkms.baselines import LkhServer, OftServer, OkdServer
-from gkms.core import CostMeter, DiscardMeter, EventError, MembershipEvent, Notice
+from gkms.core import CostMeter, EventError, MembershipEvent, Notice
 from gkms.crypto import SymKey, blind, derive, mix, unwrap
 
 
@@ -15,7 +15,7 @@ def members(n):
 
 
 def deliver(views, output, meter=None):
-    meter = meter or DiscardMeter()
+    meter = meter or CostMeter()
     for delivery in output.deliveries:
         for member_id in delivery.recipients:
             view = views.get(member_id)

@@ -8,7 +8,7 @@ import pytest
 
 from gkms import tree as kt
 from gkms.ckcs import CkcsMember, CkcsServer
-from gkms.core import CostMeter, DiscardMeter, EventError, MembershipEvent, Notice, RekeyMessage
+from gkms.core import CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
 from gkms.crypto import SymKey, decode_code, derive, derive_with_code, unwrap
 
 
@@ -22,7 +22,7 @@ def make(n=4, root_code="278", seed=1):
 
 
 def deliver(views, output, meter=None):
-    meter = meter or DiscardMeter()
+    meter = meter or CostMeter()
     for delivery in output.deliveries:
         for member_id in delivery.recipients:
             view = views.get(member_id)
@@ -137,7 +137,7 @@ def test_joiner_multicast_is_opaque_to_old_members():
     assert set(message.recipients) == {"u5"}  # old members are not addressed
     old = views["u1"]
     with pytest.raises(EventError):
-        old.apply_message(message, DiscardMeter())
+        old.apply_message(message, CostMeter())
 
 
 # -- code lifecycle -----------------------------------------------------------------
@@ -307,6 +307,6 @@ def test_member_rejects_unknown_traffic():
         event_seq=1,
     )
     with pytest.raises(EventError):
-        view.apply_message(bogus, DiscardMeter())
+        view.apply_message(bogus, CostMeter())
     with pytest.raises(EventError):
-        view.apply_notice(Notice(kind="farewell", recipients=("u1",), aux={}, event_seq=1), DiscardMeter())
+        view.apply_notice(Notice(kind="farewell", recipients=("u1",), aux={}, event_seq=1), CostMeter())

@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, emitted files."""
 
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +59,22 @@ def test_vectors_alternate_file_ok(tmp_path, capsys):
     assert "golden vectors: 15 ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "record,fragment",
+    [
+        ("derive, zz, 00", "must be hex"),
+        ("derive, 00", "expected 3 comma-separated fields"),
+        ("derive, 00, 00, 00", "expected 3 comma-separated fields"),
+    ],
+)
+def test_vectors_malformed_record(tmp_path, capsys, record, fragment):
+    bad_file = tmp_path / "vectors.txt"
+    bad_file.write_text(record + "\n")
+    assert main(["vectors", "--file", str(bad_file)]) == EXIT_VECTORS
+    err = capsys.readouterr().err
+    assert "bad vector file: vector line 1" in err and fragment in err
+
+
 def test_vectors_missing_file(tmp_path, capsys):
     assert main(["vectors", "--file", str(tmp_path / "nope.txt")]) == EXIT_VECTORS
     assert "cannot read vectors" in capsys.readouterr().err
@@ -87,6 +106,35 @@ def test_run_malformed_scenario(tmp_path, capsys):
     path.write_text("init n=4 protocol=warp seed=1\n")
     assert main(["run", str(path)]) == EXIT_RUN
     assert "bad scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "init n=abc protocol=lkh seed=1\n",
+        "init n=4 protocol=lkh seed=x\n",
+        "init n=4 protocol=lkh seed=1 bogus=1\n",
+        "init n=4 protocol=lkh seed=1\njoin 2 3\n",
+        "init n=4 protocol=lkh seed=1\nleave 1 layout=random layout=best-half\n",
+    ],
+)
+def test_run_strict_grammar_exits_4_without_traceback(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["run", str(path)]) == EXIT_RUN
+    err = capsys.readouterr().err
+    assert "bad scenario: line 1" in err or "bad scenario: line 2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "header", ["init n=4 protocol=ckcs seed=1 root_code=" + "1" * 32, "init n=2 protocol=ckcs seed=1 root_code=" + "1" * 33]
+)
+def test_run_overlong_root_code_exits_4(tmp_path, capsys, header):
+    path = tmp_path / "long.txt"
+    path.write_text(header + "\njoin 1\n")
+    assert main(["run", str(path)]) == EXIT_RUN
+    assert "run failed" in capsys.readouterr().err
 
 
 def test_run_failing_event(tmp_path, capsys):
@@ -169,6 +217,36 @@ def test_audit_codes_public_reports_breaches(capsys):
     out = capsys.readouterr().out
     assert "BREACH" in out
     assert "--- breach in scenario seed" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--max-n", "1"], ["--max-events", "0"], ["--trials", "-3"], ["--trials", "0"]],
+)
+def test_audit_rejects_out_of_range_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(["audit", *argv, "--seed", "1"])
+    assert info.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_audit_output_is_identical_across_hash_seeds():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gkms.cli", "audit", "--codes-public",
+             "--trials", "10", "--seed", "7", "--max-n", "32"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert proc.returncode == EXIT_AUDIT, proc.stderr
+        outputs.append(re.sub(r", [0-9.]+s$", ", <elapsed>", proc.stdout, flags=re.M))
+    assert "BREACH" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_module_entry_point_subprocess():

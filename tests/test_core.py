@@ -8,7 +8,6 @@ from gkms.core import (
     CSV_COLUMNS,
     Bootstrap,
     CostMeter,
-    DiscardMeter,
     EventError,
     EventOutput,
     MembershipEvent,
@@ -20,6 +19,7 @@ from gkms.core import (
     rows_to_csv,
 )
 from gkms.crypto import SymKey, WrappedKey
+from gkms.tree import build_balanced
 
 K = SymKey(bytes(32))
 
@@ -113,14 +113,6 @@ def test_meter_guards():
         meter.begin_event(2, "join", 1)
 
 
-def test_discard_meter_counts_nothing():
-    meter = DiscardMeter()
-    meter.count("keygen", 10)
-    meter.count_member_derivation()
-    meter.count_notice()
-    meter.count_message(msg())  # no state at all to assert on; must not raise
-
-
 def test_cost_kinds_cover_csv_columns():
     for kind in ("keygen", "encrypt", "unicast", "multicast"):
         assert kind in COST_KINDS
@@ -173,8 +165,8 @@ def test_member_view_basics():
         view._check_addressed(("bob",))
     notice = Notice(kind="join", recipients=("alice",), aux={}, event_seq=1)
     with pytest.raises(EventError):
-        view.apply_notice(notice, DiscardMeter())
-    view.apply_message(msg(recipients=("alice",)), DiscardMeter())
+        view.apply_notice(notice, CostMeter())
+    view.apply_message(msg(recipients=("alice",)), CostMeter())
     assert view.group_key == K
     assert K.data in view.knowledge.key_bytes
 
@@ -183,13 +175,12 @@ class _StubServer(ServerProtocol):
     name = "stub"
     arity = 2
 
+    def __init__(self):
+        self.tree = build_balanced(["a", "b", "c"], self.arity)
+
     @property
     def group_key(self):
         return K
-
-    @property
-    def member_ids(self):
-        return ["a", "b", "c"]
 
     def handle_event(self, event, rng, meter):
         raise NotImplementedError
@@ -200,16 +191,16 @@ class _StubServer(ServerProtocol):
 
 def test_server_validation_rules():
     server = _StubServer()
-    members = set(server.member_ids)
+    assert server.member_ids == ["a", "b", "c"]
     assert server.member_count == 3
-    server._validate(MembershipEvent(1, "join", ("d",)), members)
-    server._validate(MembershipEvent(1, "leave", ("a", "b")), members)
+    server._validate(MembershipEvent(1, "join", ("d",)))
+    server._validate(MembershipEvent(1, "leave", ("a", "b")))
     with pytest.raises(EventError):
-        server._validate(MembershipEvent(1, "join", ("a",)), members)
+        server._validate(MembershipEvent(1, "join", ("a",)))
     with pytest.raises(EventError):
-        server._validate(MembershipEvent(1, "leave", ("zz",)), members)
+        server._validate(MembershipEvent(1, "leave", ("zz",)))
     with pytest.raises(EventError):
-        server._validate(MembershipEvent(1, "leave", ("a", "b", "c")), members)
+        server._validate(MembershipEvent(1, "leave", ("a", "b", "c")))
 
 
 def test_bootstrap_is_plain_data():

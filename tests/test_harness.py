@@ -1,9 +1,12 @@
 """Scenario format, leaver layouts, deterministic trace running, membership
 probes, and the measurement sweep grid."""
 
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkms.core import CSV_COLUMNS, Notice
 from gkms.crypto import SymKey
@@ -12,7 +15,6 @@ from gkms.harness import (
     PROTOCOLS,
     SWEEP_EXTRA_COLUMNS,
     ProbeError,
-    RecordingMeter,
     Scenario,
     ScenarioError,
     Step,
@@ -88,11 +90,74 @@ def test_format_parse_round_trip():
         ("init n=4 protocol=lkh seed=1\nleave 2 layout=bogus\n", "unknown layout"),
         ("init n=4 protocol=foo seed=1\n", "unknown protocol"),
         ("init n=0 protocol=lkh seed=1\n", "at least 1"),
+        ("init n=abc protocol=lkh seed=1\n", "n must be a decimal integer"),
+        ("init n=4 protocol=lkh seed=x\n", "seed must be a decimal integer"),
+        ("init n=\u00b2 protocol=lkh seed=1\n", "n must be a decimal integer"),
+        ("init n=4 protocol=lkh seed=1 bogus=1\n", "unknown init key"),
+        ("init n=4 n=5 protocol=lkh seed=1\n", "duplicate n="),
+        ("init n=4 protocol=lkh seed=1\njoin 2 3\n", "count twice"),
+        ("init n=4 protocol=lkh seed=1\njoin \u00b2\n", "unexpected token"),
+        ("init n=4 protocol=lkh seed=1\nleave 1 layout=random layout=best-half\n", "layout twice"),
+        ("init n=4 protocol=lkh seed=1\nleave ids=u1 ids=u2\n", "ids twice"),
+        ("init n=4 protocol=lkh seed=1\nleave ids=,\n", "at least one member"),
+        ("init n=4 protocol=lkh seed=1\nleave ids=u1 layout=random\n", "counted leave steps only"),
     ],
 )
 def test_parse_scenario_rejects(text, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         parse_scenario(text)
+
+
+SCRIPT_TOKENS = st.sampled_from(
+    ["init", "join", "leave", "n=4", "n=x", "protocol=lkh", "protocol=ckcs", "seed=1",
+     "seed=-2", "root_code=27", "bogus=1", "2", "0", "ids=u1,u2", "ids=", "layout=random",
+     "layout=best-half", "#", "=", "\n", "\n"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(SCRIPT_TOKENS, st.text(max_size=6)), max_size=24))
+def test_parse_scenario_accepts_or_raises_scenario_error(tokens):
+    try:
+        scenario = parse_scenario(" ".join(tokens))
+    except ScenarioError:
+        return
+    assert parse_scenario(format_scenario(scenario)) == scenario
+
+
+MEMBER_IDS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"), blacklist_characters="#,"),
+    min_size=1,
+    max_size=5,
+)
+STEPS = st.one_of(
+    st.builds(Step, op=st.just("join"), count=st.integers(1, 99)),
+    st.builds(Step, op=st.just("leave"), count=st.integers(1, 99), layout=st.sampled_from([None, *LAYOUTS])),
+    st.builds(Step, op=st.just("leave"), ids=st.lists(MEMBER_IDS, min_size=1, max_size=4).map(tuple)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(PROTOCOLS)),
+    st.integers(1, 10**6),
+    st.integers(-(10**9), 10**9),
+    st.lists(STEPS, max_size=6),
+    st.one_of(st.none(), st.text(alphabet="0123456789", min_size=1, max_size=8)),
+)
+def test_format_scenario_round_trips(protocol, n, seed, steps, root_code):
+    scenario = Scenario(protocol=protocol, n=n, seed=seed, steps=tuple(steps), root_code=root_code)
+    assert parse_scenario(format_scenario(scenario)) == scenario
+
+
+def test_generated_and_shipped_scenarios_reparse_unchanged():
+    for seed in range(300):
+        scenario = generate_random_scenario(seed)
+        assert parse_scenario(format_scenario(scenario)) == scenario
+    scenario_dir = Path(__file__).resolve().parent.parent / "scenarios"
+    for path in sorted(scenario_dir.glob("*.txt")):
+        scenario = parse_scenario(path.read_text())
+        assert parse_scenario(format_scenario(scenario)) == scenario
 
 
 def test_make_server_guards():
@@ -236,15 +301,13 @@ def test_probe_detects_departed_member_with_live_key():
 
 
 def test_recording_meter_logs_wrapping_keys():
-    from gkms.crypto import random_key, unwrap, wrap
+    from gkms.crypto import unwrap
 
-    meter = RecordingMeter()
-    meter.begin_event(1, "join", 1)
-    kek = random_key(Random(1), meter)
-    payload = random_key(Random(2), meter)
-    wrapped = wrap(kek, payload, meter, kek_id=7)
-    assert meter.wrap_log == {wrapped.ciphertext: kek.data}
-    assert unwrap(SymKey(meter.wrap_log[wrapped.ciphertext]), wrapped) == payload
+    for protocol in sorted(PROTOCOLS):
+        trace = run(parse_scenario(f"init n=8 protocol={protocol} seed=2\njoin 2\nleave 3\n"))
+        for message in trace.deliveries:
+            for payload in getattr(message, "payloads", ()):
+                unwrap(SymKey(trace.wrap_log[payload.ciphertext]), payload)
 
 
 def test_random_scenario_corpus_probes_green():
@@ -255,6 +318,34 @@ def test_random_scenario_corpus_probes_green():
         protocols.add(scenario.protocol)
         assert trace.digest == run(scenario).digest
     assert protocols == set(PROTOCOLS)
+
+
+def _held_path_keys(protocol, view):
+    """The node keys a member holds for its own path, by node id."""
+    if protocol == "ckcs":
+        return {**view.middle_keys, view.leaf_id: view.individual_key}
+    if protocol == "oft":
+        return {**view.computed, view.leaf_id: view.individual_key}
+    return view.keys
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_members_hold_the_server_path_keys_after_random_churn(protocol):
+    for seed in range(40):
+        trace = run(generate_random_scenario(5_000 + seed, protocol=protocol))
+        server, tree = trace.server, trace.server.tree
+        for member, view in trace.members.items():
+            leaf = tree.leaf_of(member)
+            assert view.leaf_id == leaf.node_id
+            above = tree.ancestors(leaf.node_id)
+            if protocol == "ckcs":
+                above = above[:-1]  # the root key is the group key, held apart
+            expected = {node_id: server.node_key(node_id) for node_id in above}
+            expected[leaf.node_id] = leaf.key
+            assert _held_path_keys(protocol, view) == expected, (seed, member)
+            assert view.group_key == server.group_key
+        if protocol == "oft":
+            assert server.check_fold_invariant(), seed
 
 
 def test_generated_scenarios_are_valid_and_seed_stable():
