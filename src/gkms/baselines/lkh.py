@@ -215,7 +215,7 @@ class LkhMember(MemberView):
                 self.keys.pop(node_id, None)
 
     def apply_message(self, message: RekeyMessage, meter: CostMeter) -> None:
-        self._check_addressed(message.recipients)
+        self._check_addressed(message.recipients, message.recipient_set)
         self._apply_structure(message.aux)
         targets = message.aux["targets"]
         matched = False

@@ -38,11 +38,16 @@ from gkms.tree import KeyTree, Node, build_balanced, insert_leaf, remove_leaves
 
 @dataclass
 class Level:
-    """One path level as a member sees it: who the sibling is and its blind."""
+    """One path level as a member sees it: who the sibling is and its blind.
+
+    ``folded`` is the last fold through this level: its inputs (the key
+    below, the sibling blind, the side) and the parent key they gave.
+    """
 
     sibling_id: int | None
     side: int  # sibling's child index under the shared parent (0 or 1)
     blinded: SymKey | None
+    folded: tuple[tuple[SymKey, SymKey, int], SymKey] | None = None
 
 
 class OftServer(ServerProtocol):
@@ -301,23 +306,29 @@ class OftMember(MemberView):
             self._fold(CostMeter())  # founding members' first fold is set-up
 
     def _fold(self, meter: CostMeter) -> None:
+        """Fold the path up to the group key.
+
+        A level whose inputs equal those of its last fold reuses that fold's
+        result.  Every level is still metered as its two derivations (one
+        ``blind``, one ``mix``): the meter counts what the protocol makes a
+        member compute, not what the simulator happens to recompute.
+        """
         key = self.individual_key
         self.computed = {}
         for level, parent_id in zip(self.levels, self.chain[1:]):
             if level.blinded is None:
                 raise EventError(f"cannot fold: missing blinded key below node {parent_id}")
-            mine = blind(key)
-            meter.count_member_derivation()
-            key = mix(level.blinded, mine) if level.side == 0 else mix(mine, level.blinded)
-            meter.count_member_derivation()
+            inputs = (key, level.blinded, level.side)
+            if level.folded is not None and level.folded[0] == inputs:
+                key = level.folded[1]  # learned when it was folded
+            else:
+                mine = blind(key)
+                key = mix(level.blinded, mine) if level.side == 0 else mix(mine, level.blinded)
+                level.folded = (inputs, key)
+                self.knowledge.learn_key(key)
             self.computed[parent_id] = key
-            self.knowledge.learn_key(key)
+        meter.count_member_derivation(2 * len(self.computed))
         self._learn_group_key(key)
-
-    def _kek_for(self, kek_id) -> SymKey | None:
-        if kek_id == self.leaf_id:
-            return self.individual_key
-        return self.computed.get(kek_id)
 
     def _apply_structure(self, aux: dict) -> bool:
         changed = False
@@ -326,8 +337,9 @@ class OftMember(MemberView):
             self.chain.insert(1, split["new_node"])
             self.levels.insert(0, Level(split["joiner_leaf"], split["joiner_side"], None))
             changed = True
-        deleted = set(aux.get("deleted", ()))
+        deleted = aux.get("deleted")
         if deleted:
+            deleted = set(deleted)
             new_chain = [self.chain[0]]
             new_levels = []
             for level, parent_id in zip(self.levels, self.chain[1:]):
@@ -357,15 +369,19 @@ class OftMember(MemberView):
             self._fold(meter)
 
     def apply_message(self, message: RekeyMessage, meter: CostMeter) -> None:
-        self._check_addressed(message.recipients)
+        self._check_addressed(message.recipients, message.recipient_set)
         if message.aux.get("op") == "refresh":
             self._apply_refresh(message, meter)
             return
         changed = self._apply_structure(message.aux)
         targets = message.aux["targets"]
         matched = False
+        by_sibling: dict | None = None  # level by sibling id, built on first use
         for payload, target in zip(message.payloads, targets):
-            kek = self._kek_for(payload.kek_id)
+            if payload.kek_id == self.leaf_id:
+                kek = self.individual_key
+            else:
+                kek = self.computed.get(payload.kek_id)
             if kek is None:
                 continue
             if target == self.chain[-1] and payload.kek_id == self.leaf_id:
@@ -373,25 +389,23 @@ class OftMember(MemberView):
                 self._learn_group_key(unwrap(kek, payload))
                 matched = True
                 continue
-            placed = False
-            for level in self.levels:
-                if level.sibling_id == target:
-                    level.blinded = unwrap(kek, payload)
-                    self.knowledge.learn_key(level.blinded)
-                    placed = True
-                    break
-            if not placed:
+            if by_sibling is None:
+                by_sibling = {level.sibling_id: level for level in self.levels}
+            level = by_sibling.get(target)
+            if level is None:
                 # a changed node replaced the sibling at the level whose own
                 # node the payload is keyed for
-                for index, node_id in enumerate(self.chain[:-1]):
-                    if node_id == payload.kek_id and index < len(self.levels):
-                        level = self.levels[index]
-                        level.sibling_id = target
-                        level.blinded = unwrap(kek, payload)
-                        self.knowledge.learn_key(level.blinded)
-                        placed = True
-                        break
-            matched = matched or placed
+                if payload.kek_id not in self.chain[:-1]:
+                    continue
+                index = self.chain.index(payload.kek_id)
+                if index >= len(self.levels):
+                    continue
+                level = self.levels[index]
+                level.sibling_id = target
+                by_sibling = None  # a sibling id changed
+            level.blinded = unwrap(kek, payload)
+            self.knowledge.learn_key(level.blinded)
+            matched = True
         if matched or changed:
             self._fold(meter)
         elif message.aux.get("refresh_leaf") != self.leaf_id:

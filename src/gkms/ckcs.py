@@ -285,7 +285,7 @@ class CkcsMember(MemberView):
     def apply_notice(self, notice: Notice, meter) -> None:
         if notice.kind != "join":
             raise EventError(f"unexpected notice kind {notice.kind!r}")
-        self._check_addressed(notice.recipients)
+        self._check_addressed(notice.recipients, notice.recipient_set)
         new_root_id = notice.aux["new_root"]
         if self._pending_root is not None and self._pending_root.node_id == new_root_id:
             entry = self._pending_root
@@ -303,7 +303,7 @@ class CkcsMember(MemberView):
         self._recompute_middle_keys(meter)
 
     def apply_message(self, message: RekeyMessage, meter) -> None:
-        self._check_addressed(message.recipients)
+        self._check_addressed(message.recipients, message.recipient_set)
         op = message.aux.get("op")
         if op == "join":
             self._apply_join_delivery(message, meter)

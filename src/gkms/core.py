@@ -14,6 +14,7 @@ import csv
 import io
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 from typing import Literal
 
@@ -61,8 +62,19 @@ class MembershipEvent:
         return len(self.member_ids)
 
 
+class _Addressed:
+    """A delivery to a fixed tuple of recipients."""
+
+    recipients: tuple[str, ...]
+
+    @cached_property
+    def recipient_set(self) -> frozenset[str]:
+        """The recipients as a set, built once for every member's check."""
+        return frozenset(self.recipients)
+
+
 @dataclass(frozen=True)
-class RekeyMessage:
+class RekeyMessage(_Addressed):
     """One wire message carrying wrapped keys.
 
     ``aux`` is plaintext routing metadata (node ids for each payload,
@@ -88,7 +100,7 @@ class RekeyMessage:
 
 
 @dataclass(frozen=True)
-class Notice:
+class Notice(_Addressed):
     """Zero-payload signal (for example a join announcement)."""
 
     kind: str
@@ -305,8 +317,12 @@ class MemberView(ABC):
         self.unwrap_misses = 0
         self.knowledge.learn_key(individual_key)
 
-    def _check_addressed(self, recipients: tuple[str, ...]) -> None:
-        if self.member_id not in recipients:
+    def _check_addressed(
+        self, recipients: tuple[str, ...], recipient_set: frozenset[str] | None = None
+    ) -> None:
+        """Raise unless this member is a recipient; pass the delivery's
+        ``recipient_set`` to test membership in O(1)."""
+        if self.member_id not in (recipients if recipient_set is None else recipient_set):
             raise EventError(
                 f"message not addressed to {self.member_id}: {recipients}"
             )

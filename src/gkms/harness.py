@@ -42,6 +42,11 @@ from gkms.tree import KeyTree
 
 LAYOUTS = ("random", "best-half", "worst-spread")
 
+# Largest group a scenario or sweep cell may reach.  Every member gets a
+# leaf and a key up front, so an unbounded size would run until memory ran
+# out instead of failing as bad input.
+MAX_GROUP_SIZE = 2**20
+
 
 class ScenarioError(Exception):
     """Malformed or inconsistent scenario script."""
@@ -90,6 +95,11 @@ class Scenario:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if self.n < 1:
             raise ScenarioError("initial group size must be at least 1")
+        reach = self.n + sum(step.count for step in self.steps if step.op == "join")
+        if reach > MAX_GROUP_SIZE:
+            raise ScenarioError(
+                f"n plus all joins is {reach}, above the group size cap of {MAX_GROUP_SIZE}"
+            )
 
 
 PROTOCOLS = {
@@ -138,6 +148,7 @@ def parse_scenario(text: str) -> Scenario:
             for key, pattern in (("n", _UNSIGNED), ("seed", _SIGNED)):
                 if not pattern.fullmatch(init[key]):
                     raise ScenarioError(f"line {line_no}: {key} must be a decimal integer, got {init[key]!r}")
+                init[key] = _decimal(init[key], line_no)
         elif kind in ("join", "leave"):
             if init is None:
                 raise ScenarioError(f"line {line_no}: init must come first")
@@ -148,11 +159,18 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("scenario has no init line")
     return Scenario(
         protocol=init["protocol"],
-        n=int(init["n"]),
-        seed=int(init["seed"]),
+        n=init["n"],
+        seed=init["seed"],
         steps=tuple(steps),
         root_code=init.get("root_code"),
     )
+
+
+def _decimal(text: str, line_no: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter will convert
+        raise ScenarioError(f"line {line_no}: number of {len(text)} digits is too long") from None
 
 
 def _parse_kv(tokens: list[str], line_no: int) -> dict:
@@ -173,7 +191,7 @@ def _parse_step(op: str, tokens: list[str], line_no: int) -> Step:
     fields: dict = {}
     for token in tokens:
         if _UNSIGNED.fullmatch(token):
-            name, value = "count", int(token)
+            name, value = "count", _decimal(token, line_no)
         elif token.startswith("ids="):
             name, value = "ids", tuple(part for part in token[4:].split(",") if part)
         elif token.startswith("layout="):
@@ -525,6 +543,14 @@ def sweep(
     are adjusted (m > n skipped, m == n trimmed to n-1) with a note, since a
     group may not empty.  Wall time covers the server's event handling only.
     """
+    for name, values in (("protocols", protocols), ("n", n_values), ("m", m_values), ("ops", ops)):
+        if not values:
+            raise ScenarioError(f"sweep grid has no {name}")
+    if max(n_values) + max(m_values) > MAX_GROUP_SIZE:
+        raise ScenarioError(
+            f"sweep cell n={max(n_values)} m={max(m_values)} exceeds the group size cap "
+            f"of {MAX_GROUP_SIZE}"
+        )
     rows: list[dict] = []
     notes: list[str] = []
     for protocol in protocols:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from gkms.cli import (
 )
 from gkms.core import CSV_COLUMNS
 from gkms.crypto import default_vector_text
-from gkms.harness import SWEEP_EXTRA_COLUMNS
+from gkms.harness import MAX_GROUP_SIZE, SWEEP_EXTRA_COLUMNS
 
 SPREAD = "init n=8 protocol=ckcs seed=1 root_code=27\nleave ids=u1,u4,u8\n"
 
@@ -128,6 +129,23 @@ def test_run_strict_grammar_exits_4_without_traceback(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "init n=100000000000000000000 protocol=lkh seed=1\n",
+        f"init n={MAX_GROUP_SIZE} protocol=oft seed=1\njoin 1\n",
+        "init n=" + "9" * 5000 + " protocol=lkh seed=1\n",
+    ],
+)
+def test_run_oversized_group_fails_fast(tmp_path, capsys, text):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == EXIT_RUN
+    assert time.perf_counter() - start < 5
+    assert "bad scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "header", ["init n=4 protocol=ckcs seed=1 root_code=" + "1" * 32, "init n=2 protocol=ckcs seed=1 root_code=" + "1" * 33]
 )
 def test_run_overlong_root_code_exits_4(tmp_path, capsys, header):
@@ -200,6 +218,26 @@ def test_sweep_rejects_bad_grid(capsys):
     assert "sweep failed" in capsys.readouterr().err
     assert main(["sweep", "--protocols", "warp", "--n", "8", "--m", "2", "--seed", "1"]) == EXIT_SWEEP
     assert "sweep failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--protocols", ","],
+        ["--protocols", ""],
+        ["--ops", ","],
+        ["--n", ","],
+        ["--m", ""],
+        ["--n", str(MAX_GROUP_SIZE), "--m", "1"],
+        ["--n", "100000000000000000000", "--m", "16"],
+    ],
+)
+def test_sweep_rejects_empty_or_oversized_grid(tmp_path, capsys, grid):
+    start = time.perf_counter()
+    assert main(["--output-dir", str(tmp_path), "sweep", "--seed", "1", *grid]) == EXIT_SWEEP
+    assert time.perf_counter() - start < 5
+    assert "sweep failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_audit_clean_corpus(capsys):

@@ -171,6 +171,21 @@ def test_member_view_basics():
     assert K.data in view.knowledge.key_bytes
 
 
+def test_recipient_check_against_the_delivery_set():
+    view = _ProbeView("alice", SymKey(bytes([1]) * 32))
+    message = msg(recipients=("carol", "alice", "bob"))
+    assert message.recipient_set == frozenset(("alice", "bob", "carol"))
+    assert message.recipient_set is message.recipient_set  # built once
+    view._check_addressed(message.recipients, message.recipient_set)
+    other = msg(recipients=("carol", "bob"))
+    with pytest.raises(EventError, match=r"not addressed to alice: \('carol', 'bob'\)"):
+        view._check_addressed(other.recipients, other.recipient_set)
+    notice = Notice(kind="join", recipients=("bob",), aux={}, event_seq=1)
+    assert notice.recipient_set == frozenset(("bob",))
+    with pytest.raises(EventError):
+        view._check_addressed(notice.recipients, notice.recipient_set)
+
+
 class _StubServer(ServerProtocol):
     name = "stub"
     arity = 2

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 import reference_sha256 as ref
 from gkms.core import CostMeter
 from gkms.crypto import (
+    CIPHER_CACHE_SIZE,
     KEY_LEN,
     SymKey,
     UnwrapError,
     WrappedKey,
+    _cipher,
     blind,
     decode_code,
     default_vector_text,
@@ -134,6 +136,30 @@ def test_wrap_unwrap_roundtrip_and_authentication():
     tampered = WrappedKey(ciphertext=bytes(len(wrapped.ciphertext)), kek_id=42)
     with pytest.raises(UnwrapError):
         unwrap(kek, tampered)
+
+
+def test_cached_cipher_still_rejects_a_wrong_key():
+    meter = CostMeter()
+    kek, payload, other = SymKey(K0), SymKey(K1), SymKey(bytes([9]) * KEY_LEN)
+    wrapped = wrap(kek, payload, meter, kek_id=1)
+    assert unwrap(kek, wrapped) == payload  # the right key's cipher is cached now
+    assert unwrap(kek, wrapped) == payload
+    with pytest.raises(UnwrapError):
+        unwrap(other, wrapped)
+    with pytest.raises(UnwrapError):
+        unwrap(other, wrapped)  # and again once the wrong key's cipher is cached
+    assert unwrap(kek, wrapped) == payload
+
+
+def test_cipher_cache_stays_within_its_bound():
+    meter = CostMeter()
+    payload = SymKey(K1)
+    for i in range(CIPHER_CACHE_SIZE + 50):
+        kek = SymKey(i.to_bytes(KEY_LEN, "big"))
+        assert unwrap(kek, wrap(kek, payload, meter, kek_id=i)) == payload
+    info = _cipher.cache_info()
+    assert info.maxsize == CIPHER_CACHE_SIZE
+    assert info.currsize <= CIPHER_CACHE_SIZE
 
 
 def test_wrap_is_deterministic():

@@ -1,6 +1,8 @@
 """Scenario format, leaver layouts, deterministic trace running, membership
 probes, and the measurement sweep grid."""
 
+import hashlib
+import json
 from pathlib import Path
 from random import Random
 
@@ -12,6 +14,7 @@ from gkms.core import CSV_COLUMNS, Notice
 from gkms.crypto import SymKey
 from gkms.harness import (
     LAYOUTS,
+    MAX_GROUP_SIZE,
     PROTOCOLS,
     SWEEP_EXTRA_COLUMNS,
     ProbeError,
@@ -101,11 +104,23 @@ def test_format_parse_round_trip():
         ("init n=4 protocol=lkh seed=1\nleave ids=u1 ids=u2\n", "ids twice"),
         ("init n=4 protocol=lkh seed=1\nleave ids=,\n", "at least one member"),
         ("init n=4 protocol=lkh seed=1\nleave ids=u1 layout=random\n", "counted leave steps only"),
+        (f"init n={MAX_GROUP_SIZE + 1} protocol=lkh seed=1\n", "group size cap"),
+        ("init n=100000000000000000000 protocol=lkh seed=1\n", "group size cap"),
+        (f"init n={MAX_GROUP_SIZE - 4} protocol=lkh seed=1\njoin 4\nleave 9\njoin 1\n", "group size cap"),
+        ("init n=" + "9" * 5000 + " protocol=lkh seed=1\n", "line 1: number of 5000 digits"),
+        ("init n=4 protocol=lkh seed=1\njoin " + "9" * 5000 + "\n", "line 2: number of 5000 digits"),
     ],
 )
 def test_parse_scenario_rejects(text, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         parse_scenario(text)
+
+
+def test_group_size_cap_admits_exactly_the_cap():
+    scenario = parse_scenario(f"init n={MAX_GROUP_SIZE - 4} protocol=lkh seed=1\njoin 4\nleave 9\n")
+    assert scenario.n + 4 == MAX_GROUP_SIZE
+    with pytest.raises(ScenarioError, match="group size cap"):
+        sweep(["lkh"], [MAX_GROUP_SIZE], [1], ["leave"])
 
 
 SCRIPT_TOKENS = st.sampled_from(
@@ -346,6 +361,53 @@ def test_members_hold_the_server_path_keys_after_random_churn(protocol):
             assert view.group_key == server.group_key
         if protocol == "oft":
             assert server.check_fold_invariant(), seed
+
+
+def _churn_scenario(protocol):
+    """12 alternating batches of 8 from n=64, leave layouts in rotation."""
+    lines = [f"init n=64 protocol={protocol} seed=11"]
+    for i in range(12):
+        lines.append("join 8" if i % 2 == 0 else f"leave 8 layout={LAYOUTS[(i // 2) % 3]}")
+    return parse_scenario("\n".join(lines) + "\n")
+
+
+def _member_outputs(trace):
+    """Everything a run makes on the member side, as one JSON-able record."""
+
+    def views(group):
+        return {
+            member: {
+                "keys": sorted(key.hex() for key in view.knowledge.key_bytes),
+                "codes": sorted(view.knowledge.codes),
+                "unwrap_misses": view.unwrap_misses,
+            }
+            for member, view in group.items()
+        }
+
+    return {
+        "digest": trace.digest,
+        "rows": trace.rows,
+        "members": views(trace.members),
+        "departed": views(trace.departed),
+    }
+
+
+# Frozen from the simulator before members reused any work across messages
+# (folds, cipher objects): the member-side outputs must not depend on it.
+FROZEN_MEMBER_OUTPUTS = {
+    "ckcs": "e10164d1c835886c6943cec128b7dbfd1e7f8e436d085ec2faab2feca6be40dc",
+    "lkh": "6bcc2ef18d44c0436852bed27fdb4a56c18b2b362194df5b4fa107abbcc3c661",
+    "oft": "9ba2f76dbdf644a6b8115612c729f8135827177bc8b91ae69c6a1222a62516c4",
+    "okd": "65737bd8e646ffc010c3a74d72e056a1cde20d88f7cf43709aa8f1e5360cbb8f",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_member_outputs_match_frozen_hash(protocol):
+    scenarios = [_churn_scenario(protocol)]
+    scenarios += [generate_random_scenario(7_000 + i, protocol=protocol) for i in range(12)]
+    blob = json.dumps([_member_outputs(run(s)) for s in scenarios], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_MEMBER_OUTPUTS[protocol]
 
 
 def test_generated_scenarios_are_valid_and_seed_stable():
