@@ -18,6 +18,7 @@ starts.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import re
 import time
@@ -40,6 +41,7 @@ from gkms.core import (
 from gkms.crypto import SymKey, UnwrapError, random_key, unwrap, wrap
 from gkms.tree import KeyTree
 
+OPS = ("join", "leave")
 LAYOUTS = ("random", "best-half", "worst-spread")
 
 # Largest group a scenario or sweep cell may reach.  Every member gets a
@@ -64,7 +66,7 @@ class Step:
     layout: str | None = None
 
     def __post_init__(self) -> None:
-        if self.op not in ("join", "leave"):
+        if self.op not in OPS:
             raise ScenarioError(f"unknown step op {self.op!r}")
         if (self.count is None) == (self.ids is None):
             raise ScenarioError("step needs a count or explicit ids, not both")
@@ -149,7 +151,7 @@ def parse_scenario(text: str) -> Scenario:
                 if not pattern.fullmatch(init[key]):
                     raise ScenarioError(f"line {line_no}: {key} must be a decimal integer, got {init[key]!r}")
                 init[key] = _decimal(init[key], line_no)
-        elif kind in ("join", "leave"):
+        elif kind in OPS:
             if init is None:
                 raise ScenarioError(f"line {line_no}: init must come first")
             steps.append(_parse_step(kind, tokens[1:], line_no))
@@ -233,7 +235,9 @@ def leaver_layout(tree: KeyTree, m: int, layout: str, rng: Random) -> list[str]:
     (in tree order) of one root-child subtree — leaving a whole subtree keeps
     the cover tiny.  ``worst-spread`` greedily picks the leaf that touches
     the most so-far-untouched ancestors, spreading leavers across disjoint
-    subtrees to drive the cover as large as possible.
+    subtrees to drive the cover as large as possible; ties go to the member
+    registered first.  It costs O(n + m·depth·arity·log n) (see
+    ``_worst_spread``).
     """
     n = tree.member_count
     if m < 1:
@@ -254,25 +258,66 @@ def leaver_layout(tree: KeyTree, m: int, layout: str, rng: Random) -> list[str]:
             )
         return best[:m]
     if layout == "worst-spread":
-        tainted: set[int] = set()
-        chosen: list[str] = []
-        leaves = [tree.leaf_of(member) for member in tree.members]
-        for _ in range(m):
-            best_leaf = None
-            best_gain = -1
-            for leaf in leaves:
-                if leaf.member in chosen:
-                    continue
-                path = [leaf.node_id] + tree.ancestors(leaf.node_id)
-                gain = sum(1 for node_id in path if node_id not in tainted)
-                if gain > best_gain:
-                    best_leaf, best_gain = leaf, gain
-            assert best_leaf is not None
-            chosen.append(best_leaf.member)  # type: ignore[arg-type]
-            tainted.add(best_leaf.node_id)
-            tainted.update(tree.ancestors(best_leaf.node_id))
-        return chosen
+        return _worst_spread(tree, m)
     raise ScenarioError(f"unknown layout {layout!r}")
+
+
+def _worst_spread(tree: KeyTree, m: int) -> list[str]:
+    """Greedy max-untainted-path picks, ties to the lowest registration index.
+
+    Each pick taints its leaf's whole root path, so the tainted set is closed
+    upward and a leaf's gain (untainted nodes on its path) is its depth minus
+    the depth of its deepest tainted ancestor.  All leaves under one untainted
+    child of a tainted node therefore share that ancestor, and the best of
+    them is the subtree's deepest leaf.  A heap holds these frontier subtrees
+    keyed by (-gain, registration index) of their best leaf; a pick pops the
+    top and pushes the off-path children of the path it taints.  That is
+    O(n) set-up plus O(depth·arity·log n) per pick.  Memberless leaves are
+    never picked.
+    """
+    nodes = tree.nodes
+    registration = {member: index for index, member in enumerate(tree.members)}
+    depth = {tree.root_id: 0}
+    top_down: list[int] = []  # every node after its parent
+    stack = [tree.root_id]
+    while stack:
+        node_id = stack.pop()
+        top_down.append(node_id)
+        child_depth = depth[node_id] + 1
+        for child_id in nodes[node_id].children:
+            depth[child_id] = child_depth
+            stack.append(child_id)
+    # best[node] = (-depth, registration index, leaf id) of its subtree's best leaf
+    best: dict[int, tuple[int, int, int]] = {}
+    for node_id in reversed(top_down):
+        node = nodes[node_id]
+        if node.children:
+            ranked = [best[c] for c in node.children if c in best]
+            if ranked:
+                best[node_id] = min(ranked)
+        elif node.member is not None:
+            best[node_id] = (-depth[node_id], registration[node.member], node_id)
+
+    frontier: list[tuple[int, int, int, int]] = []
+
+    def push(child_id: int, parent_depth: int) -> None:
+        if child_id in best:
+            neg_depth, index, leaf_id = best[child_id]
+            heapq.heappush(frontier, (neg_depth + parent_depth, index, leaf_id, child_id))
+
+    push(tree.root_id, -1)  # type: ignore[arg-type]
+    chosen: list[str] = []
+    for _ in range(m):
+        _, _, leaf_id, top = heapq.heappop(frontier)
+        chosen.append(nodes[leaf_id].member)  # type: ignore[arg-type]
+        below, node_id = leaf_id, leaf_id
+        while node_id != top:
+            node_id = nodes[node_id].parent  # type: ignore[assignment]
+            for child_id in nodes[node_id].children:
+                if child_id != below:
+                    push(child_id, depth[node_id])
+            below = node_id
+    return chosen
 
 
 # -- trace running -----------------------------------------------------------
@@ -376,14 +421,33 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
 
 
 def _log_tree(trace: TraceRecord) -> None:
+    """Record every node key and binary sibling triple of the current tree.
+
+    One explicit-stack pass in ``KeyTree.walk`` preorder, so the insertion
+    order of ``node_key_log`` and its id sets is the walk's.  Every node is
+    visited: logging only the event members' paths would miss keys that
+    change elsewhere (OFT joins change keys off the joiners' paths).
+    """
     tree = trace.server.tree
-    for node in tree.walk():
+    nodes = tree.nodes
+    key_log = trace.node_key_log
+    pairs = trace.sibling_pairs
+    stack = [tree.root_id]
+    while stack:
+        node_id = stack.pop()
+        node = nodes[node_id]
         if node.key is not None:
-            trace.node_key_log.setdefault(node.key.data, set()).add(node.node_id)
-        if not node.is_leaf and len(node.children) == 2:
-            left, right = node.children
-            trace.sibling_pairs.add((left, right, node.node_id))
-    trace.node_key_log.setdefault(trace.server.group_key.data, set()).add(tree.root_id)
+            ids = key_log.get(node.key.data)
+            if ids is None:
+                key_log[node.key.data] = {node_id}
+            else:
+                ids.add(node_id)
+        children = node.children
+        if children:
+            if len(children) == 2:
+                pairs.add((children[0], children[1], node_id))
+            stack.extend(reversed(children))
+    key_log.setdefault(trace.server.group_key.data, set()).add(tree.root_id)
 
 
 def _deliver(trace: TraceRecord, record: EventRecord, seq: int) -> None:
@@ -445,9 +509,19 @@ def _run_probe(trace: TraceRecord, probe_rng: Random, event_seq: int) -> None:
         )
 
 
+_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _trace_digest(trace: TraceRecord) -> str:
-    """Stable digest over costs and wire bytes; replays must reproduce it."""
-    payload = []
+    """Stable digest over costs and wire bytes; replays must reproduce it.
+
+    SHA-256 of the compact, key-sorted JSON list of per-event records, fed
+    one event at a time: ``[``, the events joined by ``,``, then ``]``.
+    Tuples encode exactly like lists, so recipient and member tuples go in
+    without copies.
+    """
+    digest = hashlib.sha256(b"[")
+    separator = b""
     for record in trace.events:
         deliveries = []
         for delivery in record.output.deliveries:
@@ -455,7 +529,7 @@ def _trace_digest(trace: TraceRecord) -> str:
                 deliveries.append(
                     {
                         "kind": delivery.kind,
-                        "recipients": list(delivery.recipients),
+                        "recipients": delivery.recipients,
                         "aux": delivery.aux,
                     }
                 )
@@ -463,31 +537,32 @@ def _trace_digest(trace: TraceRecord) -> str:
                 deliveries.append(
                     {
                         "channel": delivery.channel,
-                        "recipients": list(delivery.recipients),
+                        "recipients": delivery.recipients,
                         "kek_ids": [p.kek_id for p in delivery.payloads],
                         "ciphertexts": [p.ciphertext.hex() for p in delivery.payloads],
                         "aux": delivery.aux,
                     }
                 )
-        payload.append(
-            {
-                "seq": record.seq,
-                "op": record.op,
-                "members": list(record.member_ids),
-                "n": record.n_at_event,
-                "cost": {
-                    "keygen": record.cost.keygen,
-                    "encrypt": record.cost.encrypt,
-                    "unicast": record.cost.unicast,
-                    "multicast": record.cost.multicast,
-                    "msg_size_keys": record.cost.payload_keys,
-                },
-                "group_key": record.group_key.data.hex(),
-                "deliveries": deliveries,
-            }
-        )
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+        event = {
+            "seq": record.seq,
+            "op": record.op,
+            "members": record.member_ids,
+            "n": record.n_at_event,
+            "cost": {
+                "keygen": record.cost.keygen,
+                "encrypt": record.cost.encrypt,
+                "unicast": record.cost.unicast,
+                "multicast": record.cost.multicast,
+                "msg_size_keys": record.cost.payload_keys,
+            },
+            "group_key": record.group_key.data.hex(),
+            "deliveries": deliveries,
+        }
+        digest.update(separator)
+        digest.update(_DIGEST_ENCODER.encode(event).encode())
+        separator = b","
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
 # -- random corpus -----------------------------------------------------------
@@ -542,10 +617,24 @@ def sweep(
     ``n`` is the group size when the event starts.  Leave cells with m >= n
     are adjusted (m > n skipped, m == n trimmed to n-1) with a note, since a
     group may not empty.  Wall time covers the server's event handling only.
+    A grid with an unknown protocol, op or layout, an n or m below 1, or a
+    cell above ``MAX_GROUP_SIZE`` raises ScenarioError before any cell runs.
     """
     for name, values in (("protocols", protocols), ("n", n_values), ("m", m_values), ("ops", ops)):
         if not values:
             raise ScenarioError(f"sweep grid has no {name}")
+    # reject the whole grid before any cell runs, not at the first bad cell
+    for protocol in protocols:
+        if protocol not in PROTOCOLS:
+            raise ScenarioError(f"unknown protocol {protocol!r}")
+    for op in ops:
+        if op not in OPS:
+            raise ScenarioError(f"unknown op {op!r}")
+    for name, values in (("n", n_values), ("m", m_values)):
+        if min(values) < 1:
+            raise ScenarioError(f"sweep {name} must be at least 1, got {min(values)}")
+    if layout not in LAYOUTS:
+        raise ScenarioError(f"unknown layout {layout!r}")
     if max(n_values) + max(m_values) > MAX_GROUP_SIZE:
         raise ScenarioError(
             f"sweep cell n={max(n_values)} m={max(m_values)} exceeds the group size cap "

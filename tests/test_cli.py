@@ -230,6 +230,11 @@ def test_sweep_rejects_bad_grid(capsys):
         ["--m", ""],
         ["--n", str(MAX_GROUP_SIZE), "--m", "1"],
         ["--n", "100000000000000000000", "--m", "16"],
+        ["--protocols", "lkh,warp"],
+        ["--ops", "join,frob"],
+        ["--n", "256,0"],
+        ["--m", "0"],
+        ["--m", "16,-1"],
     ],
 )
 def test_sweep_rejects_empty_or_oversized_grid(tmp_path, capsys, grid):
@@ -238,6 +243,24 @@ def test_sweep_rejects_empty_or_oversized_grid(tmp_path, capsys, grid):
     assert time.perf_counter() - start < 5
     assert "sweep failed" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_worst_spread_sweep_at_scale_is_fast(tmp_path):
+    # one worst-spread leave of 512 out of 4096 members; the O(m·n·depth)
+    # greedy that re-scores every leaf per pick took about 15 s on 2 vCPUs
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkms.cli", "--output-dir", str(tmp_path), "sweep",
+         "--protocols", "ckcs", "--ops", "leave", "--layout", "worst-spread",
+         "--n", "4096", "--m", "512", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("ckcs,4096,512,leave,")
 
 
 def test_audit_clean_corpus(capsys):

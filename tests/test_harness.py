@@ -7,9 +7,10 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gkms import harness
 from gkms.core import CSV_COLUMNS, Notice
 from gkms.crypto import SymKey
 from gkms.harness import (
@@ -31,6 +32,7 @@ from gkms.harness import (
     sweep,
 )
 from gkms.tree import build_balanced
+from harness_reference import reference_log_tree, reference_trace_digest, reference_worst_spread
 
 
 SAMPLE = """\
@@ -227,6 +229,68 @@ def test_worst_spread_maximizes_cover():
     assert len({p.node_id for p in parents}) == 3
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    protocol=st.sampled_from(sorted(PROTOCOLS)),
+    seed=st.integers(0, 10**6),
+    fraction=st.floats(0, 1),
+)
+def test_worst_spread_matches_reference_greedy_after_churn(protocol, seed, fraction):
+    scenario = generate_random_scenario(seed, protocol=protocol, max_n=48)
+    tree = run(scenario, track_members=False).server.tree
+    n = tree.member_count
+    assume(n >= 2)
+    m = 1 + round(fraction * (n - 2))  # anywhere in 1..n-1
+    assert leaver_layout(tree, m, "worst-spread", Random(0)) == reference_worst_spread(tree, m)
+
+
+def _deep_ckcs_tree():
+    """30 single joins from n=8: every join mounts beside the root."""
+    steps = tuple(Step(op="join", count=1) for _ in range(30))
+    return run(Scenario(protocol="ckcs", n=8, seed=3, steps=steps), track_members=False).server.tree
+
+
+def _tree_with_memberless_leaves():
+    """A balanced tree plus a deeper chain of memberless nodes under the root."""
+    tree = balanced_tree(8)
+    parent = tree.root
+    for _ in range(5):
+        empty = tree._new_node(parent=parent.node_id)
+        parent.children.append(empty.node_id)
+        parent = empty
+    return tree
+
+
+@pytest.mark.parametrize(
+    "make_tree",
+    [
+        pytest.param(_deep_ckcs_tree, id="deep-ckcs"),
+        pytest.param(lambda: build_balanced([f"u{i}" for i in range(64)], 2), id="balanced-2x64"),
+        pytest.param(lambda: build_balanced([f"u{i}" for i in range(81)], 3), id="balanced-3x81"),
+        pytest.param(lambda: build_balanced([f"u{i}" for i in range(64)], 4), id="balanced-4x64"),
+        pytest.param(_tree_with_memberless_leaves, id="memberless-leaves"),
+    ],
+)
+def test_worst_spread_matches_reference_greedy_for_every_m(make_tree):
+    tree = make_tree()
+    for m in range(1, tree.member_count):
+        picks = leaver_layout(tree, m, "worst-spread", Random(0))
+        assert picks == reference_worst_spread(tree, m), m
+        assert all(tree.has_member(member) for member in picks)
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_worst_spread_matches_reference_greedy_up_to_n_minus_1(protocol):
+    for seed in range(25):
+        scenario = generate_random_scenario(11_000 + seed, protocol=protocol, max_n=48)
+        tree = run(scenario, track_members=False).server.tree
+        n = tree.member_count
+        if n < 2:
+            continue
+        for m in sorted({1, n // 2, n - 1}):
+            assert leaver_layout(tree, m, "worst-spread", Random(0)) == reference_worst_spread(tree, m)
+
+
 def test_random_layout_is_seed_stable():
     tree = balanced_tree(8)
     assert leaver_layout(tree, 3, "random", Random(5)) == leaver_layout(
@@ -291,6 +355,34 @@ def test_tree_structure_logs():
         if not node.is_leaf and len(node.children) == 2:
             left, right = node.children
             assert (left, right, node.node_id) in trace.sibling_pairs
+
+
+def _shipped_scenarios():
+    scenario_dir = Path(__file__).resolve().parent.parent / "scenarios"
+    return [parse_scenario(path.read_text()) for path in sorted(scenario_dir.glob("*.txt"))]
+
+
+def test_tree_log_and_digest_match_references(monkeypatch):
+    fast_log_tree = harness._log_tree
+    reference = {}
+
+    def log_both(trace):
+        fast_log_tree(trace)
+        reference_log_tree(trace.server, reference["log"], reference["pairs"])
+
+    monkeypatch.setattr(harness, "_log_tree", log_both)
+    scenarios = [generate_random_scenario(9_000 + i) for i in range(60)]
+    scenarios += [Scenario(protocol=p, n=5, seed=2, steps=()) for p in sorted(PROTOCOLS)]
+    scenarios += _shipped_scenarios()
+    assert len(scenarios) == 68
+    for scenario in scenarios:
+        reference["log"], reference["pairs"] = {}, set()
+        trace = run(scenario)
+        assert trace.digest == reference_trace_digest(trace), scenario
+        assert [(key, list(ids)) for key, ids in trace.node_key_log.items()] == [
+            (key, list(ids)) for key, ids in reference["log"].items()
+        ], scenario
+        assert list(trace.sibling_pairs) == list(reference["pairs"]), scenario
 
 
 def test_probe_detects_membership_drift():
@@ -439,6 +531,26 @@ def test_sweep_grid_schema_and_notes():
     assert any("skipped, m > n" in note for note in notes)
     assert any("trimmed to m=3" in note for note in notes)
     assert any(note.startswith("ckcs leave n=8 m=2:") for note in notes)
+
+
+@pytest.mark.parametrize(
+    "grid, fragment",
+    [
+        ((["lkh", "warp"], [8], [2], ["join"]), "unknown protocol 'warp'"),
+        ((["lkh"], [8], [2], ["join", "frob"]), "unknown op 'frob'"),
+        ((["lkh"], [8, 0], [2], ["join"]), "n must be at least 1"),
+        ((["lkh"], [8], [2, -1], ["join"]), "m must be at least 1"),
+    ],
+)
+def test_sweep_rejects_bad_grid_before_any_cell(monkeypatch, grid, fragment):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the grid was checked")
+
+    monkeypatch.setattr(harness, "_sweep_cell", no_cell)
+    with pytest.raises(ScenarioError, match=fragment):
+        sweep(*grid, seed=1)
+    with pytest.raises(ScenarioError, match="unknown layout 'sideways'"):
+        sweep(["lkh"], [8], [2], ["leave"], seed=1, layout="sideways")
 
 
 def test_sweep_rows_are_deterministic_apart_from_wall_time():
