@@ -24,7 +24,7 @@ from gkms.core import (
     RekeyMessage,
     ServerProtocol,
 )
-from gkms.crypto import SymKey, WrappedKey, random_key, unwrap, wrap
+from gkms.crypto import SymKey, WrappedKey, random_key, random_keys, unwrap, wrap
 from gkms.tree import InsertResult, KeyTree, build_balanced, detach_leaf, insert_leaf
 
 
@@ -39,8 +39,9 @@ class LkhServer(ServerProtocol):
             raise EventError("initial group must not be empty")
         self.tree: KeyTree = build_balanced(member_ids, arity=self.arity, rng=rng, coded=False)
         setup = CostMeter()  # initial group setup is out of band, unmetered
-        for node in self.tree.walk():
-            node.key = random_key(rng, setup)
+        nodes = self.tree.nodes.values()  # id order, which is preorder
+        for node, key in zip(nodes, random_keys(rng, setup, len(nodes))):
+            node.key = key
 
     # -- event handling ---------------------------------------------------
 

@@ -32,7 +32,7 @@ from gkms.core import (
     RekeyMessage,
     ServerProtocol,
 )
-from gkms.crypto import SymKey, blind, mix, random_key, unwrap, wrap
+from gkms.crypto import SymKey, blind, mix, random_key, random_keys, unwrap, wrap
 from gkms.tree import KeyTree, Node, build_balanced, insert_leaf, remove_leaves
 
 
@@ -61,11 +61,19 @@ class OftServer(ServerProtocol):
             raise EventError("initial group must not be empty")
         self.tree: KeyTree = build_balanced(member_ids, arity=self.arity, rng=rng, coded=False)
         setup = CostMeter()  # initial group setup is out of band, unmetered
-        for leaf_id in self.tree.leaf_ids():
-            self.tree.node(leaf_id).key = random_key(rng, setup)
-        for node in reversed(list(self.tree.walk())):  # children before parents
-            if not node.is_leaf:
-                node.key = self._folded(node)
+        nodes = self.tree.nodes.values()  # id order, which is preorder
+        leaves = [node for node in nodes if not node.children]
+        for leaf, key in zip(leaves, random_keys(rng, setup, len(leaves))):
+            leaf.key = key
+        # Fold bottom-up: in reverse preorder every child comes before its
+        # parent and hands its blind up; the root is not blinded.
+        blinds: dict[int, SymKey] = {}
+        for node in reversed(nodes):
+            if node.children:
+                left, right = node.children
+                node.key = mix(blinds.pop(left), blinds.pop(right))
+            if node.parent is not None:
+                blinds[node.node_id] = blind(node.key)
 
     def _folded(self, node: Node) -> SymKey:
         """The mix of the blinded keys of an internal node's two children."""

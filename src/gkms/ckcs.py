@@ -40,6 +40,7 @@ from gkms.crypto import (
     derive_with_code,
     encode_code,
     random_key,
+    random_keys,
     unwrap,
     wrap,
 )
@@ -52,14 +53,15 @@ class CkcsServer(ServerProtocol):
     def __init__(self, member_ids: list[str], rng: Random, root_code: str | None = None) -> None:
         setup = CostMeter()  # initial group setup is out of band, unmetered
         self.tree = kt.build_balanced(member_ids, self.arity, rng, root_code=root_code, coded=True)
-        for leaf_id in self.tree.leaf_ids():
-            self.tree.nodes[leaf_id].key = random_key(rng, setup)
-        self._group_key = random_key(rng, setup)
+        nodes = self.tree.nodes.values()
+        leaves = [node for node in nodes if not node.children]
+        # leaf keys in preorder, then the group key
+        *leaf_keys, self._group_key = random_keys(rng, setup, len(leaves) + 1)
+        for leaf, key in zip(leaves, leaf_keys):
+            leaf.key = key
         self.epoch = 0
         self._middle_cache: dict[int, SymKey] = {}
-        self._code_log: set[str] = {
-            n.code for n in self.tree.walk() if n.code is not None
-        }
+        self._code_log: set[str] = {node.code for node in nodes if node.code is not None}
 
     # -- state accessors ---------------------------------------------------
 

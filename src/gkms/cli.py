@@ -135,7 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as handle:
             scenario = harness.parse_scenario(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_RUN
     except harness.ScenarioError as exc:
@@ -214,7 +214,7 @@ def _cmd_vectors(args: argparse.Namespace) -> int:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read vectors: {exc}", file=sys.stderr)
             return EXIT_VECTORS
     try:

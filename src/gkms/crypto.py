@@ -140,6 +140,19 @@ def random_key(rng: Random, meter: MeterLike) -> SymKey:
     return SymKey(rng.randbytes(KEY_LEN))
 
 
+def random_keys(rng: Random, meter: MeterLike, count: int) -> list[SymKey]:
+    """``count`` fresh keys from one draw; metered as ``count`` key generations.
+
+    The keys, and the generator's state afterwards, are those of ``count``
+    calls of :func:`random_key`: CPython's ``randbytes`` hands out the
+    generator's 32-bit words in order, however many bytes one call asks for
+    (tests/test_construction.py checks this).
+    """
+    meter.count("keygen", count)
+    data = rng.randbytes(KEY_LEN * count)
+    return [SymKey(data[i:i + KEY_LEN]) for i in range(0, len(data), KEY_LEN)]
+
+
 @functools.lru_cache(maxsize=CIPHER_CACHE_SIZE)
 def _cipher(key: bytes) -> AESSIV:
     """The AES-SIV cipher for ``key``; a cipher holds only its key, so one

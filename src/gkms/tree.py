@@ -51,7 +51,7 @@ def child_code(parent: str, rng: Random, used: Iterable[str] = ()) -> str:
     return parent + rng.choice(free)
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     node_id: int
     parent: int | None = None
@@ -322,6 +322,11 @@ def build_balanced(
 ) -> KeyTree:
     """Balanced tree over the members, height ceil(log_arity n).
 
+    A node over k members has min(arity, k) children, over consecutive runs
+    of the members whose sizes differ by at most one (longer runs first).
+    Ids are handed out in preorder, so ``tree.nodes`` iterates in the order
+    of ``walk()``; the servers' set-up relies on that.
+
     With ``coded=True`` internal nodes receive position codes: the root gets
     ``root_code`` (or a fresh ``ROOT_CODE_LEN``-digit draw) and every other
     internal node a child code of its parent.
@@ -331,33 +336,42 @@ def build_balanced(
     if len(set(member_ids)) != len(member_ids):
         raise TreeError("duplicate member ids")
     tree = KeyTree(arity)
-
-    def grow(ids: Sequence[str], parent: int | None) -> int:
-        if len(ids) == 1:
-            return tree._new_node(parent=parent, member=ids[0]).node_id
-        node = tree._new_node(parent=parent)
-        parts = _split_even(ids, arity)
-        node.children = [grow(part, node.node_id) for part in parts]
-        tree._slot_sync(node.node_id)
-        return node.node_id
-
-    tree.root_id = grow(list(member_ids), None)
+    nodes = tree.nodes
+    member_leaf = tree._member_leaf
+    open_slots = tree._open_slots
+    next_id = 0
+    # (first member, end of members, parent id) of each subtree still to
+    # build; a parent's runs are pushed last-first, so they pop in order
+    stack: list[tuple[int, int, int | None]] = [(0, len(member_ids), None)]
+    while stack:
+        lo, hi, parent = stack.pop()
+        node_id = next_id
+        next_id += 1
+        if parent is not None:
+            nodes[parent].children.append(node_id)
+        size = hi - lo
+        if size == 1:
+            member = member_ids[lo]
+            nodes[node_id] = Node(node_id, parent, [], None, None, member)
+            member_leaf[member] = node_id
+            continue
+        nodes[node_id] = Node(node_id, parent, [])
+        count = min(arity, size)
+        if count < arity:
+            open_slots.add(node_id)
+        base, extra = divmod(size, count)
+        end = hi
+        for index in range(count - 1, -1, -1):
+            start = end - base - (index < extra)
+            stack.append((start, end, node_id))
+            end = start
+    tree._next_id = next_id
+    tree.root_id = 0
     if coded:
         if rng is None and root_code is None:
             raise TreeError("coded build needs an rng or an explicit root code")
         assign_codes(tree, rng, root_code=root_code)
     return tree
-
-
-def _split_even(ids: Sequence[str], parts: int) -> list[Sequence[str]]:
-    count = min(parts, len(ids))
-    base, extra = divmod(len(ids), count)
-    out, start = [], 0
-    for i in range(count):
-        size = base + (1 if i < extra else 0)
-        out.append(ids[start:start + size])
-        start += size
-    return out
 
 
 def assign_codes(tree: KeyTree, rng: Random | None, root_code: str | None = None) -> None:
@@ -375,26 +389,28 @@ def assign_codes(tree: KeyTree, rng: Random | None, root_code: str | None = None
 
 
 def assign_codes_below(tree: KeyTree, top_id: int, rng: Random | None) -> None:
-    """Assign child codes to uncoded internal descendants of ``top_id``."""
+    """Assign child codes to uncoded internal descendants of ``top_id``.
+
+    Breadth-first, children in stored order: one ``rng.choice`` per code
+    drawn, avoiding the digits of siblings coded so far.
+    """
+    nodes = tree.nodes
     queue = deque([top_id])
     while queue:
-        node = tree.nodes[queue.popleft()]
-        for child_id in node.children:
-            child = tree.nodes[child_id]
-            if not child.is_leaf:
-                if child.code is None:
+        node = nodes[queue.popleft()]
+        kids = [nodes[c] for c in node.children]
+        used = [kid.code for kid in kids if kid.code is not None]
+        for kid in kids:
+            if kid.children:
+                if kid.code is None:
                     assert rng is not None and node.code is not None
-                    used = [
-                        tree.nodes[s].code
-                        for s in node.children
-                        if tree.nodes[s].code is not None and s != child_id
-                    ]
-                    child.code = child_code(node.code, rng, used)  # type: ignore[arg-type]
-                queue.append(child_id)
+                    kid.code = child_code(node.code, rng, used)
+                    used.append(kid.code)
+                queue.append(kid.node_id)
 
 
 def _checked_code(code: str) -> str:
-    if not code or not code.isdigit() or len(code) > KEY_LEN:
+    if not code or not code.isascii() or not code.isdigit() or len(code) > KEY_LEN:
         raise TreeError(f"invalid node code {code!r}")
     return code
 

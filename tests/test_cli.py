@@ -97,6 +97,28 @@ def test_run_prints_trace(tmp_path, capsys):
     assert len(digest) == 1 and len(digest[0].split(": ")[1]) == 64
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [(["run"], EXIT_RUN, "cannot read scenario"), (["vectors", "--file"], EXIT_VECTORS, "cannot read vectors")],
+    ids=["run", "vectors"],
+)
+def test_non_utf8_input_file_exits_without_traceback(tmp_path, capsys, argv, code, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfeinit n=4 protocol=lkh seed=1\n")
+    assert main(argv + [str(path)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "can't decode byte 0xff" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_run_non_ascii_root_code_exits_4(tmp_path, capsys):
+    path = tmp_path / "arabic.txt"
+    path.write_text("init n=8 protocol=ckcs seed=1 root_code=\u0661\u0662\u0663\u0664\nleave 2\n", encoding="utf-8")
+    assert main(["run", str(path)]) == EXIT_RUN
+    err = capsys.readouterr().err
+    assert "run failed: invalid node code" in err and "Traceback" not in err
+
+
 def test_run_missing_scenario(tmp_path, capsys):
     assert main(["run", str(tmp_path / "ghost.txt")]) == EXIT_RUN
     assert "cannot read scenario" in capsys.readouterr().err

@@ -117,6 +117,16 @@ def test_assign_codes_rejects_malformed_root_code():
         kt.assign_codes(tree, Random(0), root_code="12a")
 
 
+def test_root_code_must_be_ascii_digits():
+    arabic_indic = "\u0661\u0662\u0663\u0664"  # str.isdigit accepts these
+    assert arabic_indic.isdigit()
+    with pytest.raises(kt.TreeError, match="invalid node code"):
+        kt.build_balanced(members(4), arity=2, rng=Random(0), root_code=arabic_indic, coded=True)
+    current = kt.build_balanced(["solo"], arity=2)
+    with pytest.raises(kt.TreeError, match="invalid node code"):
+        kt.attach_subtree(current, kt.build_balanced(["v1"], arity=2), Random(0), arabic_indic)
+
+
 # -- accessors -----------------------------------------------------------------------
 
 

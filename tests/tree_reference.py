@@ -1,0 +1,137 @@
+"""Plain reference versions of the servers' initial tree set-up.
+
+``gkms.tree.build_balanced`` builds in one explicit-stack preorder pass,
+``assign_codes_below`` reads each parent's children once, and the servers
+draw all set-up keys in one ``randbytes`` call and fold OFT keys in one
+reverse pass over the node ids.  The functions here are the direct forms
+those replace: the recursive build over list slices, the per-child sibling
+scan for used digits, one ``random_key`` call per set-up key, and the OFT
+fold over a reversed ``walk()``.  Tests require every node, key, code and
+the generator's state to come out the same.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
+
+from gkms import tree as kt
+from gkms.core import CostMeter
+from gkms.crypto import SymKey, blind, mix, random_key
+
+
+@dataclass
+class ReferenceSetup:
+    tree: kt.KeyTree
+    group_key: SymKey
+    code_log: set[str] | None = None
+
+
+def _split_even(ids, parts):
+    count = min(parts, len(ids))
+    base, extra = divmod(len(ids), count)
+    out, start = [], 0
+    for i in range(count):
+        size = base + (1 if i < extra else 0)
+        out.append(ids[start:start + size])
+        start += size
+    return out
+
+
+def reference_build_balanced(member_ids, arity, rng=None, root_code=None, coded=False):
+    """Recursive balanced build: each node splits its slice of members."""
+    if not member_ids:
+        raise kt.TreeError("cannot build a tree with no members")
+    if len(set(member_ids)) != len(member_ids):
+        raise kt.TreeError("duplicate member ids")
+    tree = kt.KeyTree(arity)
+
+    def grow(ids, parent):
+        if len(ids) == 1:
+            return tree._new_node(parent=parent, member=ids[0]).node_id
+        node = tree._new_node(parent=parent)
+        node.children = [grow(part, node.node_id) for part in _split_even(ids, arity)]
+        tree._slot_sync(node.node_id)
+        return node.node_id
+
+    tree.root_id = grow(list(member_ids), None)
+    if coded:
+        if rng is None and root_code is None:
+            raise kt.TreeError("coded build needs an rng or an explicit root code")
+        reference_assign_codes(tree, rng, root_code=root_code)
+    return tree
+
+
+def reference_assign_codes(tree, rng, root_code=None):
+    root = tree.root
+    if root.is_leaf:
+        return
+    if root.code is None:
+        if root_code is not None:
+            root.code = kt._checked_code(root_code)
+        else:
+            root.code = "".join(rng.choice(kt.DIGITS) for _ in range(kt.ROOT_CODE_LEN))
+    reference_assign_codes_below(tree, root.node_id, rng)
+
+
+def reference_assign_codes_below(tree, top_id, rng):
+    """Breadth-first; every child rescans all its siblings for used digits."""
+    queue = deque([top_id])
+    while queue:
+        node = tree.nodes[queue.popleft()]
+        for child_id in node.children:
+            child = tree.nodes[child_id]
+            if not child.is_leaf:
+                if child.code is None:
+                    used = [
+                        tree.nodes[s].code
+                        for s in node.children
+                        if tree.nodes[s].code is not None and s != child_id
+                    ]
+                    child.code = kt.child_code(node.code, rng, used)
+                queue.append(child_id)
+
+
+def reference_lkh_setup(member_ids, rng, arity=2):
+    """LKH (arity 2) and OKD (arity 3): one key per node in walk order."""
+    tree = reference_build_balanced(member_ids, arity, rng=rng, coded=False)
+    setup = CostMeter()
+    for node in tree.walk():
+        node.key = random_key(rng, setup)
+    return ReferenceSetup(tree, tree.root.key)
+
+
+def reference_okd_setup(member_ids, rng):
+    return reference_lkh_setup(member_ids, rng, arity=3)
+
+
+def reference_oft_setup(member_ids, rng):
+    """Leaf keys in leaf order, then every internal key folded bottom-up."""
+    tree = reference_build_balanced(member_ids, 2, rng=rng, coded=False)
+    setup = CostMeter()
+    for leaf_id in tree.leaf_ids():
+        tree.node(leaf_id).key = random_key(rng, setup)
+    for node in reversed(list(tree.walk())):
+        if not node.is_leaf:
+            left, right = (tree.node(c) for c in node.children)
+            node.key = mix(blind(left.key), blind(right.key))
+    return ReferenceSetup(tree, tree.root.key)
+
+
+def reference_ckcs_setup(member_ids, rng, root_code=None):
+    """Coded build, leaf keys in leaf order, then the group key."""
+    tree = reference_build_balanced(member_ids, 2, rng, root_code=root_code, coded=True)
+    setup = CostMeter()
+    for leaf_id in tree.leaf_ids():
+        tree.nodes[leaf_id].key = random_key(rng, setup)
+    group_key = random_key(rng, setup)
+    code_log = {n.code for n in tree.walk() if n.code is not None}
+    return ReferenceSetup(tree, group_key, code_log)
+
+
+REFERENCE_SETUPS = {
+    "ckcs": reference_ckcs_setup,
+    "lkh": reference_lkh_setup,
+    "oft": reference_oft_setup,
+    "okd": reference_okd_setup,
+}
