@@ -47,6 +47,7 @@ from gkms.crypto import (
     unwrap,
 )
 from gkms.harness import TraceRecord, generate_random_scenario, run
+from gkms.tree import CodeSpaceError
 
 RULESETS: dict[str, tuple[str, ...]] = {
     "ckcs": ("hash-forward", "code-derive", "unwrap-from-transcript"),
@@ -494,7 +495,9 @@ def audit(
     """Run secrecy checks over a corpus of seeded random traces.
 
     With ``codes_public`` the corpus is pinned to the coded protocol (the only
-    one that has codes to leak); breaches are then the expected finding.
+    one that has codes to leak); breaches are then the expected finding.  A
+    trace that cannot run (ckcs out of fresh root codes on a long join-heavy
+    trace) raises CodeSpaceError naming its scenario seed.
     """
     protocol = "ckcs" if codes_public else None
     report = AuditReport(trials=trials)
@@ -503,7 +506,10 @@ def audit(
         scenario = generate_random_scenario(
             seed * 1_000_000 + index, protocol=protocol, max_n=max_n, max_events=max_events
         )
-        trace = run(scenario)
+        try:
+            trace = run(scenario)
+        except CodeSpaceError as exc:
+            raise CodeSpaceError(f"scenario seed {scenario.seed}: {exc}") from exc
         for kind, member in _audit_adversaries(trace, sample):
             if kind == "forward":
                 verdict = check_forward_secrecy(trace, member, codes_public=codes_public)

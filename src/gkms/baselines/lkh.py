@@ -216,7 +216,7 @@ class LkhMember(MemberView):
                 self.keys.pop(node_id, None)
 
     def apply_message(self, message: RekeyMessage, meter: CostMeter) -> None:
-        self._check_addressed(message.recipients, message.recipient_set)
+        self._check_addressed(message)
         self._apply_structure(message.aux)
         targets = message.aux["targets"]
         matched = False

@@ -377,7 +377,7 @@ class OftMember(MemberView):
             self._fold(meter)
 
     def apply_message(self, message: RekeyMessage, meter: CostMeter) -> None:
-        self._check_addressed(message.recipients, message.recipient_set)
+        self._check_addressed(message)
         if message.aux.get("op") == "refresh":
             self._apply_refresh(message, meter)
             return

@@ -115,7 +115,7 @@ class OkdMember(LkhMember):
     """Member that steps its own path keys on a join notice."""
 
     def apply_notice(self, notice: Notice, meter: CostMeter) -> None:
-        self._check_addressed(notice.recipients, notice.recipient_set)
+        self._check_addressed(notice)
         aux = notice.aux
         split = aux.get("split")
         new_node = split["new_node"] if split else None

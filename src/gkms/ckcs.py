@@ -59,8 +59,6 @@ class CkcsServer(ServerProtocol):
         *leaf_keys, self._group_key = random_keys(rng, setup, len(leaves) + 1)
         for leaf, key in zip(leaves, leaf_keys):
             leaf.key = key
-        self.epoch = 0
-        self._middle_cache: dict[int, SymKey] = {}
         self._code_log: set[str] = {node.code for node in nodes if node.code is not None}
 
     # -- state accessors ---------------------------------------------------
@@ -71,28 +69,19 @@ class CkcsServer(ServerProtocol):
 
     def node_key(self, node_id: int) -> SymKey:
         """Current key at any node: stored for leaves, group key at the root,
-        code-derived for middle nodes (memoized per epoch)."""
+        code-derived for middle nodes."""
         node = self.tree.node(node_id)
         if node_id == self.tree.root_id:
             return self._group_key
         if node.is_leaf:
             assert node.key is not None
             return node.key
-        cached = self._middle_cache.get(node_id)
-        if cached is None:
-            assert node.code is not None
-            cached = derive_with_code(self._group_key, node.code)
-            self._middle_cache[node_id] = cached
-        return cached
+        assert node.code is not None
+        return derive_with_code(self._group_key, node.code)
 
     def all_codes(self) -> set[str]:
         """Every code ever assigned (for the codes-public analysis mode)."""
         return set(self._code_log)
-
-    def _bump_epoch(self, new_key: SymKey) -> None:
-        self._group_key = new_key
-        self.epoch += 1
-        self._middle_cache.clear()
 
     def dump(self) -> str:
         return self.tree.dump(key_of=self.node_key)
@@ -105,15 +94,28 @@ class CkcsServer(ServerProtocol):
             return self._join(event, rng, meter)
         return self._leave(event, rng, meter)
 
-    def _fresh_root_code(self, rng: Random) -> str:
+    def _fresh_root_code(self, rng: Random, seq: int) -> str:
         """A new root code lineage, prefix-disjoint from every code ever used.
 
         Prefix-disjointness keeps full-code collisions impossible, so no two
-        nodes can ever hold equal code-derived keys by accident.
+        nodes can ever hold equal code-derived keys by accident.  A logged
+        code blocks exactly the draws that start with its first
+        ``ROOT_CODE_LEN`` digits.  The cut codes with no shorter prefix among
+        them block disjoint ranges, so the space is used up exactly when
+        those ranges add up to all of it; then this raises CodeSpaceError
+        before drawing.
         """
+        length = kt.ROOT_CODE_LEN
+        blocked = {code[:length] for code in self._code_log}
+        minimal = [c for c in blocked if not any(c[:k] in blocked for k in range(1, len(c)))]
+        if sum(10 ** (length - len(c)) for c in minimal) == 10**length:
+            raise kt.CodeSpaceError(
+                f"event {seq}: no {length}-digit root code is left that is "
+                "prefix-disjoint from every code used so far"
+            )
         while True:
-            code = "".join(rng.choice(kt.DIGITS) for _ in range(kt.ROOT_CODE_LEN))
-            if not any(code.startswith(c) or c.startswith(code) for c in self._code_log):
+            code = "".join(rng.choice(kt.DIGITS) for _ in range(length))
+            if not any(code[:k] in blocked for k in range(1, length + 1)):
                 return code
 
     def _join(self, event: MembershipEvent, rng: Random, meter: CostMeter) -> EventOutput:
@@ -132,7 +134,7 @@ class CkcsServer(ServerProtocol):
         # digit cannot shorten, so those cases start a fresh lineage below.
         fresh_code: str | None = None
         if old_root_code is None or len(old_root_code) < 2:
-            fresh_code = self._fresh_root_code(rng)
+            fresh_code = self._fresh_root_code(rng, event.seq)
         new_root_id, incoming_top_id = kt.attach_subtree(
             self.tree, subtree, rng, fresh_root_code=fresh_code
         )
@@ -146,7 +148,7 @@ class CkcsServer(ServerProtocol):
 
         meter.count("keygen")  # one-way refresh of the group key
         new_group_key = derive(self._group_key)
-        self._bump_epoch(new_group_key)
+        self._group_key = new_group_key
 
         output = EventOutput()
         if fresh_code is not None:
@@ -201,7 +203,7 @@ class CkcsServer(ServerProtocol):
         removal = kt.remove_leaves(self.tree, leavers)
         remaining = self.member_ids
         new_group_key = random_key(rng, meter)
-        self._bump_epoch(new_group_key)
+        self._group_key = new_group_key
 
         payloads = tuple(
             wrap(key, new_group_key, meter, kek_id=node_id) for node_id, key in cover_keys
@@ -287,7 +289,7 @@ class CkcsMember(MemberView):
     def apply_notice(self, notice: Notice, meter) -> None:
         if notice.kind != "join":
             raise EventError(f"unexpected notice kind {notice.kind!r}")
-        self._check_addressed(notice.recipients, notice.recipient_set)
+        self._check_addressed(notice)
         new_root_id = notice.aux["new_root"]
         if self._pending_root is not None and self._pending_root.node_id == new_root_id:
             entry = self._pending_root
@@ -305,7 +307,7 @@ class CkcsMember(MemberView):
         self._recompute_middle_keys(meter)
 
     def apply_message(self, message: RekeyMessage, meter) -> None:
-        self._check_addressed(message.recipients, message.recipient_set)
+        self._check_addressed(message)
         op = message.aux.get("op")
         if op == "join":
             self._apply_join_delivery(message, meter)

@@ -12,7 +12,8 @@ Exit codes are distinct per failure class:
 0     success
 2     usage error (standard argument parsing)
 3     golden-vector mismatch (also pre-empts run/sweep/audit)
-4     scenario run failure: bad script, membership error, or probe failure
+4     scenario run failure: bad script, membership error, or probe failure;
+      also an audit trace that cannot run (ckcs out of fresh root codes)
 5     sweep failure
 6     audit found secrecy breaches
 ====  =========================================================
@@ -28,7 +29,7 @@ from random import Random
 from gkms import analyzer, harness
 from gkms.core import EventError, rows_to_csv
 from gkms.crypto import verify_golden_vectors
-from gkms.tree import TreeError
+from gkms.tree import CodeSpaceError, TreeError
 
 EXIT_OK = 0
 EXIT_VECTORS = 3
@@ -193,14 +194,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     seed = _pick_seed(args.seed)
     print(f"seed: {seed}")
-    report = analyzer.audit(
-        trials=args.trials,
-        max_n=args.max_n,
-        seed=seed,
-        max_events=args.max_events,
-        codes_public=args.codes_public,
-        sample=args.sample,
-    )
+    try:
+        report = analyzer.audit(
+            trials=args.trials,
+            max_n=args.max_n,
+            seed=seed,
+            max_events=args.max_events,
+            codes_public=args.codes_public,
+            sample=args.sample,
+        )
+    except CodeSpaceError as exc:
+        print(f"audit failed: {exc}", file=sys.stderr)
+        return EXIT_RUN
     print(report.summary())
     for scenario_seed, verdict in report.breaches:
         print(f"--- breach in scenario seed {scenario_seed} ---")

@@ -45,17 +45,12 @@ class EventError(Exception):
 
 @dataclass(frozen=True)
 class MembershipEvent:
+    """A join or leave batch; ``ServerProtocol._validate`` decides whether it
+    may happen."""
+
     seq: int
     op: Op
     member_ids: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.op not in ("join", "leave"):
-            raise EventError(f"unknown op {self.op!r}")
-        if not self.member_ids:
-            raise EventError("event must name at least one member")
-        if len(set(self.member_ids)) != len(self.member_ids):
-            raise EventError("duplicate member ids in one event")
 
     @property
     def batch_size(self) -> int:
@@ -166,35 +161,24 @@ class EventCost:
     extras: dict
 
 
-@dataclass(frozen=True)
-class CostReport:
-    totals: dict
-    member_derivations: int
-    notices: int
-    events: tuple[EventCost, ...]
-
-    def total(self, kind: str) -> int:
-        return self.totals[kind]
-
-
 class CostMeter:
-    """Counts metered operations, with per-event snapshots.
+    """Counts the metered operations of one event.
 
-    It also logs which key wrapped each ciphertext.  The log is an
-    analysis-side artifact (the wire carries only ciphertexts); the secrecy
-    analyzer uses it to index unwrap attempts without changing their outcome,
-    since exactly the wrapping key can open a payload.  Work that is not
-    charged to anyone (set-up, probes) runs against a throwaway meter.
+    Each event gets a fresh meter: the server meters its work on it, a
+    tracked run's members tally their derivations on it, and ``event_cost``
+    turns the totals into the event's ``EventCost``.  It also logs which key
+    wrapped each ciphertext.  The log is an analysis-side artifact (the wire
+    carries only ciphertexts); the secrecy analyzer uses it to index unwrap
+    attempts without changing their outcome, since exactly the wrapping key
+    can open a payload.  Work that is not charged to anyone (set-up, probes)
+    runs against a throwaway meter.
     """
 
     def __init__(self) -> None:
         self._totals = dict.fromkeys(COST_KINDS, 0)
         self.member_derivations = 0
         self.notices = 0
-        self.events: list[EventCost] = []
         self.wrap_log: dict[bytes, bytes] = {}
-        self._mark: dict | None = None
-        self._event: tuple[int, Op, int] | None = None
 
     def count(self, kind: str, amount: int = 1) -> None:
         if kind not in self._totals:
@@ -217,44 +201,21 @@ class CostMeter:
     def total(self, kind: str) -> int:
         return self._totals[kind]
 
-    def begin_event(self, seq: int, op: Op, batch_size: int) -> None:
-        if self._event is not None:
-            raise RuntimeError("previous event not closed")
-        self._event = (seq, op, batch_size)
-        self._mark = dict(
-            self._totals,
+    def event_cost(self, event: MembershipEvent, **extras) -> EventCost:
+        """The cost of ``event``: everything this meter counted."""
+        totals = self._totals
+        return EventCost(
+            seq=event.seq,
+            op=event.op,
+            m=event.batch_size,
+            keygen=totals["keygen"],
+            encrypt=totals["encrypt"],
+            unicast=totals["unicast"],
+            multicast=totals["multicast"],
+            payload_keys=totals["payload_key"],
             member_derivations=self.member_derivations,
             notices=self.notices,
-        )
-
-    def end_event(self, **extras) -> EventCost:
-        if self._event is None or self._mark is None:
-            raise RuntimeError("no open event")
-        seq, op, batch_size = self._event
-        cost = EventCost(
-            seq=seq,
-            op=op,
-            m=batch_size,
-            keygen=self._totals["keygen"] - self._mark["keygen"],
-            encrypt=self._totals["encrypt"] - self._mark["encrypt"],
-            unicast=self._totals["unicast"] - self._mark["unicast"],
-            multicast=self._totals["multicast"] - self._mark["multicast"],
-            payload_keys=self._totals["payload_key"] - self._mark["payload_key"],
-            member_derivations=self.member_derivations - self._mark["member_derivations"],
-            notices=self.notices - self._mark["notices"],
             extras=extras,
-        )
-        self.events.append(cost)
-        self._event = None
-        self._mark = None
-        return cost
-
-    def report(self) -> CostReport:
-        return CostReport(
-            totals=dict(self._totals),
-            member_derivations=self.member_derivations,
-            notices=self.notices,
-            events=tuple(self.events),
         )
 
 
@@ -317,14 +278,11 @@ class MemberView(ABC):
         self.unwrap_misses = 0
         self.knowledge.learn_key(individual_key)
 
-    def _check_addressed(
-        self, recipients: tuple[str, ...], recipient_set: frozenset[str] | None = None
-    ) -> None:
-        """Raise unless this member is a recipient; pass the delivery's
-        ``recipient_set`` to test membership in O(1)."""
-        if self.member_id not in (recipients if recipient_set is None else recipient_set):
+    def _check_addressed(self, delivery: RekeyMessage | Notice) -> None:
+        """Raise unless this member is one of the delivery's recipients."""
+        if self.member_id not in delivery.recipient_set:
             raise EventError(
-                f"message not addressed to {self.member_id}: {recipients}"
+                f"message not addressed to {self.member_id}: {delivery.recipients}"
             )
 
     @abstractmethod
@@ -369,6 +327,15 @@ class ServerProtocol(ABC):
         """Construct the client view a bootstrap delivery creates."""
 
     def _validate(self, event: MembershipEvent) -> None:
+        """The one membership check: raise EventError unless the event may
+        happen to the current group.  Every ``handle_event`` calls it before
+        it changes anything, and the tree operations rely on it."""
+        if event.op not in ("join", "leave"):
+            raise EventError(f"unknown op {event.op!r}")
+        if not event.member_ids:
+            raise EventError("event must name at least one member")
+        if len(set(event.member_ids)) != len(event.member_ids):
+            raise EventError("duplicate member ids in one event")
         if event.op == "join":
             stale = [m for m in event.member_ids if self.tree.has_member(m)]
             if stale:

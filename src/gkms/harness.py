@@ -339,13 +339,11 @@ class TraceRecord:
     scenario: Scenario
     server: ServerProtocol
     events: list[EventRecord] = field(default_factory=list)
-    rows: list[dict] = field(default_factory=list)
     group_key_history: list[SymKey] = field(default_factory=list)
     members: dict[str, MemberView] = field(default_factory=dict)
     departed: dict[str, MemberView] = field(default_factory=dict)
     join_epoch: dict[str, int] = field(default_factory=dict)
     leave_epoch: dict[str, int] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
     digest: str = ""
     # analysis-side records (never on the wire): which node each key value
     # belonged to across epochs, the binary sibling structure over time, and
@@ -353,6 +351,12 @@ class TraceRecord:
     node_key_log: dict[bytes, set[int]] = field(default_factory=dict)
     sibling_pairs: set[tuple[int, int, int]] = field(default_factory=set)
     wrap_log: dict[bytes, bytes] = field(default_factory=dict)
+
+    @property
+    def rows(self) -> list[dict]:
+        """One CSV schema row per event."""
+        protocol = self.scenario.protocol
+        return [csv_row(protocol, record.n_at_event, record.cost) for record in self.events]
 
     @property
     def deliveries(self) -> list[RekeyMessage | Notice]:
@@ -372,8 +376,6 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
     server = make_server(scenario.protocol, initial, rng, scenario.root_code)
     trace = TraceRecord(scenario=scenario, server=server)
     trace.group_key_history.append(server.group_key)
-    meter = CostMeter()
-    trace.wrap_log = meter.wrap_log
     _log_tree(trace)
 
     if track_members:
@@ -394,27 +396,24 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
             batch = tuple(leaver_layout(server.tree, step.count, layout, rng))
         event = MembershipEvent(seq, step.op, batch)
 
-        meter.begin_event(seq, step.op, len(batch))
+        meter = CostMeter()
         output = server.handle_event(event, rng, meter)
-        cost = meter.end_event(**output.stats)
-
+        trace.wrap_log.update(meter.wrap_log)
         trace.group_key_history.append(server.group_key)
         _log_tree(trace)
+        if track_members:
+            _deliver(trace, event, output, meter)
+            _run_probe(trace, probe_rng, event_seq=seq)
         record = EventRecord(
             seq=seq,
             op=step.op,
             member_ids=batch,
             n_at_event=n_before,
-            cost=cost,
+            cost=meter.event_cost(event, **output.stats),
             output=output,
             group_key=server.group_key,
         )
         trace.events.append(record)
-        trace.rows.append(csv_row(scenario.protocol, n_before, cost))
-
-        if track_members:
-            _deliver(trace, record, seq)
-            _run_probe(trace, probe_rng, event_seq=seq)
 
     trace.digest = _trace_digest(trace)
     return trace
@@ -450,16 +449,20 @@ def _log_tree(trace: TraceRecord) -> None:
     key_log.setdefault(trace.server.group_key.data, set()).add(tree.root_id)
 
 
-def _deliver(trace: TraceRecord, record: EventRecord, seq: int) -> None:
-    meter = CostMeter()  # tallies member-side derivation work during delivery
-    for boot in record.output.bootstraps:
+def _deliver(trace: TraceRecord, event: MembershipEvent, output: EventOutput, meter: CostMeter) -> None:
+    """Hand the event's output to the tracked members, in emission order.
+
+    Members count their derivations on ``meter``, the event's own meter.
+    """
+    seq = event.seq
+    for boot in output.bootstraps:
         trace.members[boot.member_id] = trace.server.build_member(boot)
         trace.join_epoch[boot.member_id] = seq
-    if record.op == "leave":
-        for member in record.member_ids:
+    if event.op == "leave":
+        for member in event.member_ids:
             trace.departed[member] = trace.members.pop(member)
             trace.leave_epoch[member] = seq
-    for delivery in record.output.deliveries:
+    for delivery in output.deliveries:
         for recipient in delivery.recipients:
             view = trace.members.get(recipient)
             if view is None:
@@ -468,7 +471,6 @@ def _deliver(trace: TraceRecord, record: EventRecord, seq: int) -> None:
                 view.apply_notice(delivery, meter)
             else:
                 view.apply_message(delivery, meter)
-    trace.rows[-1]["member_derivations"] = meter.member_derivations
 
 
 def _run_probe(trace: TraceRecord, probe_rng: Random, event_seq: int) -> None:
@@ -683,11 +685,10 @@ def _sweep_cell(
         batch_ids = tuple(leaver_layout(server.tree, batch, layout, rng))
     event = MembershipEvent(1, op, batch_ids)
     meter = CostMeter()
-    meter.begin_event(1, op, len(batch_ids))
     start = time.perf_counter()
     output = server.handle_event(event, rng, meter)
     elapsed = time.perf_counter() - start
-    cost = meter.end_event(**output.stats)
+    cost = meter.event_cost(event, **output.stats)
     row = csv_row(protocol, n, cost)
     row["m"] = m  # the requested cell, even when the batch was trimmed
     row["keygen_dedup"] = cost.extras.get("keygen_dedup", "")

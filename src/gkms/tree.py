@@ -472,20 +472,15 @@ def remove_leaves(tree: KeyTree, member_ids: Sequence[str]) -> RemovalResult:
 
     A spliced parent's surviving child is promoted into its position (same
     index under the grandparent), keeping sibling order stable.  Returns the
-    removed node ids and the (promoted, vacated) pairs.
+    removed node ids and the (promoted, vacated) pairs.  The leavers must be
+    distinct current members that leave at least one behind
+    (``ServerProtocol._validate`` checks this).
     """
-    unique = list(dict.fromkeys(member_ids))
-    for member in unique:
-        if not tree.has_member(member):
-            raise TreeError(f"cannot remove unknown member {member!r}")
-    if len(unique) >= tree.member_count:
-        raise TreeError("cannot remove every member; the group may not empty")
-
     tree._scan_dirty()
     removed: list[int] = []
     promotions: list[tuple[int, int]] = []
     touched: list[int] = []
-    for member in unique:
+    for member in member_ids:
         leaf = tree.leaf_of(member)
         parent_id = leaf.parent
         if parent_id is not None:
@@ -539,10 +534,9 @@ def detach_leaf(tree: KeyTree, member: str) -> DetachResult:
 
     Internal nodes keep their position (and key) even when left with a
     single child, which matches trees that track fixed key slots.  Returns
-    the removed ids and the surviving former-ancestor chain bottom-up.
+    the removed ids and the surviving former-ancestor chain bottom-up.  The
+    member must not be the last one.
     """
-    if tree.member_count <= 1:
-        raise TreeError("cannot remove the last member")
     leaf = tree.leaf_of(member)
     removed = [leaf.node_id]
     parent_id = leaf.parent
@@ -571,10 +565,8 @@ def insert_leaf(tree: KeyTree, member: str, fill_slots: bool) -> InsertResult:
     With ``fill_slots`` the shallowest internal node with a free child slot
     takes the new leaf directly.  Otherwise (or when the tree is full) the
     shallowest leaf is split: a new internal node takes its position and
-    holds the old leaf and the new one.
+    holds the old leaf and the new one.  ``member`` must be new to the tree.
     """
-    if tree.has_member(member):
-        raise TreeError(f"member {member!r} already present")
     root = tree.root
     if root.is_leaf:
         new_internal = tree._new_node()
@@ -615,9 +607,6 @@ def compute_cover(tree: KeyTree, leaver_ids: Sequence[str]) -> list[int]:
     Computed on the pre-removal tree: every remaining member sits under
     exactly one cover node and no leaver sits under any.
     """
-    for member in leaver_ids:
-        if not tree.has_member(member):
-            raise TreeError(f"unknown member {member!r}")
     tainted: set[int] = set()
     for member in leaver_ids:
         leaf = tree.leaf_of(member)

@@ -1,0 +1,23 @@
+"""Plain reference version of the ckcs fresh root-code draw.
+
+``CkcsServer._fresh_root_code`` first decides exactly whether any
+``ROOT_CODE_LEN``-digit code is still free, then draws.  The function here
+is the direct rejection loop it replaces, with an attempt cap so that a
+used-up code space ends instead of spinning.  Tests require the server to
+draw the same code and leave its generator in the same state wherever this
+loop ends.
+"""
+
+from __future__ import annotations
+
+from gkms.tree import DIGITS, ROOT_CODE_LEN
+
+
+def reference_fresh_root_code(code_log, rng, max_attempts):
+    """The first draw prefix-disjoint from every logged code, or None once
+    ``max_attempts`` draws all failed."""
+    for _ in range(max_attempts):
+        code = "".join(rng.choice(DIGITS) for _ in range(ROOT_CODE_LEN))
+        if not any(code.startswith(c) or c.startswith(code) for c in code_log):
+            return code
+    return None

@@ -33,10 +33,9 @@ def build_views(server):
 
 def handle(server, rng, seq, op, ids):
     meter = CostMeter()
-    meter.begin_event(seq, op, len(ids))
-    output = server.handle_event(MembershipEvent(seq, op, tuple(ids)), rng, meter)
-    cost = meter.end_event(**output.stats)
-    return output, cost
+    event = MembershipEvent(seq, op, tuple(ids))
+    output = server.handle_event(event, rng, meter)
+    return output, meter.event_cost(event, **output.stats)
 
 
 def assert_agreement(server, views):

@@ -5,11 +5,15 @@ import re
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ckcs_reference import reference_fresh_root_code
 from gkms import tree as kt
 from gkms.ckcs import CkcsMember, CkcsServer
 from gkms.core import CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
 from gkms.crypto import SymKey, decode_code, derive, derive_with_code, unwrap
+from gkms.harness import parse_scenario, run
 
 
 def members(n):
@@ -53,11 +57,10 @@ def test_initial_tree_and_node_keys():
         elif node.node_id != tree.root_id:
             expected = derive_with_code(server.group_key, node.code)
             assert server.node_key(node.node_id) == expected
-    # memoized within an epoch, recomputed after the key changes
+    # recomputed from the group key, so it changes when the key does
     middle_id = tree.root.children[0]
     before = server.node_key(middle_id)
-    assert server.node_key(middle_id) is server._middle_cache[middle_id]
-    server._bump_epoch(derive(server.group_key))
+    server._group_key = derive(server.group_key)
     assert server.node_key(middle_id) != before
 
 
@@ -77,9 +80,9 @@ def test_join_batch_costs_and_structure():
     server, rng = make(n=4, root_code="278")
     old_key = server.group_key
     meter = CostMeter()
-    meter.begin_event(1, "join", 3)
-    output = server.handle_event(MembershipEvent(1, "join", ("u5", "u6", "u7")), rng, meter)
-    cost = meter.end_event(**output.stats)
+    event = MembershipEvent(1, "join", ("u5", "u6", "u7"))
+    output = server.handle_event(event, rng, meter)
+    cost = meter.event_cost(event, **output.stats)
 
     assert cost.keygen == 4  # one per joiner + one group-key refresh
     assert cost.encrypt == 3
@@ -111,10 +114,7 @@ def test_join_batch_costs_and_structure():
 def test_join_delivery_brings_everyone_to_the_new_key():
     server, rng = make(n=4, root_code="278")
     views = build_initial_views(server)
-    meter = CostMeter()
-    meter.begin_event(1, "join", 2)
-    output = server.handle_event(MembershipEvent(1, "join", ("u5", "u6")), rng, meter)
-    meter.end_event()
+    output = server.handle_event(MembershipEvent(1, "join", ("u5", "u6")), rng, CostMeter())
     for boot in output.bootstraps:
         views[boot.member_id] = server.build_member(boot)
     tally = CostMeter()
@@ -157,9 +157,9 @@ def test_repeated_joins_shorten_then_reset_the_root_code():
 
     # second join: nothing left to drop, so a fresh confidential lineage starts
     meter = CostMeter()
-    meter.begin_event(2, "join", 1)
-    output = server.handle_event(MembershipEvent(2, "join", ("u6",)), rng, meter)
-    cost = meter.end_event(**output.stats)
+    event = MembershipEvent(2, "join", ("u6",))
+    output = server.handle_event(event, rng, meter)
+    cost = meter.event_cost(event, **output.stats)
     fresh = server.tree.root.code
     assert len(fresh) == kt.ROOT_CODE_LEN
     for old in codes_before_reset:
@@ -202,6 +202,73 @@ def test_first_join_onto_single_member_group_starts_a_lineage():
     assert views["u2"].group_key == server.group_key
 
 
+# Enough for any log below that leaves a code free: those leave at least one
+# code in a hundred free, so the loop misses with odds of about 1e-9.
+REFERENCE_ATTEMPTS = 2_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sets(st.sampled_from(kt.DIGITS)),
+    st.lists(st.text(kt.DIGITS, min_size=1, max_size=10), max_size=8),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_fresh_root_code_matches_the_reference_loop(used_digits, used_codes, seed):
+    server, _ = make(n=2)
+    server._code_log = used_digits | set(used_codes)
+    expected_rng = Random(seed)
+    expected = reference_fresh_root_code(server._code_log, expected_rng, REFERENCE_ATTEMPTS)
+    rng = Random(seed)
+    if expected is None:
+        state = rng.getstate()
+        with pytest.raises(kt.CodeSpaceError, match="event 7: no 8-digit root code is left"):
+            server._fresh_root_code(rng, 7)
+        assert rng.getstate() == state  # decided before drawing
+    else:
+        assert server._fresh_root_code(rng, 7) == expected
+        assert rng.getstate() == expected_rng.getstate()
+
+
+class _AlwaysNine:
+    """Draws digit 9 every time, so the only free code is found at once."""
+
+    def choice(self, digits):
+        return "9"
+
+
+def _all_but_eight_nines():
+    """Every 8-digit code is blocked except 99999999, through codes of every
+    length from 1 to 8 digits."""
+    return {"9" * k + d for k in range(kt.ROOT_CODE_LEN) for d in kt.DIGITS[:-1]}
+
+
+@pytest.mark.parametrize("last", [None, "99999999", "999999999", "9999999990"])
+def test_fresh_root_code_space_is_used_up_exactly(last):
+    server, _ = make(n=2)
+    server._code_log = _all_but_eight_nines() | ({last} if last else set())
+    if last is None:  # one code of 10**8 is still free
+        assert server._fresh_root_code(_AlwaysNine(), 3) == "99999999"
+    else:  # the last code itself, or a longer code below it, blocks it
+        with pytest.raises(kt.CodeSpaceError, match="event 3"):
+            server._fresh_root_code(_AlwaysNine(), 3)
+
+
+def test_long_join_run_draws_the_reference_codes(monkeypatch):
+    text = "init n=64 protocol=ckcs seed=1\n" + "join 1\n" * 79
+    expected = run(parse_scenario(text), track_members=False)
+
+    def reference_draw(self, rng, seq):
+        code = reference_fresh_root_code(self._code_log, rng, REFERENCE_ATTEMPTS)
+        assert code is not None
+        return code
+
+    monkeypatch.setattr(CkcsServer, "_fresh_root_code", reference_draw)
+    reference = run(parse_scenario(text), track_members=False)
+    assert reference.digest == expected.digest
+    assert reference.server.all_codes() == expected.server.all_codes()
+    assert sum("code_resets" in r.cost.extras for r in expected.events) == 9
+
+
 def test_all_codes_accumulates_history():
     server, rng = make(n=4, root_code="278")
     before = set(server.all_codes())
@@ -222,9 +289,9 @@ def test_leave_spread_uses_the_pre_removal_cover():
     old_key = server.group_key
 
     meter = CostMeter()
-    meter.begin_event(1, "leave", 3)
-    output = server.handle_event(MembershipEvent(1, "leave", ("u1", "u4", "u8")), rng, meter)
-    cost = meter.end_event(**output.stats)
+    event = MembershipEvent(1, "leave", ("u1", "u4", "u8"))
+    output = server.handle_event(event, rng, meter)
+    cost = meter.event_cost(event, **output.stats)
 
     assert cost.keygen == 1  # a single fresh group key
     assert cost.encrypt == 4 and cost.payload_keys == 4
@@ -255,9 +322,9 @@ def test_leave_of_a_whole_subtree_needs_one_encryption():
     half = server.tree.subtree_member_ids(server.tree.root.children[0])
     other = server.tree.root.children[1]
     meter = CostMeter()
-    meter.begin_event(1, "leave", len(half))
-    output = server.handle_event(MembershipEvent(1, "leave", tuple(half)), rng, meter)
-    cost = meter.end_event(**output.stats)
+    event = MembershipEvent(1, "leave", tuple(half))
+    output = server.handle_event(event, rng, meter)
+    cost = meter.event_cost(event, **output.stats)
     assert cost.keygen == 1
     assert cost.encrypt == 1
     assert output.messages[0].aux["cover"] == [other]

@@ -184,6 +184,50 @@ def test_run_failing_event(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [("u1,u1", "duplicate member ids in one event"), ("u2,ghost", "cannot remove unknown members")],
+)
+def test_run_bad_leave_ids_exit_4(tmp_path, capsys, ids, message):
+    path = tmp_path / "badleave.txt"
+    path.write_text(f"init n=4 protocol=okd seed=1\nleave ids={ids}\n")
+    assert main(["run", str(path)]) == EXIT_RUN
+    assert message in capsys.readouterr().err
+
+
+def _gkms_subprocess(argv, timeout):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "gkms.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_ckcs_out_of_root_codes_exits_4_without_hanging(tmp_path):
+    # each lineage of 1-digit codes runs out after a few joins; by the 80th
+    # join all ten 1-digit codes are used and no fresh root code is left
+    path = tmp_path / "joins.txt"
+    path.write_text("init n=64 protocol=ckcs seed=1\n" + "join 1\n" * 80)
+    proc = _gkms_subprocess(["run", str(path)], timeout=5)
+    assert proc.returncode == EXIT_RUN
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "run failed: event 80: no 8-digit root code is left that is prefix-disjoint "
+        "from every code used so far"
+    ]
+
+
+def test_audit_trace_that_cannot_run_exits_4(tmp_path):
+    proc = _gkms_subprocess(["audit", "--max-events", "400", "--trials", "1", "--seed", "7"], timeout=60)
+    assert proc.returncode == EXIT_RUN
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("audit failed: scenario seed 7000000: event ")
+
+
 def test_shipped_scenarios_run_clean(capsys):
     from pathlib import Path
 

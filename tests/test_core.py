@@ -43,12 +43,15 @@ def msg(channel="multicast", recipients=("a", "b"), n_payloads=2, aux=None, seq=
 def test_event_validation():
     event = MembershipEvent(1, "join", ("a", "b"))
     assert event.batch_size == 2
-    with pytest.raises(EventError):
-        MembershipEvent(1, "rekey", ("a",))
-    with pytest.raises(EventError):
-        MembershipEvent(1, "join", ())
-    with pytest.raises(EventError):
-        MembershipEvent(1, "leave", ("a", "a"))
+    # a plain record: the server's _validate is the one membership check
+    server = _StubServer()
+    for bad, message in (
+        (MembershipEvent(1, "rekey", ("d",)), "unknown op 'rekey'"),
+        (MembershipEvent(1, "join", ()), "event must name at least one member"),
+        (MembershipEvent(1, "leave", ("a", "a")), "duplicate member ids in one event"),
+    ):
+        with pytest.raises(EventError, match=message):
+            server._validate(bad)
 
 
 # -- messages -----------------------------------------------------------------
@@ -76,41 +79,33 @@ def test_event_output_partitions_deliveries():
 
 def test_meter_counts_and_event_deltas():
     meter = CostMeter()
-    meter.begin_event(1, "join", 2)
     meter.count("keygen", 3)
     meter.count("encrypt")
     meter.count_message(msg(n_payloads=4))
     meter.count_member_derivation(2)
     meter.count_notice()
-    first = meter.end_event(cover_size=7)
+    first = meter.event_cost(MembershipEvent(1, "join", ("a", "b")), cover_size=7)
     assert (first.keygen, first.encrypt, first.multicast, first.unicast) == (3, 1, 1, 0)
     assert first.payload_keys == 4
     assert first.member_derivations == 2
     assert first.notices == 1
     assert first.extras == {"cover_size": 7}
     assert (first.seq, first.op, first.m) == (1, "join", 2)
+    assert meter.total("keygen") == 3
 
-    meter.begin_event(2, "leave", 1)
+    # each event gets a fresh meter, so its cost is its own work only
+    meter = CostMeter()
     meter.count("keygen")
-    second = meter.end_event()
-    assert second.keygen == 1  # deltas, not running totals
+    second = meter.event_cost(MembershipEvent(2, "leave", ("a",)))
+    assert second.keygen == 1
+    assert (second.member_derivations, second.notices) == (0, 0)
     assert second.extras == {}
-
-    report = meter.report()
-    assert report.total("keygen") == 4
-    assert report.member_derivations == 2
-    assert report.events == (first, second)
 
 
 def test_meter_guards():
     meter = CostMeter()
     with pytest.raises(ValueError):
         meter.count("decrypt")
-    with pytest.raises(RuntimeError):
-        meter.end_event()
-    meter.begin_event(1, "join", 1)
-    with pytest.raises(RuntimeError):
-        meter.begin_event(2, "join", 1)
 
 
 def test_cost_kinds_cover_csv_columns():
@@ -124,10 +119,9 @@ def test_cost_kinds_cover_csv_columns():
 
 def test_csv_row_and_serialisation():
     meter = CostMeter()
-    meter.begin_event(3, "leave", 2)
     meter.count("keygen")
     meter.count_message(msg(n_payloads=5))
-    cost = meter.end_event()
+    cost = meter.event_cost(MembershipEvent(3, "leave", ("a", "b")))
     row = csv_row("ckcs", 16, cost)
     assert row == {
         "protocol": "ckcs",
@@ -160,9 +154,9 @@ def test_member_view_basics():
     view = _ProbeView("alice", SymKey(bytes([1]) * 32))
     assert view.group_key is None
     assert view.individual_key.data in view.knowledge.key_bytes
-    view._check_addressed(("bob", "alice"))
+    view._check_addressed(msg(recipients=("bob", "alice")))
     with pytest.raises(EventError):
-        view._check_addressed(("bob",))
+        view._check_addressed(msg(recipients=("bob",)))
     notice = Notice(kind="join", recipients=("alice",), aux={}, event_seq=1)
     with pytest.raises(EventError):
         view.apply_notice(notice, CostMeter())
@@ -176,14 +170,14 @@ def test_recipient_check_against_the_delivery_set():
     message = msg(recipients=("carol", "alice", "bob"))
     assert message.recipient_set == frozenset(("alice", "bob", "carol"))
     assert message.recipient_set is message.recipient_set  # built once
-    view._check_addressed(message.recipients, message.recipient_set)
+    view._check_addressed(message)
     other = msg(recipients=("carol", "bob"))
     with pytest.raises(EventError, match=r"not addressed to alice: \('carol', 'bob'\)"):
-        view._check_addressed(other.recipients, other.recipient_set)
+        view._check_addressed(other)
     notice = Notice(kind="join", recipients=("bob",), aux={}, event_seq=1)
     assert notice.recipient_set == frozenset(("bob",))
     with pytest.raises(EventError):
-        view._check_addressed(notice.recipients, notice.recipient_set)
+        view._check_addressed(notice)
 
 
 class _StubServer(ServerProtocol):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkms import harness
-from gkms.core import CSV_COLUMNS, Notice
+from gkms.core import CSV_COLUMNS, CostMeter, EventError, MembershipEvent, Notice
 from gkms.crypto import SymKey
 from gkms.harness import (
     LAYOUTS,
@@ -500,6 +500,56 @@ def test_member_outputs_match_frozen_hash(protocol):
     scenarios += [generate_random_scenario(7_000 + i, protocol=protocol) for i in range(12)]
     blob = json.dumps([_member_outputs(run(s)) for s in scenarios], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_MEMBER_OUTPUTS[protocol]
+
+
+def _server_state(server, rng):
+    """Every node's place, key and code, the group key and the generator."""
+    nodes = [
+        (n.node_id, n.parent, tuple(n.children), n.key, n.code, n.member)
+        for n in server.tree.nodes.values()
+    ]
+    return nodes, server.tree.root_id, server.member_ids, server.group_key, rng.getstate()
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_membership_rules_reject_through_handle_event_and_change_nothing(protocol):
+    rng = Random(9)
+    server = make_server(protocol, [f"u{i}" for i in range(1, 7)], rng)
+    server.handle_event(MembershipEvent(1, "join", ("u7", "u8")), rng, CostMeter())
+    server.handle_event(MembershipEvent(2, "leave", ("u2",)), rng, CostMeter())
+    bad = [
+        ("join", ("u9", "u3"), r"members already present: \['u3'\]"),
+        ("leave", ("u3", "ghost"), r"cannot remove unknown members: \['ghost'\]"),
+        ("leave", tuple(server.member_ids), "cannot remove every member"),
+        ("join", ("u9", "u9"), "duplicate member ids in one event"),
+        ("leave", ("u3", "u3"), "duplicate member ids in one event"),
+        ("join", (), "event must name at least one member"),
+        ("rekey", ("u9",), "unknown op 'rekey'"),
+    ]
+    for op, ids, message in bad:
+        before = _server_state(server, rng)
+        meter = CostMeter()
+        with pytest.raises(EventError, match=message):
+            server.handle_event(MembershipEvent(3, op, ids), rng, meter)
+        assert _server_state(server, rng) == before, (op, ids)
+        assert [meter.total(kind) for kind in ("keygen", "encrypt", "unicast", "multicast")] == [0] * 4
+        assert meter.wrap_log == {}
+
+
+@pytest.mark.parametrize(
+    "protocol, small_churn",
+    [("ckcs", [200, 150, 218]), ("lkh", [0, 0, 0]), ("oft", [1420, 1026, 716]), ("okd", [204, 0, 98])],
+)
+def test_event_cost_carries_the_member_derivations(protocol, small_churn):
+    text = f"init n=32 protocol={protocol} seed=3\njoin 4\nleave 3\njoin 2\n"
+    assert [record.cost.member_derivations for record in run(parse_scenario(text)).events] == small_churn
+    trace = run(_churn_scenario(protocol))
+    counts = [record.cost.member_derivations for record in trace.events]
+    assert counts == [row["member_derivations"] for row in trace.rows]
+    if protocol != "lkh":  # lkh members only unwrap
+        assert sum(counts) > 0
+    untracked = run(_churn_scenario(protocol), track_members=False)
+    assert [record.cost.member_derivations for record in untracked.events] == [0] * 12
 
 
 def test_generated_scenarios_are_valid_and_seed_stable():

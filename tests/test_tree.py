@@ -262,12 +262,6 @@ def test_insert_into_single_leaf_tree():
     assert not tree.root.is_leaf
 
 
-def test_insert_rejects_duplicate():
-    tree = kt.build_balanced(members(2), arity=2)
-    with pytest.raises(kt.TreeError):
-        kt.insert_leaf(tree, "u1", fill_slots=True)
-
-
 # -- detach (slot-keeping removal) ------------------------------------------------------
 
 
@@ -288,12 +282,6 @@ def test_detach_prunes_emptied_ancestors():
     result = kt.detach_leaf(tree, "u2")  # empties the stub entirely
     assert parent_id in result.removed_node_ids
     assert result.rekey_chain == (tree.root_id,)
-
-
-def test_detach_rejects_last_member():
-    tree = kt.build_balanced(["solo"], arity=2)
-    with pytest.raises(kt.TreeError):
-        kt.detach_leaf(tree, "solo")
 
 
 # -- remove (splicing batch removal) ----------------------------------------------------
@@ -319,17 +307,6 @@ def test_remove_cascades_up_to_root_child():
     assert tree.member_count == 5
     promoted = {p for p, _ in result.promotions}
     assert tree.leaf_of("u4").node_id in promoted
-
-
-def test_remove_deduplicates_and_validates():
-    tree = kt.build_balanced(members(4), arity=2)
-    result = kt.remove_leaves(tree, ["u1", "u1"])
-    assert tree.member_count == 3
-    assert len([n for n in result.removed_node_ids]) == 2
-    with pytest.raises(kt.TreeError):
-        kt.remove_leaves(tree, ["nobody"])
-    with pytest.raises(kt.TreeError):
-        kt.remove_leaves(tree, ["u2", "u3", "u4"])  # would empty the group
 
 
 def test_remove_promotes_into_root():
