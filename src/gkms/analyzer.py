@@ -98,7 +98,13 @@ class KnowledgeSet:
     The context — public transcript, active rule set, one-way chain cap, and
     the public structural metadata (which node each observed key slot
     belonged to, which sibling pairs existed) — travels with the set so that
-    :func:`closure` is self-contained.
+    :func:`closure` is self-contained.  ``index`` is the :class:`ClosureIndex`
+    built from that context; :func:`adversary_knowledge` hands every set of a
+    trace the trace's one index, and a set without one gets a fresh index per
+    :func:`closure` call.  So does a set whose context fields were replaced
+    after construction: the closure always follows the set's own context.
+    With ``wrap_log`` None it tries every payload with every key instead of
+    the wrap-log lookup.
     """
 
     def __init__(
@@ -111,6 +117,7 @@ class KnowledgeSet:
         node_tags: dict[bytes, set[int]] | None = None,
         sibling_pairs: Iterable[tuple[int, int, int]] = (),
         wrap_log: dict[bytes, bytes] | None = None,
+        index: ClosureIndex | None = None,
     ) -> None:
         self.facts: dict[bytes, Fact] = {}
         for key in keys:
@@ -121,9 +128,10 @@ class KnowledgeSet:
         self.transcript: tuple[RekeyMessage, ...] = tuple(transcript)
         self.rules: tuple[str, ...] = tuple(rules)
         self.derive_cap = derive_cap
-        self.node_tags = node_tags or {}
+        self.node_tags = node_tags if node_tags is not None else {}
         self.sibling_pairs = tuple(sibling_pairs)
         self.wrap_log = wrap_log
+        self.index = index
 
     # -- queries -----------------------------------------------------------
 
@@ -166,13 +174,162 @@ class KnowledgeSet:
         return "\n".join(lines) if lines else "(held from the start)"
 
 
+class ClosureIndex:
+    """One trace's closure context, built once and shared by every
+    adversary's closure over that trace.
+
+    It holds the public transcript, its payloads deduplicated by ciphertext
+    and grouped by wrapping key, the OFT blind oracle and the sibling-pair
+    maps.  It also keeps a table per rule of the finished facts that rule
+    has produced: each output is computed with real crypto the first time
+    any adversary needs it, and later adversaries look it up.  Facts are
+    frozen and compare by value, so sharing them changes no output; what
+    stays per adversary is the fixpoint itself: its facts, codes and queue.
+    """
+
+    def __init__(
+        self,
+        transcript: Iterable[RekeyMessage],
+        rules: tuple[str, ...],
+        node_tags: dict[bytes, set[int]],
+        sibling_pairs: Iterable[tuple[int, int, int]],
+        wrap_log: dict[bytes, bytes] | None,
+    ) -> None:
+        self.transcript: tuple[RekeyMessage, ...] = tuple(transcript)
+        self.rules = rules
+        self.derive_rule = next((r for r in ("hash-forward", "okd-derive") if r in rules), None)
+        self.node_tags = node_tags
+        self.sibling_pairs = tuple(sibling_pairs)
+        self.wrap_log = wrap_log
+
+        # transcript payloads, deduplicated by ciphertext
+        self.cts: dict[bytes, WrappedKey] = {}
+        for message in self.transcript:
+            for payload in message.payloads:
+                self.cts.setdefault(payload.ciphertext, payload)
+        self.cts_by_kek: dict[bytes, list[WrappedKey]] | None = None
+        if wrap_log is not None:
+            self.cts_by_kek = {}
+            for ct, kek in wrap_log.items():
+                if ct in self.cts:
+                    self.cts_by_kek.setdefault(kek, []).append(self.cts[ct])
+
+        # rule outputs: unwrap by key value (a tuple of (fact, decoded code or
+        # None) for the payloads it opens), derive by (value, hops),
+        # code-derive by (value, code), blind by value, mix by (left, right)
+        self.unwrapped: dict[bytes, tuple[tuple[Fact, str | None], ...]] = {}
+        self.derived: dict[tuple[bytes, int], Fact] = {}
+        self.code_derived: dict[tuple[bytes, str], Fact] = {}
+        self.blinded: dict[bytes, Fact] = {}
+        self.mixed: dict[tuple[bytes, bytes], Fact] = {}
+
+        # blind(real node key) -> node ids; lets the mix rule recognise which
+        # known values are blinds of which tree slots (public placement metadata)
+        oracle: dict[bytes, set[int]] = {}
+        if "oft-mix" in rules:
+            for key_bytes, nodes in node_tags.items():
+                oracle.setdefault(self.blind_fact(key_bytes).value, set()).update(nodes)
+        self.blind_oracle: dict[bytes, tuple[int, ...]] = {
+            value: tuple(nodes) for value, nodes in oracle.items()
+        }
+        # node -> the sibling it pairs with, on either side
+        self.right_of: dict[int, list[int]] = {}
+        self.left_of: dict[int, list[int]] = {}
+        for left, right, _parent in self.sibling_pairs:
+            self.right_of.setdefault(left, []).append(right)
+            self.left_of.setdefault(right, []).append(left)
+
+    @classmethod
+    def of_set(cls, ks: KnowledgeSet) -> ClosureIndex:
+        return cls(ks.transcript, ks.rules, ks.node_tags, ks.sibling_pairs, ks.wrap_log)
+
+    def serves(self, ks: KnowledgeSet) -> bool:
+        """Whether this index was built from ``ks``'s own context: the very
+        transcript, rules, node tags, sibling pairs and wrap log it holds now,
+        so a set whose context was swapped after construction is not served."""
+        return (
+            ks.transcript is self.transcript
+            and ks.rules is self.rules
+            and ks.node_tags is self.node_tags
+            and ks.sibling_pairs is self.sibling_pairs
+            and ks.wrap_log is self.wrap_log
+        )
+
+    # -- rule outputs, computed on first use -------------------------------
+
+    def unwrap_facts(self, value: bytes) -> tuple[tuple[Fact, str | None], ...]:
+        """What ``value`` opens: the payloads the wrap log says it wrapped,
+        or, without a wrap log, every payload of the transcript it can open."""
+        found = self.unwrapped.get(value)
+        if found is None:
+            if self.cts_by_kek is not None:
+                candidates: Iterable[WrappedKey] = self.cts_by_kek.get(value, ())
+            else:
+                candidates = self.cts.values()
+            key = SymKey(value)
+            opened = []
+            for wrapped in candidates:
+                try:
+                    plaintext = unwrap(key, wrapped).data
+                except UnwrapError:
+                    continue
+                try:
+                    code: str | None = decode_code(plaintext)
+                except ValueError:
+                    code = None  # an ordinary key, not an encoded node code
+                fact = Fact(
+                    plaintext, "unwrap-from-transcript", (value,), wrapped=wrapped, kind="opaque"
+                )
+                opened.append((fact, code))
+            found = self.unwrapped[value] = tuple(opened)
+        return found
+
+    def derive_fact(self, value: bytes, hops: int) -> Fact:
+        fact = self.derived.get((value, hops))
+        if fact is None:
+            stepped = derive(SymKey(value)).data
+            fact = Fact(stepped, self.derive_rule, (value,), hops=hops + 1, kind="derived")
+            self.derived[value, hops] = fact
+        return fact
+
+    def code_derive_fact(self, value: bytes, code: str) -> Fact:
+        fact = self.code_derived.get((value, code))
+        if fact is None:
+            derived = derive_with_code(SymKey(value), code).data
+            fact = Fact(derived, "code-derive", (value,), code=code, kind="code-derived")
+            self.code_derived[value, code] = fact
+        return fact
+
+    def blind_fact(self, value: bytes) -> Fact:
+        fact = self.blinded.get(value)
+        if fact is None:
+            fact = Fact(blind(SymKey(value)).data, "oft-blind", (value,), kind="blinded")
+            self.blinded[value] = fact
+        return fact
+
+    def mix_fact(self, left: bytes, right: bytes) -> Fact:
+        fact = self.mixed.get((left, right))
+        if fact is None:
+            mixed = mix(SymKey(left), SymKey(right)).data
+            fact = Fact(mixed, "oft-mix", (left, right), kind="mixed")
+            self.mixed[left, right] = fact
+        return fact
+
+
 def closure(initial: KnowledgeSet) -> KnowledgeSet:
     """Least fixed point of the knowledge set under its rule set.
 
     Terminates because every rule draws on finite material: transcript
     payloads, known codes, structural sibling pairs, and one-way chains
-    capped at ``derive_cap``.
+    capped at ``derive_cap``.  Rules fire in a fixed FIFO order, so the
+    facts, their order and every witness depend only on the set, not on
+    what the shared index already holds.  The set's index is used only if
+    it :meth:`~ClosureIndex.serves` the set; otherwise a fresh one is built
+    from the set's own context.
     """
+    index = initial.index
+    if index is None or not index.serves(initial):
+        index = ClosureIndex.of_set(initial)
     out = KnowledgeSet(
         transcript=initial.transcript,
         rules=initial.rules,
@@ -180,37 +337,24 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
         node_tags=initial.node_tags,
         sibling_pairs=initial.sibling_pairs,
         wrap_log=initial.wrap_log,
+        index=index,
     )
     facts = out.facts
     facts.update(initial.facts)
-    out.codes.update(initial.codes)
+    codes = out.codes
+    codes.update(initial.codes)
 
-    rules = set(initial.rules)
-    derive_rule = next((r for r in ("hash-forward", "okd-derive") if r in rules), None)
-
-    # transcript payloads, deduplicated by ciphertext
-    cts: dict[bytes, WrappedKey] = {}
-    for message in initial.transcript:
-        for payload in message.payloads:
-            cts.setdefault(payload.ciphertext, payload)
-    cts_by_kek: dict[bytes, list[WrappedKey]] | None = None
-    if initial.wrap_log is not None:
-        cts_by_kek = {}
-        for ct, kek in initial.wrap_log.items():
-            if ct in cts:
-                cts_by_kek.setdefault(kek, []).append(cts[ct])
-
-    # blind(real node key) -> node ids; lets the mix rule recognise which
-    # known values are blinds of which tree slots (public placement metadata)
-    blind_oracle: dict[bytes, set[int]] = {}
-    if "oft-mix" in rules:
-        for key_bytes, nodes in initial.node_tags.items():
-            blind_oracle.setdefault(blind(SymKey(key_bytes)).data, set()).update(nodes)
-    pairs_left: dict[int, list[tuple[int, int, int]]] = {}
-    pairs_right: dict[int, list[tuple[int, int, int]]] = {}
-    for left, right, parent in initial.sibling_pairs:
-        pairs_left.setdefault(left, []).append((left, right, parent))
-        pairs_right.setdefault(right, []).append((left, right, parent))
+    rules = index.rules
+    unwrap_rule = "unwrap-from-transcript" in rules
+    derive_rule = index.derive_rule
+    derive_cap = initial.derive_cap
+    code_rule = "code-derive" in rules
+    blind_rule = "oft-blind" in rules
+    mix_rule = "oft-mix" in rules
+    node_tags = index.node_tags
+    blind_oracle = index.blind_oracle
+    right_of, left_of = index.right_of, index.left_of
+    unwrap_facts, code_derive_fact = index.unwrap_facts, index.code_derive_fact
     blinds_by_node: dict[int, dict[bytes, None]] = {}  # insertion-ordered sets
 
     queue: deque[bytes] = deque(facts)
@@ -221,29 +365,14 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
         facts[fact.value] = fact
         queue.append(fact.value)
 
-    def add_code(code: str, origin: bytes | None) -> None:
-        if code in out.codes:
+    def add_code(code: str, origin: bytes) -> None:
+        if code in codes:
             return
-        out.codes[code] = origin
-        if "code-derive" in rules:
+        codes[code] = origin
+        if code_rule:
             for value, fact in list(facts.items()):
                 if fact.kind in _CHAINABLE:
-                    add(_code_derived(value, code))
-
-    def _code_derived(value: bytes, code: str) -> Fact:
-        derived = derive_with_code(SymKey(value), code)
-        return Fact(derived.data, "code-derive", (value,), code=code, kind="code-derived")
-
-    def try_unwrap(value: bytes, wrapped: WrappedKey) -> None:
-        try:
-            plaintext = unwrap(SymKey(value), wrapped)
-        except UnwrapError:
-            return
-        add(Fact(plaintext.data, "unwrap-from-transcript", (value,), wrapped=wrapped, kind="opaque"))
-        try:
-            add_code(decode_code(plaintext.data), plaintext.data)
-        except ValueError:
-            pass  # an ordinary key, not an encoded node code
+                    add(code_derive_fact(value, code))
 
     def register_blind(value: bytes) -> None:
         for node in blind_oracle.get(value, ()):
@@ -251,40 +380,35 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
             if value in per_node:
                 continue
             per_node[value] = None
-            for left, right, parent in pairs_left.get(node, ()):
+            for right in right_of.get(node, ()):
                 for partner in list(blinds_by_node.get(right, ())):
-                    mixed = mix(SymKey(value), SymKey(partner))
-                    add(Fact(mixed.data, "oft-mix", (value, partner), kind="mixed"))
-            for left, right, parent in pairs_right.get(node, ()):
+                    add(index.mix_fact(value, partner))
+            for left in left_of.get(node, ()):
                 for partner in list(blinds_by_node.get(left, ())):
-                    mixed = mix(SymKey(partner), SymKey(value))
-                    add(Fact(mixed.data, "oft-mix", (partner, value), kind="mixed"))
+                    add(index.mix_fact(partner, value))
 
     while queue:
         value = queue.popleft()
         fact = facts[value]
+        chainable = fact.kind in _CHAINABLE
 
-        if "unwrap-from-transcript" in rules:
-            if cts_by_kek is not None:
-                for wrapped in cts_by_kek.get(value, ()):
-                    try_unwrap(value, wrapped)
-            else:
-                for wrapped in cts.values():
-                    try_unwrap(value, wrapped)
+        if unwrap_rule:
+            for opened, code in unwrap_facts(value):
+                add(opened)
+                if code is not None:
+                    add_code(code, opened.value)
 
-        if derive_rule and fact.kind in _CHAINABLE and fact.hops < initial.derive_cap:
-            stepped = derive(SymKey(value))
-            add(Fact(stepped.data, derive_rule, (value,), hops=fact.hops + 1, kind="derived"))
+        if derive_rule and chainable and fact.hops < derive_cap:
+            add(index.derive_fact(value, fact.hops))
 
-        if "code-derive" in rules and fact.kind in _CHAINABLE:
-            for code in list(out.codes):
-                add(_code_derived(value, code))
+        if code_rule and chainable:
+            for code in list(codes):
+                add(code_derive_fact(value, code))
 
-        if "oft-blind" in rules and value in initial.node_tags:
-            blinded = blind(SymKey(value))
-            add(Fact(blinded.data, "oft-blind", (value,), kind="blinded"))
+        if blind_rule and value in node_tags:
+            add(index.blind_fact(value))
 
-        if "oft-mix" in rules:
+        if mix_rule:
             register_blind(value)
 
     return out
@@ -358,18 +482,36 @@ def adversary_knowledge(
         if all_codes is None:
             raise ValueError("codes-public mode only applies to the coded protocol")
         codes.update(all_codes())
+    index = _trace_index(trace)
     # sorted seeding fixes the closure's fact order, and so its witness text,
     # independently of the process's string hash seed
     return KnowledgeSet(
         keys=sorted(keys),
         codes=sorted(codes),
-        transcript=[d for d in trace.deliveries if isinstance(d, RekeyMessage)],
+        transcript=index.transcript,
         rules=RULESETS[trace.scenario.protocol],
         derive_cap=len(trace.events),
         node_tags=trace.node_key_log,
-        sibling_pairs=trace.sibling_pairs,
+        sibling_pairs=index.sibling_pairs,
         wrap_log=trace.wrap_log,
+        index=index,
     )
+
+
+def _trace_index(trace: TraceRecord) -> ClosureIndex:
+    """The trace's closure index, built on first use and kept on the trace
+    itself, so it lives exactly as long as the trace."""
+    index = vars(trace).get("_closure_index")
+    if index is None:
+        index = ClosureIndex(
+            [d for d in trace.deliveries if isinstance(d, RekeyMessage)],
+            RULESETS[trace.scenario.protocol],
+            trace.node_key_log,
+            trace.sibling_pairs,
+            trace.wrap_log,
+        )
+        trace._closure_index = index  # type: ignore[attr-defined]
+    return index
 
 
 def _check(
@@ -469,7 +611,7 @@ def _audit_adversaries(trace: TraceRecord, sample: str) -> list[tuple[str, str]]
             picks.extend(("forward", m) for m in record.member_ids)
         for record in join_events:
             picks.extend(("backward", m) for m in record.member_ids)
-    else:  # earliest and latest churn, the largest target sets on each side
+    else:  # "endpoints": earliest and latest churn, the largest target sets on each side
         for record in (leave_events[:1] + leave_events[-1:]):
             picks.append(("forward", record.member_ids[0]))
         for record in (join_events[:1] + join_events[-1:]):
@@ -499,6 +641,8 @@ def audit(
     trace that cannot run (ckcs out of fresh root codes on a long join-heavy
     trace) raises CodeSpaceError naming its scenario seed.
     """
+    if sample not in ("endpoints", "all"):
+        raise ValueError(f"unknown audit sample {sample!r}: expected 'endpoints' or 'all'")
     protocol = "ckcs" if codes_public else None
     report = AuditReport(trials=trials)
     start = time.perf_counter()

@@ -94,16 +94,13 @@ class CkcsServer(ServerProtocol):
             return self._join(event, rng, meter)
         return self._leave(event, rng, meter)
 
-    def _fresh_root_code(self, rng: Random, seq: int) -> str:
-        """A new root code lineage, prefix-disjoint from every code ever used.
+    def _blocked_root_codes(self, seq: int) -> set[str]:
+        """The logged codes cut to ``ROOT_CODE_LEN`` digits: a draw is taken
+        only if none of them is a prefix of it.
 
-        Prefix-disjointness keeps full-code collisions impossible, so no two
-        nodes can ever hold equal code-derived keys by accident.  A logged
-        code blocks exactly the draws that start with its first
-        ``ROOT_CODE_LEN`` digits.  The cut codes with no shorter prefix among
-        them block disjoint ranges, so the space is used up exactly when
-        those ranges add up to all of it; then this raises CodeSpaceError
-        before drawing.
+        The cut codes with no shorter prefix among them block disjoint
+        ranges, so the space is used up exactly when those ranges add up to
+        all of it; then this raises CodeSpaceError.  It draws nothing.
         """
         length = kt.ROOT_CODE_LEN
         blocked = {code[:length] for code in self._code_log}
@@ -113,6 +110,24 @@ class CkcsServer(ServerProtocol):
                 f"event {seq}: no {length}-digit root code is left that is "
                 "prefix-disjoint from every code used so far"
             )
+        return blocked
+
+    def _fresh_root_code(self, rng: Random, seq: int) -> str:
+        """A new root code lineage, prefix-disjoint from every code ever used.
+
+        Prefix-disjointness keeps full-code collisions impossible, so no two
+        nodes can ever hold equal code-derived keys by accident.  A logged
+        code blocks exactly the draws that start with its first
+        ``ROOT_CODE_LEN`` digits; when no draw is left this raises
+        CodeSpaceError before drawing.
+        """
+        return self._draw_root_code(rng, self._blocked_root_codes(seq))
+
+    @staticmethod
+    def _draw_root_code(rng: Random, blocked: set[str]) -> str:
+        """Draw root codes until one has no prefix in ``blocked``, which
+        :meth:`_blocked_root_codes` has found to leave one free."""
+        length = kt.ROOT_CODE_LEN
         while True:
             code = "".join(rng.choice(kt.DIGITS) for _ in range(length))
             if not any(code[:k] in blocked for k in range(1, length + 1)):
@@ -122,6 +137,14 @@ class CkcsServer(ServerProtocol):
         joiners = list(event.member_ids)
         old_members = self.member_ids
         old_root_code = self.tree.root.code  # None when the root is a bare leaf
+        # Normally the new root's code is the old one less a digit, which old
+        # members derive locally.  A bare-leaf root has no code and a single
+        # digit cannot shorten, so those cases start a fresh lineage below.
+        # Whether one is left is decided first, so a join that cannot run
+        # draws no key and changes nothing.
+        blocked: set[str] | None = None
+        if old_root_code is None or len(old_root_code) < 2:
+            blocked = self._blocked_root_codes(event.seq)
 
         individual: dict[str, SymKey] = {m: random_key(rng, meter) for m in joiners}
         subtree = kt.build_balanced(joiners, self.arity)
@@ -129,12 +152,9 @@ class CkcsServer(ServerProtocol):
             node = subtree.nodes[leaf_id]
             node.key = individual[node.member]  # type: ignore[index]
 
-        # Normally the new root's code is the old one less a digit, which old
-        # members derive locally.  A bare-leaf root has no code and a single
-        # digit cannot shorten, so those cases start a fresh lineage below.
         fresh_code: str | None = None
-        if old_root_code is None or len(old_root_code) < 2:
-            fresh_code = self._fresh_root_code(rng, event.seq)
+        if blocked is not None:
+            fresh_code = self._draw_root_code(rng, blocked)
         new_root_id, incoming_top_id = kt.attach_subtree(
             self.tree, subtree, rng, fresh_root_code=fresh_code
         )

@@ -576,11 +576,20 @@ def generate_random_scenario(
     max_n: int = 64,
     max_events: int = 8,
 ) -> Scenario:
-    """A reproducible random scenario: mixed batch sizes and leaver layouts."""
+    """A reproducible random scenario: mixed batch sizes and leaver layouts.
+
+    The group never holds more than ``max_n`` members, the founding group
+    included.  ``max_n`` must be at least 2, so that a one-member group can
+    always grow, and ``max_events`` at least 1.
+    """
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
+    if max_events < 1:
+        raise ValueError(f"max_events must be at least 1, got {max_events}")
     rng = Random(f"scenario/{seed}")
     protocol = protocol or rng.choice(sorted(PROTOCOLS))
     arity = PROTOCOLS[protocol].arity
-    n0 = rng.randint(1, 16)
+    n0 = rng.randint(1, min(16, max_n))  # the same draws for every max_n >= 16
     steps: list[Step] = []
     n = n0
     for _ in range(rng.randint(1, max_events)):

@@ -1,0 +1,146 @@
+"""The secrecy closure as it was before the per-trace closure index: every
+call rebuilds its payload maps, blind oracle and sibling maps and redoes every
+rule's crypto.  Kept verbatim as an oracle: the indexed ``closure`` must reach
+the same facts, in the same order, with the same witness text.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from gkms.analyzer import _CHAINABLE, Fact, KnowledgeSet
+from gkms.crypto import (
+    SymKey,
+    UnwrapError,
+    WrappedKey,
+    blind,
+    decode_code,
+    derive,
+    derive_with_code,
+    mix,
+    unwrap,
+)
+
+
+def reference_closure(initial: KnowledgeSet) -> KnowledgeSet:
+    """Least fixed point of the knowledge set under its rule set.
+
+    Terminates because every rule draws on finite material: transcript
+    payloads, known codes, structural sibling pairs, and one-way chains
+    capped at ``derive_cap``.
+    """
+    out = KnowledgeSet(
+        transcript=initial.transcript,
+        rules=initial.rules,
+        derive_cap=initial.derive_cap,
+        node_tags=initial.node_tags,
+        sibling_pairs=initial.sibling_pairs,
+        wrap_log=initial.wrap_log,
+    )
+    facts = out.facts
+    facts.update(initial.facts)
+    out.codes.update(initial.codes)
+
+    rules = set(initial.rules)
+    derive_rule = next((r for r in ("hash-forward", "okd-derive") if r in rules), None)
+
+    # transcript payloads, deduplicated by ciphertext
+    cts: dict[bytes, WrappedKey] = {}
+    for message in initial.transcript:
+        for payload in message.payloads:
+            cts.setdefault(payload.ciphertext, payload)
+    cts_by_kek: dict[bytes, list[WrappedKey]] | None = None
+    if initial.wrap_log is not None:
+        cts_by_kek = {}
+        for ct, kek in initial.wrap_log.items():
+            if ct in cts:
+                cts_by_kek.setdefault(kek, []).append(cts[ct])
+
+    # blind(real node key) -> node ids; lets the mix rule recognise which
+    # known values are blinds of which tree slots (public placement metadata)
+    blind_oracle: dict[bytes, set[int]] = {}
+    if "oft-mix" in rules:
+        for key_bytes, nodes in initial.node_tags.items():
+            blind_oracle.setdefault(blind(SymKey(key_bytes)).data, set()).update(nodes)
+    pairs_left: dict[int, list[tuple[int, int, int]]] = {}
+    pairs_right: dict[int, list[tuple[int, int, int]]] = {}
+    for left, right, parent in initial.sibling_pairs:
+        pairs_left.setdefault(left, []).append((left, right, parent))
+        pairs_right.setdefault(right, []).append((left, right, parent))
+    blinds_by_node: dict[int, dict[bytes, None]] = {}  # insertion-ordered sets
+
+    queue: deque[bytes] = deque(facts)
+
+    def add(fact: Fact) -> None:
+        if fact.value in facts:
+            return
+        facts[fact.value] = fact
+        queue.append(fact.value)
+
+    def add_code(code: str, origin: bytes | None) -> None:
+        if code in out.codes:
+            return
+        out.codes[code] = origin
+        if "code-derive" in rules:
+            for value, fact in list(facts.items()):
+                if fact.kind in _CHAINABLE:
+                    add(_code_derived(value, code))
+
+    def _code_derived(value: bytes, code: str) -> Fact:
+        derived = derive_with_code(SymKey(value), code)
+        return Fact(derived.data, "code-derive", (value,), code=code, kind="code-derived")
+
+    def try_unwrap(value: bytes, wrapped: WrappedKey) -> None:
+        try:
+            plaintext = unwrap(SymKey(value), wrapped)
+        except UnwrapError:
+            return
+        add(Fact(plaintext.data, "unwrap-from-transcript", (value,), wrapped=wrapped, kind="opaque"))
+        try:
+            add_code(decode_code(plaintext.data), plaintext.data)
+        except ValueError:
+            pass  # an ordinary key, not an encoded node code
+
+    def register_blind(value: bytes) -> None:
+        for node in blind_oracle.get(value, ()):
+            per_node = blinds_by_node.setdefault(node, {})
+            if value in per_node:
+                continue
+            per_node[value] = None
+            for left, right, parent in pairs_left.get(node, ()):
+                for partner in list(blinds_by_node.get(right, ())):
+                    mixed = mix(SymKey(value), SymKey(partner))
+                    add(Fact(mixed.data, "oft-mix", (value, partner), kind="mixed"))
+            for left, right, parent in pairs_right.get(node, ()):
+                for partner in list(blinds_by_node.get(left, ())):
+                    mixed = mix(SymKey(partner), SymKey(value))
+                    add(Fact(mixed.data, "oft-mix", (partner, value), kind="mixed"))
+
+    while queue:
+        value = queue.popleft()
+        fact = facts[value]
+
+        if "unwrap-from-transcript" in rules:
+            if cts_by_kek is not None:
+                for wrapped in cts_by_kek.get(value, ()):
+                    try_unwrap(value, wrapped)
+            else:
+                for wrapped in cts.values():
+                    try_unwrap(value, wrapped)
+
+        if derive_rule and fact.kind in _CHAINABLE and fact.hops < initial.derive_cap:
+            stepped = derive(SymKey(value))
+            add(Fact(stepped.data, derive_rule, (value,), hops=fact.hops + 1, kind="derived"))
+
+        if "code-derive" in rules and fact.kind in _CHAINABLE:
+            for code in list(out.codes):
+                add(_code_derived(value, code))
+
+        if "oft-blind" in rules and value in initial.node_tags:
+            blinded = blind(SymKey(value))
+            add(Fact(blinded.data, "oft-blind", (value,), kind="blinded"))
+
+        if "oft-mix" in rules:
+            register_blind(value)
+
+    return out

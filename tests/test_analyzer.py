@@ -313,3 +313,13 @@ def test_audit_codes_public_finds_breaches_with_witnesses():
         assert verdict.check == "forward-secrecy"
         assert verdict.witness
         assert "BREACH" in str(verdict)
+
+
+def test_audit_rejects_an_unknown_sample():
+    with pytest.raises(ValueError, match="unknown audit sample 'everyone'"):
+        audit(trials=1, sample="everyone")
+
+
+def test_audit_rejects_a_group_bound_the_generator_cannot_meet():
+    with pytest.raises(ValueError, match="max_n must be at least 2, got 1"):
+        audit(trials=1, max_n=1)

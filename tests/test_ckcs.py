@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ckcs_reference import reference_fresh_root_code
 from gkms import tree as kt
 from gkms.ckcs import CkcsMember, CkcsServer
-from gkms.core import CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
+from gkms.core import COST_KINDS, CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
 from gkms.crypto import SymKey, decode_code, derive, derive_with_code, unwrap
 from gkms.harness import parse_scenario, run
 
@@ -269,6 +269,27 @@ def test_long_join_run_draws_the_reference_codes(monkeypatch):
     assert sum("code_resets" in r.cost.extras for r in expected.events) == 9
 
 
+def test_long_join_run_draws_the_reference_codes_at_the_join(monkeypatch):
+    # the join decides exhaustion once and draws through _draw_root_code;
+    # pinning that draw to the reference loop over the full code log must
+    # change nothing either
+    text = "init n=64 protocol=ckcs seed=1\n" + "join 1\n" * 79
+    expected = run(parse_scenario(text), track_members=False)
+    draws = []
+
+    def reference_draw(self, rng, blocked):
+        code = reference_fresh_root_code(self._code_log, rng, REFERENCE_ATTEMPTS)
+        assert code is not None
+        draws.append(code)
+        return code
+
+    monkeypatch.setattr(CkcsServer, "_draw_root_code", reference_draw)
+    reference = run(parse_scenario(text), track_members=False)
+    assert len(draws) == 9
+    assert reference.digest == expected.digest
+    assert reference.server.all_codes() == expected.server.all_codes()
+
+
 def test_all_codes_accumulates_history():
     server, rng = make(n=4, root_code="278")
     before = set(server.all_codes())
@@ -377,3 +398,25 @@ def test_member_rejects_unknown_traffic():
         view.apply_message(bogus, CostMeter())
     with pytest.raises(EventError):
         view.apply_notice(Notice(kind="farewell", recipients=("u1",), aux={}, event_seq=1), CostMeter())
+
+
+def test_join_out_of_root_codes_changes_nothing():
+    # the 80th single join from n=64 finds every fresh root code used up; it
+    # must fail before drawing the joiner's key, leaving everything as it was
+    rng = Random(1)
+    server = CkcsServer(members(64), rng)
+    for seq in range(1, 80):
+        server.handle_event(MembershipEvent(seq, "join", (f"j{seq}",)), rng, CostMeter())
+    rng_state = rng.getstate()
+    dump, group_key = server.dump(), server.group_key
+    member_ids, codes = server.member_ids, server.all_codes()
+    meter = CostMeter()
+    with pytest.raises(kt.CodeSpaceError, match="event 80: no 8-digit root code is left"):
+        server.handle_event(MembershipEvent(80, "join", ("j80",)), rng, meter)
+    assert rng.getstate() == rng_state
+    assert [meter.total(kind) for kind in COST_KINDS] == [0] * len(COST_KINDS)
+    assert meter.wrap_log == {}
+    assert server.dump() == dump
+    assert server.group_key == group_key
+    assert server.member_ids == member_ids
+    assert server.all_codes() == codes

@@ -1,0 +1,114 @@
+"""The per-trace closure index changes no closure output.
+
+Every check of a trace shares one ClosureIndex (payload maps, blind oracle,
+sibling maps, rule-output tables).  The indexed closure must reach exactly
+what the pre-index closure in closure_reference reaches, in the same order,
+with the same witness text, and nothing may carry over from one trace's
+index to another trace.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from closure_reference import reference_closure
+from gkms.analyzer import (
+    KnowledgeSet,
+    RULESETS,
+    _audit_adversaries,
+    adversary_knowledge,
+    check_backward_secrecy,
+    check_forward_secrecy,
+    closure,
+)
+from gkms.harness import generate_random_scenario, run
+
+MODES = [("ckcs", False), ("ckcs", True), ("lkh", False), ("oft", False), ("okd", False)]
+SEEDS = (3, 58, 611, 7004, 90210)
+
+
+def _trace(seed, protocol):
+    return run(generate_random_scenario(seed, protocol=protocol, max_n=32, max_events=6))
+
+
+@pytest.mark.parametrize("protocol,codes_public", MODES)
+def test_indexed_closure_matches_reference(protocol, codes_public):
+    checked = 0
+    for seed in SEEDS:
+        trace = _trace(seed, protocol)
+        for _kind, member in _audit_adversaries(trace, "all"):
+            ks = adversary_knowledge(trace, (member,), codes_public=codes_public)
+            indexed, reference = closure(ks), reference_closure(ks)
+            assert list(indexed.facts.items()) == list(reference.facts.items()), (seed, member)
+            assert list(indexed.codes.items()) == list(reference.codes.items()), (seed, member)
+            for group_key in trace.group_key_history:
+                if reference.knows(group_key):
+                    assert indexed.witness(group_key) == reference.witness(group_key)
+            checked += 1
+    assert checked > len(SEEDS)
+
+
+def test_checks_of_a_trace_share_one_index_freed_with_the_trace():
+    trace = _trace(58, "oft")
+    first, second = sorted(trace.members)[:2]
+    index = adversary_knowledge(trace, (first,)).index
+    assert adversary_knowledge(trace, (second,)).index is index
+    assert closure(adversary_knowledge(trace, (first,))).index is index
+    freed = weakref.ref(index)
+    del trace, index
+    gc.collect()
+    assert freed() is None
+
+
+def test_a_set_built_directly_gets_a_fresh_index_per_closure():
+    ks = KnowledgeSet(keys=[bytes([5]) * 32], rules=RULESETS["ckcs"], derive_cap=2)
+    assert ks.index is None
+    first, second = closure(ks), closure(ks)
+    assert first.index is not second.index
+    assert list(first.facts.items()) == list(second.facts.items())
+
+
+
+@pytest.mark.parametrize(
+    "field,value", [("transcript", ()), ("wrap_log", {}), ("node_tags", {}), ("sibling_pairs", ())]
+)
+def test_a_set_whose_context_was_swapped_is_closed_over_its_own(field, value):
+    # the trace's index no longer serves a set whose context was replaced
+    # after construction; its closure must follow the set, as the reference does
+    changed = 0
+    for protocol in ("lkh", "oft", "okd"):
+        trace = _trace(58, protocol)
+        for _kind, member in _audit_adversaries(trace, "all"):
+            before = closure(adversary_knowledge(trace, (member,)))
+            ks = adversary_knowledge(trace, (member,))
+            setattr(ks, field, value)
+            after, reference = closure(ks), reference_closure(ks)
+            assert after.index is not ks.index
+            assert list(after.facts.items()) == list(reference.facts.items()), (protocol, member)
+            changed += list(after.facts) != list(before.facts)
+    assert changed
+
+
+def _checks(trace, codes_public):
+    check = {"forward": check_forward_secrecy, "backward": check_backward_secrecy}
+    return [
+        (lambda kind=kind, member=member: check[kind](trace, member, codes_public=codes_public))
+        for kind, member in _audit_adversaries(trace, "all")
+    ]
+
+
+@pytest.mark.parametrize("protocol,codes_public", [("ckcs", True), ("oft", False)])
+def test_interleaved_traces_match_separate_runs(protocol, codes_public):
+    seeds = (611, 7004)
+    separate = [[c() for c in _checks(_trace(s, protocol), codes_public)] for s in seeds]
+    assert any(not v.secure for verdicts in separate for v in verdicts) == codes_public
+
+    for order in (1, -1):
+        queues = [_checks(_trace(s, protocol), codes_public)[::order] for s in seeds]
+        interleaved: list[list] = [[], []]
+        while any(queues):
+            for slot, queue in enumerate(queues):
+                if queue:
+                    interleaved[slot].append(queue.pop(0)())
+        assert [v[::order] for v in interleaved] == separate

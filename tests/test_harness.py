@@ -617,3 +617,33 @@ def test_sweep_layout_feeds_leaver_placement():
     assert rows[0]["encrypt"] == 1  # a whole root subtree left: one cover node
     spread, _ = sweep(["ckcs"], [8], [3], ["leave"], seed=1, layout="worst-spread")
     assert spread[0]["encrypt"] == 4
+
+
+@pytest.mark.parametrize("max_n", [2, 4, 9, 16])
+def test_generated_groups_never_exceed_max_n(max_n):
+    for seed in range(200):
+        scenario = generate_random_scenario(seed, max_n=max_n)
+        n = scenario.n
+        assert 1 <= n <= max_n, (seed, scenario)
+        for step in scenario.steps:
+            n += step.count if step.op == "join" else -step.count
+            assert 1 <= n <= max_n, (seed, scenario)
+
+
+
+@pytest.mark.parametrize(
+    "bounds,message",
+    [({"max_n": 1}, "max_n must be at least 2, got 1"),
+     ({"max_n": 0}, "max_n must be at least 2, got 0"),
+     ({"max_events": 0}, "max_events must be at least 1, got 0")],
+)
+def test_generator_rejects_bounds_it_cannot_meet(bounds, message):
+    with pytest.raises(ValueError, match=message):
+        generate_random_scenario(5, **bounds)
+
+
+def test_founding_group_draw_is_unchanged_from_max_n_16_up():
+    for seed in range(200):
+        founders = generate_random_scenario(seed, max_n=16).n
+        assert generate_random_scenario(seed, max_n=64).n == founders
+        assert generate_random_scenario(seed, max_n=1000).n == founders
