@@ -93,45 +93,29 @@ class Fact:
 
 
 class KnowledgeSet:
-    """Keys and codes a principal knows, plus the context they grow in.
+    """Keys and codes a principal knows, and the :class:`ClosureIndex` they
+    grow in.
 
-    The context — public transcript, active rule set, one-way chain cap, and
-    the public structural metadata (which node each observed key slot
-    belonged to, which sibling pairs existed) — travels with the set so that
-    :func:`closure` is self-contained.  ``index`` is the :class:`ClosureIndex`
-    built from that context; :func:`adversary_knowledge` hands every set of a
-    trace the trace's one index, and a set without one gets a fresh index per
-    :func:`closure` call.  So does a set whose context fields were replaced
-    after construction: the closure always follows the set's own context.
-    With ``wrap_log`` None it tries every payload with every key instead of
-    the wrap-log lookup.
+    The index holds the whole closure context: the public transcript, the
+    active rule set, the one-way chain cap, and the public structural
+    metadata (which node each observed key slot belonged to, which sibling
+    pairs existed).  :func:`adversary_knowledge` hands every set of a trace
+    the trace's one index, and :func:`closure` grows a set inside its own.
     """
 
     def __init__(
         self,
+        index: ClosureIndex,
         keys: Iterable[bytes | SymKey] = (),
         codes: Iterable[str] = (),
-        transcript: Iterable[RekeyMessage] = (),
-        rules: Iterable[str] = (),
-        derive_cap: int = 8,
-        node_tags: dict[bytes, set[int]] | None = None,
-        sibling_pairs: Iterable[tuple[int, int, int]] = (),
-        wrap_log: dict[bytes, bytes] | None = None,
-        index: ClosureIndex | None = None,
     ) -> None:
+        self.index = index
         self.facts: dict[bytes, Fact] = {}
         for key in keys:
             data = key.data if isinstance(key, SymKey) else key
             self.facts.setdefault(data, Fact(value=data))
         # code -> value of the fact it was decoded from (None = always held)
         self.codes: dict[str, bytes | None] = {code: None for code in codes}
-        self.transcript: tuple[RekeyMessage, ...] = tuple(transcript)
-        self.rules: tuple[str, ...] = tuple(rules)
-        self.derive_cap = derive_cap
-        self.node_tags = node_tags if node_tags is not None else {}
-        self.sibling_pairs = tuple(sibling_pairs)
-        self.wrap_log = wrap_log
-        self.index = index
 
     # -- queries -----------------------------------------------------------
 
@@ -178,41 +162,45 @@ class ClosureIndex:
     """One trace's closure context, built once and shared by every
     adversary's closure over that trace.
 
-    It holds the public transcript, its payloads deduplicated by ciphertext
-    and grouped by wrapping key, the OFT blind oracle and the sibling-pair
-    maps.  It also keeps a table per rule of the finished facts that rule
-    has produced: each output is computed with real crypto the first time
-    any adversary needs it, and later adversaries look it up.  Facts are
-    frozen and compare by value, so sharing them changes no output; what
-    stays per adversary is the fixpoint itself: its facts, codes and queue.
+    It holds the public transcript, the active rule set, the one-way chain
+    cap, the node tags and sibling pairs, and the wrap log, which names the
+    key that wrapped each ciphertext; from them it builds the transcript's
+    payloads grouped by wrapping key, the OFT blind oracle and the
+    sibling-pair maps.  It also keeps a table per rule of the finished facts
+    that rule has produced: each output is computed with real crypto the
+    first time any adversary needs it, and later adversaries look it up.
+    Facts are frozen and compare by value, so sharing them changes no
+    output; what stays per adversary is the fixpoint itself: its facts,
+    codes and queue.
     """
 
     def __init__(
         self,
-        transcript: Iterable[RekeyMessage],
-        rules: tuple[str, ...],
-        node_tags: dict[bytes, set[int]],
-        sibling_pairs: Iterable[tuple[int, int, int]],
-        wrap_log: dict[bytes, bytes] | None,
+        transcript: Iterable[RekeyMessage] = (),
+        rules: Iterable[str] = (),
+        derive_cap: int = 8,
+        node_tags: dict[bytes, set[int]] | None = None,
+        sibling_pairs: Iterable[tuple[int, int, int]] = (),
+        wrap_log: dict[bytes, bytes] | None = None,
     ) -> None:
         self.transcript: tuple[RekeyMessage, ...] = tuple(transcript)
-        self.rules = rules
-        self.derive_rule = next((r for r in ("hash-forward", "okd-derive") if r in rules), None)
-        self.node_tags = node_tags
+        self.rules: tuple[str, ...] = tuple(rules)
+        self.derive_rule = next((r for r in ("hash-forward", "okd-derive") if r in self.rules), None)
+        self.derive_cap = derive_cap
+        self.node_tags = node_tags if node_tags is not None else {}
         self.sibling_pairs = tuple(sibling_pairs)
-        self.wrap_log = wrap_log
+        self.wrap_log = wrap_log if wrap_log is not None else {}
 
-        # transcript payloads, deduplicated by ciphertext
-        self.cts: dict[bytes, WrappedKey] = {}
+        # transcript payloads, deduplicated by ciphertext, grouped by the key
+        # the wrap log says wrapped them, in wrap-log order
+        cts: dict[bytes, WrappedKey] = {}
         for message in self.transcript:
             for payload in message.payloads:
-                self.cts.setdefault(payload.ciphertext, payload)
-        self.cts_by_kek: dict[bytes, list[WrappedKey]] | None = None
-        if wrap_log is not None:
-            self.cts_by_kek = {}
-            for ct, kek in wrap_log.items():
-                if ct in self.cts:
-                    self.cts_by_kek.setdefault(kek, []).append(self.cts[ct])
+                cts.setdefault(payload.ciphertext, payload)
+        self.cts_by_kek: dict[bytes, list[WrappedKey]] = {}
+        for ct, kek in self.wrap_log.items():
+            if ct in cts:
+                self.cts_by_kek.setdefault(kek, []).append(cts[ct])
 
         # rule outputs: unwrap by key value (a tuple of (fact, decoded code or
         # None) for the payloads it opens), derive by (value, hops),
@@ -226,8 +214,8 @@ class ClosureIndex:
         # blind(real node key) -> node ids; lets the mix rule recognise which
         # known values are blinds of which tree slots (public placement metadata)
         oracle: dict[bytes, set[int]] = {}
-        if "oft-mix" in rules:
-            for key_bytes, nodes in node_tags.items():
+        if "oft-mix" in self.rules:
+            for key_bytes, nodes in self.node_tags.items():
                 oracle.setdefault(self.blind_fact(key_bytes).value, set()).update(nodes)
         self.blind_oracle: dict[bytes, tuple[int, ...]] = {
             value: tuple(nodes) for value, nodes in oracle.items()
@@ -239,36 +227,15 @@ class ClosureIndex:
             self.right_of.setdefault(left, []).append(right)
             self.left_of.setdefault(right, []).append(left)
 
-    @classmethod
-    def of_set(cls, ks: KnowledgeSet) -> ClosureIndex:
-        return cls(ks.transcript, ks.rules, ks.node_tags, ks.sibling_pairs, ks.wrap_log)
-
-    def serves(self, ks: KnowledgeSet) -> bool:
-        """Whether this index was built from ``ks``'s own context: the very
-        transcript, rules, node tags, sibling pairs and wrap log it holds now,
-        so a set whose context was swapped after construction is not served."""
-        return (
-            ks.transcript is self.transcript
-            and ks.rules is self.rules
-            and ks.node_tags is self.node_tags
-            and ks.sibling_pairs is self.sibling_pairs
-            and ks.wrap_log is self.wrap_log
-        )
-
     # -- rule outputs, computed on first use -------------------------------
 
     def unwrap_facts(self, value: bytes) -> tuple[tuple[Fact, str | None], ...]:
-        """What ``value`` opens: the payloads the wrap log says it wrapped,
-        or, without a wrap log, every payload of the transcript it can open."""
+        """What ``value`` opens among the payloads the wrap log says it wrapped."""
         found = self.unwrapped.get(value)
         if found is None:
-            if self.cts_by_kek is not None:
-                candidates: Iterable[WrappedKey] = self.cts_by_kek.get(value, ())
-            else:
-                candidates = self.cts.values()
             key = SymKey(value)
             opened = []
-            for wrapped in candidates:
+            for wrapped in self.cts_by_kek.get(value, ()):
                 try:
                     plaintext = unwrap(key, wrapped).data
                 except UnwrapError:
@@ -317,28 +284,16 @@ class ClosureIndex:
 
 
 def closure(initial: KnowledgeSet) -> KnowledgeSet:
-    """Least fixed point of the knowledge set under its rule set.
+    """Least fixed point of the knowledge set under its index's rule set.
 
     Terminates because every rule draws on finite material: transcript
     payloads, known codes, structural sibling pairs, and one-way chains
-    capped at ``derive_cap``.  Rules fire in a fixed FIFO order, so the
-    facts, their order and every witness depend only on the set, not on
-    what the shared index already holds.  The set's index is used only if
-    it :meth:`~ClosureIndex.serves` the set; otherwise a fresh one is built
-    from the set's own context.
+    capped at the index's ``derive_cap``.  Rules fire in a fixed FIFO order,
+    so the facts, their order and every witness depend only on the set and
+    its index's context, not on what rule outputs the index already holds.
     """
     index = initial.index
-    if index is None or not index.serves(initial):
-        index = ClosureIndex.of_set(initial)
-    out = KnowledgeSet(
-        transcript=initial.transcript,
-        rules=initial.rules,
-        derive_cap=initial.derive_cap,
-        node_tags=initial.node_tags,
-        sibling_pairs=initial.sibling_pairs,
-        wrap_log=initial.wrap_log,
-        index=index,
-    )
+    out = KnowledgeSet(index)
     facts = out.facts
     facts.update(initial.facts)
     codes = out.codes
@@ -347,7 +302,7 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
     rules = index.rules
     unwrap_rule = "unwrap-from-transcript" in rules
     derive_rule = index.derive_rule
-    derive_cap = initial.derive_cap
+    derive_cap = index.derive_cap
     code_rule = "code-derive" in rules
     blind_rule = "oft-blind" in rules
     mix_rule = "oft-mix" in rules
@@ -482,20 +437,9 @@ def adversary_knowledge(
         if all_codes is None:
             raise ValueError("codes-public mode only applies to the coded protocol")
         codes.update(all_codes())
-    index = _trace_index(trace)
     # sorted seeding fixes the closure's fact order, and so its witness text,
     # independently of the process's string hash seed
-    return KnowledgeSet(
-        keys=sorted(keys),
-        codes=sorted(codes),
-        transcript=index.transcript,
-        rules=RULESETS[trace.scenario.protocol],
-        derive_cap=len(trace.events),
-        node_tags=trace.node_key_log,
-        sibling_pairs=index.sibling_pairs,
-        wrap_log=trace.wrap_log,
-        index=index,
-    )
+    return KnowledgeSet(_trace_index(trace), keys=sorted(keys), codes=sorted(codes))
 
 
 def _trace_index(trace: TraceRecord) -> ClosureIndex:
@@ -504,11 +448,12 @@ def _trace_index(trace: TraceRecord) -> ClosureIndex:
     index = vars(trace).get("_closure_index")
     if index is None:
         index = ClosureIndex(
-            [d for d in trace.deliveries if isinstance(d, RekeyMessage)],
-            RULESETS[trace.scenario.protocol],
-            trace.node_key_log,
-            trace.sibling_pairs,
-            trace.wrap_log,
+            transcript=[d for d in trace.deliveries if isinstance(d, RekeyMessage)],
+            rules=RULESETS[trace.scenario.protocol],
+            derive_cap=len(trace.events),
+            node_tags=trace.node_key_log,
+            sibling_pairs=trace.sibling_pairs,
+            wrap_log=trace.wrap_log,
         )
         trace._closure_index = index  # type: ignore[attr-defined]
     return index

@@ -14,7 +14,7 @@ Exit codes are distinct per failure class:
 3     golden-vector mismatch (also pre-empts run/sweep/audit)
 4     scenario run failure: bad script, membership error, or probe failure;
       also an audit trace that cannot run (ckcs out of fresh root codes)
-5     sweep failure
+5     sweep failure: bad grid, or an output file that cannot be written
 6     audit found secrecy breaches
 ====  =========================================================
 """
@@ -116,17 +116,23 @@ def _check_vectors(text: str | None, quiet: bool) -> bool:
 
 
 def _cover_line(trace: harness.TraceRecord, record: harness.EventRecord) -> str | None:
+    """The leave's cover, each node labelled with the members under it when
+    the event ran: a recipient sits under a cover node exactly when it holds
+    the key that wrapped that node's payload."""
     message = next(iter(record.output.messages), None)
     if message is None or "cover" not in message.aux:
         return None
+    keks = [trace.wrap_log.get(payload.ciphertext) for payload in message.payloads]
+    under: dict[bytes, list[str]] = {kek: [] for kek in keks if kek}
+    for member in message.recipients:
+        view = trace.members.get(member) or trace.departed.get(member)
+        if view is not None:
+            for kek in under.keys() & view.knowledge.key_bytes:
+                under[kek].append(member)
     parts = []
-    for node_id, payload in zip(message.aux["cover"], message.payloads):
-        try:
-            members = trace.server.tree.subtree_member_ids(node_id)
-            label = "K{" + ",".join(members) + "}"
-        except TreeError:
-            label = f"K(node {node_id})"
-        kek = trace.wrap_log.get(payload.ciphertext)
+    for node_id, kek in zip(message.aux["cover"], keks):
+        members = under.get(kek)
+        label = "K{" + ",".join(members) + "}" if members else f"K(node {node_id})"
         fp = kek[:4].hex() if kek else "????????"
         parts.append(f"{label}={fp}")
     return "  cover: " + " ".join(parts)
@@ -178,14 +184,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except (ValueError, harness.ScenarioError, EventError, TreeError) as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_SWEEP
-    os.makedirs(args.output_dir, exist_ok=True)
     out_path = os.path.join(args.output_dir, args.out)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write(rows_to_csv(rows, harness.SWEEP_EXTRA_COLUMNS))
     notes_path = os.path.splitext(out_path)[0] + ".notes.txt"
-    with open(notes_path, "w", encoding="utf-8") as handle:
-        for note in notes:
-            handle.write(note + "\n")
+    try:
+        os.makedirs(args.output_dir, exist_ok=True)
+        with open(out_path, "w", encoding="utf-8") as handle:
+            handle.write(rows_to_csv(rows, harness.SWEEP_EXTRA_COLUMNS))
+        with open(notes_path, "w", encoding="utf-8") as handle:
+            for note in notes:
+                handle.write(note + "\n")
+    except OSError as exc:
+        print(f"sweep failed: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_SWEEP
     print(f"wrote {len(rows)} rows to {out_path}")
     print(f"wrote {len(notes)} notes to {notes_path}")
     return EXIT_OK

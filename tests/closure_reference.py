@@ -1,7 +1,10 @@
 """The secrecy closure as it was before the per-trace closure index: every
 call rebuilds its payload maps, blind oracle and sibling maps and redoes every
-rule's crypto.  Kept verbatim as an oracle: the indexed ``closure`` must reach
-the same facts, in the same order, with the same witness text.
+rule's crypto.  Kept as an oracle: the indexed ``closure`` must reach the same
+facts, in the same order, with the same witness text.  It reads only the raw
+context from the set's index (transcript, rules, chain cap, node tags, sibling
+pairs and wrap log), never the index's own tables.  With ``brute_force`` it
+ignores the wrap log and tries every transcript payload with every key.
 """
 
 from __future__ import annotations
@@ -22,37 +25,31 @@ from gkms.crypto import (
 )
 
 
-def reference_closure(initial: KnowledgeSet) -> KnowledgeSet:
+def reference_closure(initial: KnowledgeSet, brute_force: bool = False) -> KnowledgeSet:
     """Least fixed point of the knowledge set under its rule set.
 
     Terminates because every rule draws on finite material: transcript
     payloads, known codes, structural sibling pairs, and one-way chains
     capped at ``derive_cap``.
     """
-    out = KnowledgeSet(
-        transcript=initial.transcript,
-        rules=initial.rules,
-        derive_cap=initial.derive_cap,
-        node_tags=initial.node_tags,
-        sibling_pairs=initial.sibling_pairs,
-        wrap_log=initial.wrap_log,
-    )
+    context = initial.index
+    out = KnowledgeSet(context)
     facts = out.facts
     facts.update(initial.facts)
     out.codes.update(initial.codes)
 
-    rules = set(initial.rules)
+    rules = set(context.rules)
     derive_rule = next((r for r in ("hash-forward", "okd-derive") if r in rules), None)
 
     # transcript payloads, deduplicated by ciphertext
     cts: dict[bytes, WrappedKey] = {}
-    for message in initial.transcript:
+    for message in context.transcript:
         for payload in message.payloads:
             cts.setdefault(payload.ciphertext, payload)
     cts_by_kek: dict[bytes, list[WrappedKey]] | None = None
-    if initial.wrap_log is not None:
+    if not brute_force:
         cts_by_kek = {}
-        for ct, kek in initial.wrap_log.items():
+        for ct, kek in context.wrap_log.items():
             if ct in cts:
                 cts_by_kek.setdefault(kek, []).append(cts[ct])
 
@@ -60,11 +57,11 @@ def reference_closure(initial: KnowledgeSet) -> KnowledgeSet:
     # known values are blinds of which tree slots (public placement metadata)
     blind_oracle: dict[bytes, set[int]] = {}
     if "oft-mix" in rules:
-        for key_bytes, nodes in initial.node_tags.items():
+        for key_bytes, nodes in context.node_tags.items():
             blind_oracle.setdefault(blind(SymKey(key_bytes)).data, set()).update(nodes)
     pairs_left: dict[int, list[tuple[int, int, int]]] = {}
     pairs_right: dict[int, list[tuple[int, int, int]]] = {}
-    for left, right, parent in initial.sibling_pairs:
+    for left, right, parent in context.sibling_pairs:
         pairs_left.setdefault(left, []).append((left, right, parent))
         pairs_right.setdefault(right, []).append((left, right, parent))
     blinds_by_node: dict[int, dict[bytes, None]] = {}  # insertion-ordered sets
@@ -128,7 +125,7 @@ def reference_closure(initial: KnowledgeSet) -> KnowledgeSet:
                 for wrapped in cts.values():
                     try_unwrap(value, wrapped)
 
-        if derive_rule and fact.kind in _CHAINABLE and fact.hops < initial.derive_cap:
+        if derive_rule and fact.kind in _CHAINABLE and fact.hops < context.derive_cap:
             stepped = derive(SymKey(value))
             add(Fact(stepped.data, derive_rule, (value,), hops=fact.hops + 1, kind="derived"))
 
@@ -136,7 +133,7 @@ def reference_closure(initial: KnowledgeSet) -> KnowledgeSet:
             for code in list(out.codes):
                 add(_code_derived(value, code))
 
-        if "oft-blind" in rules and value in initial.node_tags:
+        if "oft-blind" in rules and value in context.node_tags:
             blinded = blind(SymKey(value))
             add(Fact(blinded.data, "oft-blind", (value,), kind="blinded"))
 

@@ -7,7 +7,9 @@ from random import Random
 import pytest
 
 from analyzer_reference import ReferenceProver
+from closure_reference import reference_closure
 from gkms.analyzer import (
+    ClosureIndex,
     Fact,
     KnowledgeSet,
     RULESETS,
@@ -42,12 +44,12 @@ def test_fingerprint_and_fact_line():
 
 
 def test_empty_closure_stays_empty():
-    closed = closure(KnowledgeSet(rules=RULESETS["ckcs"]))
+    closed = closure(KnowledgeSet(ClosureIndex(rules=RULESETS["ckcs"])))
     assert closed.keys == set()
 
 
 def test_seed_keys_have_trivial_witness():
-    ks = KnowledgeSet(keys=[K])
+    ks = KnowledgeSet(ClosureIndex(), keys=[K])
     assert ks.knows(K)
     assert ks.witness(K) == "(held from the start)"
     with pytest.raises(KeyError):
@@ -55,7 +57,7 @@ def test_seed_keys_have_trivial_witness():
 
 
 def test_derive_chain_respects_cap():
-    closed = closure(KnowledgeSet(keys=[K], rules=RULESETS["ckcs"], derive_cap=3))
+    closed = closure(KnowledgeSet(ClosureIndex(rules=RULESETS["ckcs"], derive_cap=3), keys=[K]))
     stepped = K
     for _ in range(3):
         stepped = derive(stepped)
@@ -66,7 +68,9 @@ def test_derive_chain_respects_cap():
 
 def test_code_derivation_from_known_codes():
     closed = closure(
-        KnowledgeSet(keys=[K], codes=["41", "7"], rules=RULESETS["ckcs"], derive_cap=1)
+        KnowledgeSet(
+            ClosureIndex(rules=RULESETS["ckcs"], derive_cap=1), keys=[K], codes=["41", "7"]
+        )
     )
     assert closed.knows(derive_with_code(K, "41"))
     assert closed.knows(derive_with_code(derive(K), "7"))
@@ -87,9 +91,10 @@ def test_unwrap_from_transcript_and_code_learning():
     transcript = [
         RekeyMessage("multicast", ("x",), (ct_code, ct_key), {}, 1),
     ]
-    closed = closure(
-        KnowledgeSet(keys=[K, K2], transcript=transcript, rules=RULESETS["ckcs"], derive_cap=1)
+    index = ClosureIndex(
+        transcript=transcript, rules=RULESETS["ckcs"], derive_cap=1, wrap_log=meter.wrap_log
     )
+    closed = closure(KnowledgeSet(index, keys=[K, K2]))
     assert "2734" in closed.codes  # learned by decoding an unwrapped payload
     assert closed.knows(secret)
     assert closed.knows(K2)
@@ -102,7 +107,7 @@ def test_unwrap_from_transcript_and_code_learning():
 
 
 def test_verify_witness_rejects_fabricated_facts():
-    ks = KnowledgeSet(keys=[K])
+    ks = KnowledgeSet(ClosureIndex(), keys=[K])
     bogus = Fact(value=K2.data, rule="hash-forward", inputs=(K.data,), kind="derived")
     ks.facts[K2.data] = bogus  # claim derive(K) == K2, which is false
     assert not verify_witness(ks, K2)
@@ -229,10 +234,9 @@ def test_codes_public_mode_breaks_forward_secrecy():
 def test_indexed_and_brute_force_unwrap_agree(protocol):
     trace = trace_of(f"init n=6 protocol={protocol} seed=8\njoin 2\nleave 3\n")
     leaver = sorted(trace.leave_epoch)[0]
-    indexed = adversary_knowledge(trace, (leaver,))
-    brute = adversary_knowledge(trace, (leaver,))
-    brute.wrap_log = None  # fall back to trying every ciphertext
-    assert closure(indexed).keys == closure(brute).keys
+    ks = adversary_knowledge(trace, (leaver,))
+    # the reference ignores the wrap log and tries every ciphertext
+    assert closure(ks).keys == reference_closure(ks, brute_force=True).keys
 
 
 # -- agreement with the independent reachability oracle ----------------------------------

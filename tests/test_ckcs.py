@@ -420,3 +420,45 @@ def test_join_out_of_root_codes_changes_nothing():
     assert server.group_key == group_key
     assert server.member_ids == member_ids
     assert server.all_codes() == codes
+
+
+# -- code invariant under churn ----------------------------------------------------
+
+
+def _separated_code_pairs(tree):
+    """Code pairs of live internal nodes where neither is the other's ancestor."""
+    internal = [node for node in tree.walk() if node.children]
+    above = {node.node_id: set(tree.ancestors(node.node_id)) for node in internal}
+    for i, a in enumerate(internal):
+        for b in internal[i + 1:]:
+            if a.node_id not in above[b.node_id] and b.node_id not in above[a.node_id]:
+                yield a.code, b.code
+
+
+def test_codes_of_separate_subtrees_stay_prefix_disjoint_under_churn():
+    # an ancestor's code need not prefix its descendants' (a fresh lineage
+    # replaces the root code only), but two nodes in separate subtrees must
+    # never hold codes where one prefixes the other
+    pairs = traces = 0
+    for seed in range(150):
+        rng = Random(seed)
+        server = CkcsServer(members(rng.randint(2, 32)), rng)
+        fresh = server.tree.member_count
+        try:
+            for seq in range(1, rng.randint(1, 60) + 1):
+                size = rng.randint(1, 8)
+                if rng.random() < 0.5 and server.tree.member_count > size:
+                    leavers = tuple(rng.sample(server.member_ids, size))
+                    event = MembershipEvent(seq, "leave", leavers)
+                else:
+                    joiners = tuple(f"u{fresh + i}" for i in range(1, size + 1))
+                    fresh += size
+                    event = MembershipEvent(seq, "join", joiners)
+                server.handle_event(event, rng, CostMeter())
+                for a, b in _separated_code_pairs(server.tree):
+                    assert not a.startswith(b) and not b.startswith(a), (seed, seq, a, b)
+                    pairs += 1
+        except kt.CodeSpaceError:
+            continue
+        traces += 1
+    assert traces > 100 and pairs > 50_000, (traces, pairs)

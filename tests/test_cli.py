@@ -97,6 +97,34 @@ def test_run_prints_trace(tmp_path, capsys):
     assert len(digest) == 1 and len(digest[0].split(": ")[1]) == 64
 
 
+
+@pytest.mark.parametrize(
+    "script,covers",
+    [
+        (
+            SPREAD + "leave ids=u2\n",
+            ["K{u2} K{u3} K{u5,u6} K{u7}", "K{u3} K{u5,u6,u7}"],
+        ),
+        (
+            "init n=16 protocol=ckcs seed=1 root_code=27\nleave ids=u1\nleave ids=u9\n",
+            [
+                "K{u2} K{u3,u4} K{u5,u6,u7,u8} K{u9,u10,u11,u12,u13,u14,u15,u16}",
+                "K{u2,u3,u4,u5,u6,u7,u8} K{u10} K{u11,u12} K{u13,u14,u15,u16}",
+            ],
+        ),
+    ],
+    ids=["cover-node-deleted-later", "cover-node-shrinks-later"],
+)
+def test_run_labels_each_cover_with_its_members_at_the_event(tmp_path, capsys, script, covers):
+    # a cover node may lose members or vanish from the tree at a later event;
+    # its label names the members under it when its own event ran
+    path = tmp_path / "leaves.txt"
+    path.write_text(script)
+    assert main(["run", str(path)]) == EXIT_OK
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("  cover: ")]
+    labels = [" ".join(part.split("=")[0] for part in l.split()[1:]) for l in lines]
+    assert labels == covers
+
 @pytest.mark.parametrize(
     "argv,code,message",
     [(["run"], EXIT_RUN, "cannot read scenario"), (["vectors", "--file"], EXIT_VECTORS, "cannot read vectors")],
@@ -285,6 +313,20 @@ def test_sweep_rejects_bad_grid(capsys):
     assert main(["sweep", "--protocols", "warp", "--n", "8", "--m", "2", "--seed", "1"]) == EXIT_SWEEP
     assert "sweep failed" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("dest", ["file-as-output-dir", "missing-subdir"])
+def test_sweep_unwritable_destination_exits_5_without_traceback(tmp_path, capsys, dest):
+    (tmp_path / "taken").write_text("")
+    where = (
+        ["--output-dir", str(tmp_path / "taken"), "sweep"]
+        if dest == "file-as-output-dir"
+        else ["--output-dir", str(tmp_path), "sweep", "--out", "nodir/x.csv"]
+    )
+    grid = ["--protocols", "lkh", "--n", "8", "--m", "2", "--ops", "join", "--seed", "1"]
+    assert main([*where, *grid]) == EXIT_SWEEP
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("sweep failed: cannot write output: ")
 
 @pytest.mark.parametrize(
     "grid",

@@ -14,8 +14,8 @@ import pytest
 
 from closure_reference import reference_closure
 from gkms.analyzer import (
+    ClosureIndex,
     KnowledgeSet,
-    RULESETS,
     _audit_adversaries,
     adversary_knowledge,
     check_backward_secrecy,
@@ -61,32 +61,26 @@ def test_checks_of_a_trace_share_one_index_freed_with_the_trace():
     assert freed() is None
 
 
-def test_a_set_built_directly_gets_a_fresh_index_per_closure():
-    ks = KnowledgeSet(keys=[bytes([5]) * 32], rules=RULESETS["ckcs"], derive_cap=2)
-    assert ks.index is None
-    first, second = closure(ks), closure(ks)
-    assert first.index is not second.index
-    assert list(first.facts.items()) == list(second.facts.items())
-
+CONTEXT = ("transcript", "rules", "derive_cap", "node_tags", "sibling_pairs", "wrap_log")
 
 
 @pytest.mark.parametrize(
     "field,value", [("transcript", ()), ("wrap_log", {}), ("node_tags", {}), ("sibling_pairs", ())]
 )
-def test_a_set_whose_context_was_swapped_is_closed_over_its_own(field, value):
-    # the trace's index no longer serves a set whose context was replaced
-    # after construction; its closure must follow the set, as the reference does
+def test_closure_follows_its_own_context(field, value):
+    # a set closed inside an index built with one input replaced must reach
+    # what the reference reaches from that same context, not the trace's
     changed = 0
     for protocol in ("lkh", "oft", "okd"):
         trace = _trace(58, protocol)
         for _kind, member in _audit_adversaries(trace, "all"):
-            before = closure(adversary_knowledge(trace, (member,)))
-            ks = adversary_knowledge(trace, (member,))
-            setattr(ks, field, value)
+            full = adversary_knowledge(trace, (member,))
+            context = {name: getattr(full.index, name) for name in CONTEXT}
+            index = ClosureIndex(**{**context, field: value})
+            ks = KnowledgeSet(index, keys=full.facts, codes=full.codes)
             after, reference = closure(ks), reference_closure(ks)
-            assert after.index is not ks.index
             assert list(after.facts.items()) == list(reference.facts.items()), (protocol, member)
-            changed += list(after.facts) != list(before.facts)
+            changed += list(after.facts) != list(closure(full).facts)
     assert changed
 
 

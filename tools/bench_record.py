@@ -1,8 +1,8 @@
 """Record benchmark points: one point per checkout in BENCH_<workload>.json.
 
-Runs ``python3 bench/run.py`` of each checkout over the given seeds for one
-workload, then one traced run, and appends to ``BENCH_<workload>.json`` at
-the root of this repository one point per checkout: the commit, the
+Runs ``python3 bench/run.py`` of each checkout over the given seeds for each
+workload named, then one traced run, and appends to ``BENCH_<workload>.json``
+at the root of this repository one point per checkout: the commit, the
 environment line, the median and quartiles of every end-to-end metric, and
 the traced per-layer self times and call counts.  With several
 ``--checkout`` directories every seed runs on each of them in turn, and the
@@ -13,6 +13,11 @@ points are appended in the order the checkouts are given.
     python3 tools/bench_record.py --workload audit_all --seeds 961-970
     python3 tools/bench_record.py --workload audit_all --seeds 961-970 \\
         --checkout ../parent --checkout .
+    python3 tools/bench_record.py --workload run_tracked --workload sweep_grid \\
+        --seeds 961-965 --checkout ../parent --checkout .
+
+``--workload`` may be given more than once; the workloads run one after the
+other, each over every seed, and each appends to its own file.
 
 Each checkout's own ``bench/`` and ``src/`` are run, at the run length
 ``bench/run.py`` uses by default; a point records it as ``seconds``, read
@@ -114,9 +119,47 @@ def _point(checkout: Path, runs: list[tuple[int, dict, dict]], traced: tuple[int
     }
 
 
+def _record(workload: str, seeds: list[int], trace_seed: int, checkouts: list[Path],
+            labels: list[str | None]) -> None:
+    """Run one workload over every seed on every checkout; append its points."""
+    runs: dict[Path, list] = {c: [] for c in checkouts}
+    for turn, seed in enumerate(seeds):
+        # each seed starts with the next checkout in turn: A B, B A, ...
+        shift = turn % len(checkouts)
+        for checkout in checkouts[shift:] + checkouts[:shift]:
+            env, result = _bench(checkout, workload, seed, trace=0)
+            runs[checkout].append((seed, env, result))
+            wall = result["metrics"]["wall_s"]["value"]
+            print(f"{workload} {checkout.name} seed {seed}: wall_s {wall:.4f}", file=sys.stderr)
+    points = []
+    for checkout, label in zip(checkouts, labels):
+        env, result = _bench(checkout, workload, trace_seed, trace=1)
+        traced = (trace_seed, env, result)
+        points.append(_point(checkout, runs[checkout], traced, label))
+
+    path = REPO / f"BENCH_{workload}.json"
+    doc = {"workload": workload, "points": []}
+    if path.exists():
+        doc = json.loads(path.read_text())
+    doc["points"].extend(points)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    for point in points:
+        wall = point["end_to_end"]["wall_s"]
+        print(
+            f"{workload} {point['commit'][:10]}{'+' if point['dirty'] else ''} "
+            f"{point['label'] or ''}: "
+            f"wall_s median {wall['median']:.4f} (q1 {wall['q1']:.4f}, q3 {wall['q3']:.4f}), "
+            f"correct {point['correct']}, failed {point['failed']}"
+        )
+    print(f"appended {len(points)} point(s) to {path}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", action="append", required=True,
+        help="a bench/run.py workload (repeatable; each gets its own BENCH file)",
+    )
     parser.add_argument("--seeds", type=_seeds, required=True, help="e.g. 961-970 or 961,962")
     parser.add_argument(
         "--trace-seed", type=int, help="seed of the traced run (default: the first seed)"
@@ -131,37 +174,9 @@ def main(argv=None) -> int:
     labels = args.label or [None] * len(checkouts)
     if len(labels) != len(checkouts):
         parser.error("give one --label per --checkout")
-
-    runs: dict[Path, list] = {c: [] for c in checkouts}
-    for turn, seed in enumerate(args.seeds):
-        # each seed starts with the next checkout in turn: A B, B A, ...
-        shift = turn % len(checkouts)
-        for checkout in checkouts[shift:] + checkouts[:shift]:
-            env, result = _bench(checkout, args.workload, seed, trace=0)
-            runs[checkout].append((seed, env, result))
-            wall = result["metrics"]["wall_s"]["value"]
-            print(f"{checkout.name} seed {seed}: wall_s {wall:.4f}", file=sys.stderr)
     trace_seed = args.trace_seed if args.trace_seed is not None else args.seeds[0]
-    points = []
-    for checkout, label in zip(checkouts, labels):
-        env, result = _bench(checkout, args.workload, trace_seed, trace=1)
-        traced = (trace_seed, env, result)
-        points.append(_point(checkout, runs[checkout], traced, label))
-
-    path = REPO / f"BENCH_{args.workload}.json"
-    doc = {"workload": args.workload, "points": []}
-    if path.exists():
-        doc = json.loads(path.read_text())
-    doc["points"].extend(points)
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    for point in points:
-        wall = point["end_to_end"]["wall_s"]
-        print(
-            f"{point['commit'][:10]}{'+' if point['dirty'] else ''} {point['label'] or ''}: "
-            f"wall_s median {wall['median']:.4f} (q1 {wall['q1']:.4f}, q3 {wall['q3']:.4f}), "
-            f"correct {point['correct']}, failed {point['failed']}"
-        )
-    print(f"appended {len(points)} point(s) to {path}")
+    for workload in dict.fromkeys(args.workload):
+        _record(workload, args.seeds, trace_seed, checkouts, labels)
     return 0
 
 
