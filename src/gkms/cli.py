@@ -180,21 +180,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         n_values = [int(v) for v in args.n.split(",") if v]
         m_values = [int(v) for v in args.m.split(",") if v]
         ops = [o for o in args.ops.split(",") if o]
-        rows, notes = harness.sweep(protocols, n_values, m_values, ops, seed=seed, layout=args.layout)
-    except (ValueError, harness.ScenarioError, EventError, TreeError) as exc:
+        harness.check_sweep_grid(protocols, n_values, m_values, ops, args.layout)
+    except (ValueError, harness.ScenarioError) as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_SWEEP
     out_path = os.path.join(args.output_dir, args.out)
     notes_path = os.path.splitext(out_path)[0] + ".notes.txt"
+    # the outputs are opened before the first cell runs, so an unwritable
+    # destination fails at once instead of after the whole grid
     try:
         os.makedirs(args.output_dir, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(rows_to_csv(rows, harness.SWEEP_EXTRA_COLUMNS))
-        with open(notes_path, "w", encoding="utf-8") as handle:
-            for note in notes:
-                handle.write(note + "\n")
+        with (
+            open(out_path, "w", encoding="utf-8") as out_file,
+            open(notes_path, "w", encoding="utf-8") as notes_file,
+        ):
+            rows, notes = harness.sweep(
+                protocols, n_values, m_values, ops, seed=seed, layout=args.layout
+            )
+            out_file.write(rows_to_csv(rows, harness.SWEEP_EXTRA_COLUMNS))
+            notes_file.writelines(note + "\n" for note in notes)
     except OSError as exc:
         print(f"sweep failed: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_SWEEP
+    except (harness.ScenarioError, EventError, TreeError) as exc:
+        print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_SWEEP
     print(f"wrote {len(rows)} rows to {out_path}")
     print(f"wrote {len(notes)} notes to {notes_path}")

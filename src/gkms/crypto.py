@@ -94,19 +94,27 @@ def _hash(domain: bytes, payload: bytes) -> bytes:
     return hashlib.sha256(domain + payload).digest()
 
 
+def _digest_key(data: bytes) -> SymKey:
+    """A SymKey holding a SHA-256 output, built without the check in
+    ``SymKey.__post_init__``: a digest is always ``KEY_LEN`` bytes."""
+    key = object.__new__(SymKey)
+    object.__setattr__(key, "data", data)
+    return key
+
+
 def derive(key: SymKey) -> SymKey:
     """One-way refresh: the holder of ``key`` can step it forward, never back."""
-    return SymKey(_hash(_DOMAIN_DERIVE, key.data))
+    return _digest_key(_hash(_DOMAIN_DERIVE, key.data))
 
 
 def blind(key: SymKey) -> SymKey:
     """One-way image of a key that is safe to show to non-holders."""
-    return SymKey(_hash(_DOMAIN_BLIND, key.data))
+    return _digest_key(_hash(_DOMAIN_BLIND, key.data))
 
 
 def mix(left: SymKey, right: SymKey) -> SymKey:
     """Combine two (blinded) child keys into a parent key; order matters."""
-    return SymKey(_hash(_DOMAIN_MIX, left.data + right.data))
+    return _digest_key(_hash(_DOMAIN_MIX, left.data + right.data))
 
 
 def encode_code(code: str) -> bytes:
@@ -123,7 +131,7 @@ def derive_with_code(group_key: SymKey, code: str) -> SymKey:
     """Key of a coded tree node: hash of the group key XOR its node code."""
     pad = int.from_bytes(encode_code(code), "big")
     mixed = (int.from_bytes(group_key.data, "big") ^ pad).to_bytes(KEY_LEN, "big")
-    return SymKey(_hash(_DOMAIN_CODE, mixed))
+    return _digest_key(_hash(_DOMAIN_CODE, mixed))
 
 
 def decode_code(block: bytes) -> str:

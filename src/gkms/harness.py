@@ -420,32 +420,53 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
 
 
 def _log_tree(trace: TraceRecord) -> None:
-    """Record every node key and binary sibling triple of the current tree.
+    """Record the node keys and binary sibling triples that changed.
 
-    One explicit-stack pass in ``KeyTree.walk`` preorder, so the insertion
-    order of ``node_key_log`` and its id sets is the walk's.  Every node is
-    visited: logging only the event members' paths would miss keys that
-    change elsewhere (OFT joins change keys off the joiners' paths).
+    The first call, on an empty log, records every node.  Later calls read
+    the tree's change journal: every key write after set-up goes through
+    ``KeyTree.set_key``, and every new node or changed child list is
+    journalled by the tree operations, so a node outside the journal adds
+    nothing a full walk would not find already logged.  The walk keeps
+    ``KeyTree.walk`` preorder but descends only into the journalled nodes
+    and their ancestors, so new entries of ``node_key_log``, of its id sets
+    and of ``sibling_pairs`` go in in the order a full walk would add them,
+    at O(changed·depth) per event.  It drains the journal, so the tree must
+    be logged into one trace only.
     """
     tree = trace.server.tree
     nodes = tree.nodes
     key_log = trace.node_key_log
     pairs = trace.sibling_pairs
+    if key_log:
+        changed = tree.journal
+        # the live journalled nodes and their ancestors: the only branches
+        # the walk enters (deleted nodes are gone from ``nodes``)
+        marked = set()
+        for node_id in changed:
+            if node_id in nodes:
+                while node_id is not None and node_id not in marked:
+                    marked.add(node_id)
+                    node_id = nodes[node_id].parent
+    else:
+        changed = marked = nodes.keys()  # first call: every node
     stack = [tree.root_id]
     while stack:
         node_id = stack.pop()
         node = nodes[node_id]
-        if node.key is not None:
-            ids = key_log.get(node.key.data)
-            if ids is None:
-                key_log[node.key.data] = {node_id}
-            else:
-                ids.add(node_id)
         children = node.children
-        if children:
+        if node_id in changed:
+            if node.key is not None:
+                ids = key_log.get(node.key.data)
+                if ids is None:
+                    key_log[node.key.data] = {node_id}
+                else:
+                    ids.add(node_id)
             if len(children) == 2:
                 pairs.add((children[0], children[1], node_id))
-            stack.extend(reversed(children))
+        for child in reversed(children):
+            if child in marked:
+                stack.append(child)
+    tree.journal.clear()
     key_log.setdefault(trace.server.group_key.data, set()).add(tree.root_id)
 
 
@@ -519,49 +540,66 @@ def _trace_digest(trace: TraceRecord) -> str:
 
     SHA-256 of the compact, key-sorted JSON list of per-event records, fed
     one event at a time: ``[``, the events joined by ``,``, then ``]``.
-    Tuples encode exactly like lists, so recipient and member tuples go in
-    without copies.
+    The bytes are those of ``json.dumps(events, sort_keys=True,
+    separators=(",", ":"))``, built in pieces: under sorted keys an event's
+    ``deliveries`` sits between ``cost`` and the other fields, and a
+    delivery's ``recipients`` comes last.
+
+    Recipient ids are written with no JSON escaping, as ``"id"`` joined by
+    ``,``.  That is exact because every member id in a trace is ``u<n>``:
+    ``run`` mints every founding and joining id, and a leave naming any
+    other id fails ``ServerProtocol._validate`` before it reaches a
+    delivery.  Every other field goes through the JSON encoder.
     """
+    encode = _DIGEST_ENCODER.encode
     digest = hashlib.sha256(b"[")
+    update = digest.update
     separator = b""
     for record in trace.events:
-        deliveries = []
+        cost = record.cost
+        head = encode(
+            {
+                "cost": {
+                    "keygen": cost.keygen,
+                    "encrypt": cost.encrypt,
+                    "unicast": cost.unicast,
+                    "multicast": cost.multicast,
+                    "msg_size_keys": cost.payload_keys,
+                }
+            }
+        )
+        update(separator + head[:-1].encode() + b',"deliveries":[')
+        comma = b""
         for delivery in record.output.deliveries:
             if isinstance(delivery, Notice):
-                deliveries.append(
-                    {
-                        "kind": delivery.kind,
-                        "recipients": delivery.recipients,
-                        "aux": delivery.aux,
-                    }
-                )
+                fields = {"kind": delivery.kind, "aux": delivery.aux}
             else:
-                deliveries.append(
-                    {
-                        "channel": delivery.channel,
-                        "recipients": delivery.recipients,
-                        "kek_ids": [p.kek_id for p in delivery.payloads],
-                        "ciphertexts": [p.ciphertext.hex() for p in delivery.payloads],
-                        "aux": delivery.aux,
-                    }
-                )
-        event = {
-            "seq": record.seq,
-            "op": record.op,
-            "members": record.member_ids,
-            "n": record.n_at_event,
-            "cost": {
-                "keygen": record.cost.keygen,
-                "encrypt": record.cost.encrypt,
-                "unicast": record.cost.unicast,
-                "multicast": record.cost.multicast,
-                "msg_size_keys": record.cost.payload_keys,
-            },
-            "group_key": record.group_key.data.hex(),
-            "deliveries": deliveries,
-        }
-        digest.update(separator)
-        digest.update(_DIGEST_ENCODER.encode(event).encode())
+                fields = {
+                    "channel": delivery.channel,
+                    "kek_ids": [p.kek_id for p in delivery.payloads],
+                    "ciphertexts": [p.ciphertext.hex() for p in delivery.payloads],
+                    "aux": delivery.aux,
+                }
+            update(comma + encode(fields)[:-1].encode() + b',"recipients":')
+            if delivery.recipients:
+                # three updates: the id list is the bulk of the bytes, so
+                # it is hashed without being copied into a larger string
+                update(b'["')
+                update('","'.join(delivery.recipients).encode())
+                update(b'"]}')
+            else:
+                update(b"[]}")
+            comma = b","
+        tail = encode(
+            {
+                "seq": record.seq,
+                "op": record.op,
+                "members": record.member_ids,
+                "n": record.n_at_event,
+                "group_key": record.group_key.data.hex(),
+            }
+        )
+        update(b"]," + tail[1:].encode())
         separator = b","
     digest.update(b"]")
     return digest.hexdigest()
@@ -615,26 +653,21 @@ def generate_random_scenario(
 # -- measurement sweeps ------------------------------------------------------
 
 
-def sweep(
+def check_sweep_grid(
     protocols: list[str],
     n_values: list[int],
     m_values: list[int],
     ops: list[str],
-    seed: int = 0,
     layout: str = "random",
-) -> tuple[list[dict], list[str]]:
-    """One-event measurements per grid cell, members untracked.
+) -> None:
+    """Reject a grid before any cell runs, not at its first bad cell.
 
-    ``n`` is the group size when the event starts.  Leave cells with m >= n
-    are adjusted (m > n skipped, m == n trimmed to n-1) with a note, since a
-    group may not empty.  Wall time covers the server's event handling only.
-    A grid with an unknown protocol, op or layout, an n or m below 1, or a
-    cell above ``MAX_GROUP_SIZE`` raises ScenarioError before any cell runs.
+    Raises ScenarioError for an empty axis, an unknown protocol, op or
+    layout, an n or m below 1, or a cell above ``MAX_GROUP_SIZE``.
     """
     for name, values in (("protocols", protocols), ("n", n_values), ("m", m_values), ("ops", ops)):
         if not values:
             raise ScenarioError(f"sweep grid has no {name}")
-    # reject the whole grid before any cell runs, not at the first bad cell
     for protocol in protocols:
         if protocol not in PROTOCOLS:
             raise ScenarioError(f"unknown protocol {protocol!r}")
@@ -651,6 +684,25 @@ def sweep(
             f"sweep cell n={max(n_values)} m={max(m_values)} exceeds the group size cap "
             f"of {MAX_GROUP_SIZE}"
         )
+
+
+def sweep(
+    protocols: list[str],
+    n_values: list[int],
+    m_values: list[int],
+    ops: list[str],
+    seed: int = 0,
+    layout: str = "random",
+) -> tuple[list[dict], list[str]]:
+    """One-event measurements per grid cell, members untracked.
+
+    ``n`` is the group size when the event starts.  Leave cells with m >= n
+    are adjusted (m > n skipped, m == n trimmed to n-1) with a note, since a
+    group may not empty.  Wall time covers the server's event handling only.
+    A grid that ``check_sweep_grid`` rejects raises ScenarioError before any
+    cell runs.
+    """
+    check_sweep_grid(protocols, n_values, m_values, ops, layout)
     rows: list[dict] = []
     notes: list[str] = []
     for protocol in protocols:

@@ -109,6 +109,10 @@ class KeyTree:
         self._slot_keys: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._slot_heap: list[tuple[tuple[int, tuple[int, ...]], int]] | None = None
         self._split_scan: deque[int] | None = None
+        # Change journal: ids of nodes whose key or child list changed, or
+        # that were created, since the last harness._log_tree drained it.
+        # After set-up every key write goes through set_key.
+        self.journal: set[int] = set()
 
     # -- basic accessors ---------------------------------------------------
 
@@ -198,6 +202,11 @@ class KeyTree:
     def subtree_leaf_count(self, node_id: int) -> int:
         return sum(1 for n in self.walk(node_id) if n.is_leaf)
 
+    def set_key(self, node: Node, key: SymKey) -> None:
+        """Give ``node`` a new key and record it in the change journal."""
+        node.key = key
+        self.journal.add(node.node_id)
+
     # -- placement bookkeeping ----------------------------------------------
     # insert_leaf picks its target in breadth-first order.  Rescanning the
     # whole tree per insert would make a batch of m joins cost O(n*m), so the
@@ -220,7 +229,9 @@ class KeyTree:
         return (len(path), tuple(path))
 
     def _slot_sync(self, node_id: int) -> None:
-        """Re-check one node's open-slot status after its children changed."""
+        """Re-check one node's open-slot status after its children changed,
+        and record the change in the journal."""
+        self.journal.add(node_id)
         node = self.nodes.get(node_id)
         if node is not None and not node.is_leaf and len(node.children) < self.arity:
             if node_id not in self._open_slots:
@@ -285,6 +296,7 @@ class KeyTree:
         node = Node(node_id=self._next_id, **kwargs)
         self._next_id += 1
         self.nodes[node.node_id] = node
+        self.journal.add(node.node_id)
         if node.member is not None:
             self._member_leaf[node.member] = node.node_id
         return node
@@ -521,6 +533,7 @@ def remove_leaves(tree: KeyTree, member_ids: Sequence[str]) -> RemovalResult:
             else:
                 siblings = tree.nodes[parent_id].children
                 siblings[siblings.index(node_id)] = child.node_id
+                tree.journal.add(parent_id)
             del tree.nodes[node_id]
             tree._slot_drop(node_id)
             tree._ranks_dirty()  # the promoted subtree moved up a level
@@ -594,6 +607,7 @@ def insert_leaf(tree: KeyTree, member: str, fill_slots: bool) -> InsertResult:
     new_leaf = tree._new_node(parent=new_internal.node_id, member=member)
     new_internal.children = [victim.node_id, new_leaf.node_id]
     parent.children[parent.children.index(victim.node_id)] = new_internal.node_id
+    tree.journal.add(parent.node_id)
     victim.parent = new_internal.node_id
     tree._split_scan.extend((victim.node_id, new_leaf.node_id))  # type: ignore[union-attr]
     tree._slot_sync(new_internal.node_id)

@@ -99,6 +99,25 @@ def test_domain_separation(data):
     assert data not in images
 
 
+@given(KEY_BYTES)
+def test_digest_keys_equal_checked_keys(data):
+    # derivations build their keys without SymKey.__post_init__; the keys
+    # must still be indistinguishable from checked ones
+    key = SymKey(data)
+    for made in (derive(key), blind(key), mix(key, key), derive_with_code(key, "7")):
+        checked = SymKey(made.data)
+        assert type(made) is SymKey and len(made.data) == KEY_LEN
+        assert made == checked and hash(made) == hash(checked)
+        assert {made: 1}[checked] == 1
+
+
+def test_unwrap_still_checks_the_payload_length():
+    kek = SymKey(K0)
+    short = WrappedKey(ciphertext=_cipher(K0).encrypt(b"short", None), kek_id=1)
+    with pytest.raises(ValueError, match=f"key must be {KEY_LEN} bytes"):
+        unwrap(kek, short)
+
+
 # -- code encoding ---------------------------------------------------------------
 
 

@@ -385,6 +385,68 @@ def test_tree_log_and_digest_match_references(monkeypatch):
         assert list(trace.sibling_pairs) == list(reference["pairs"]), scenario
 
 
+def _churn_scenarios():
+    """Long churn per protocol at n=256: 40 alternating join/leave batches of
+    16, leave layouts rotating, then one trace of mixed batch sizes that
+    also shrinks the group to a single member and grows it back."""
+    churn = []
+    for i in range(40):
+        if i % 2 == 0:
+            churn.append(Step(op="join", count=16))
+        else:
+            churn.append(Step(op="leave", count=16, layout=LAYOUTS[(i // 2) % len(LAYOUTS)]))
+    mixed = [
+        Step(op="leave", ids=("u5", "u17", "u200")),
+        Step(op="join", count=1),
+        Step(op="leave", count=1),
+        Step(op="join", count=3),
+        Step(op="leave", count=2, layout="worst-spread"),
+        Step(op="join", count=34),
+        Step(op="leave", count=21, layout="best-half"),
+        Step(op="join", count=13),
+        Step(op="leave", count=279),
+        Step(op="join", count=2),
+        Step(op="leave", count=1),
+        Step(op="join", count=5),
+        Step(op="leave", count=3, layout="worst-spread"),
+    ]
+    out = []
+    for protocol in sorted(PROTOCOLS):
+        out.append(Scenario(protocol=protocol, n=256, seed=31, steps=tuple(churn)))
+        out.append(Scenario(protocol=protocol, n=256, seed=32, steps=tuple(mixed)))
+    return out
+
+
+def test_journalled_tree_log_matches_full_walk_after_every_event(monkeypatch):
+    # _log_tree walks only the branches the change journal names; after
+    # every event its logs must equal a full walk's, insertion orders included
+    fast_log_tree = harness._log_tree
+    reference = {}
+
+    def log_and_compare(trace):
+        fast_log_tree(trace)
+        reference_log_tree(trace.server, reference["log"], reference["pairs"])
+        assert list(trace.node_key_log) == list(reference["log"]), reference["event"]
+        assert [list(ids) for ids in trace.node_key_log.values()] == [
+            list(ids) for ids in reference["log"].values()
+        ], reference["event"]
+        assert list(trace.sibling_pairs) == list(reference["pairs"]), reference["event"]
+        assert not trace.server.tree.journal
+        reference["event"] += 1
+
+    monkeypatch.setattr(harness, "_log_tree", log_and_compare)
+    for scenario in _churn_scenarios():
+        reference.update(log={}, pairs=set(), event=0)
+        trace = run(scenario, track_members=False)
+        assert reference["event"] == len(scenario.steps) + 1, scenario.protocol
+        # the same traces cover recipient lists in the hundreds and the
+        # okd and ckcs join notices
+        assert trace.digest == reference_trace_digest(trace), scenario.protocol
+        assert max(len(d.recipients) for d in trace.deliveries) >= 256
+        if scenario.protocol in ("ckcs", "okd"):
+            assert any(isinstance(d, Notice) for d in trace.deliveries)
+
+
 def test_probe_detects_membership_drift():
     trace = run(parse_scenario("init n=4 protocol=lkh seed=1\n"))
     trace.members["ghost"] = next(iter(trace.members.values()))

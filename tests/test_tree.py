@@ -1,7 +1,9 @@
 """Key tree structure: code assignment, balanced builds, mutation operations,
 and the cover computation checked against an exhaustive oracle."""
 
+import ast
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -403,3 +405,116 @@ def test_cover_properties_random(n, rng):
         assert node_id not in seen
         seen.add(node_id)
         assert not (set(tree.ancestors(node_id)) & set(cover))
+
+
+# -- change journal ---------------------------------------------------------------
+
+# The only places that may assign ``.key`` directly.  harness._log_tree trusts
+# the tree's change journal, so every other key write must go through
+# KeyTree.set_key.  Set-up writes are allowed because the first _log_tree
+# call walks the whole tree; CKCS keys its incoming subtree, a separate
+# KeyTree, before attach_subtree copies it in through _new_node.
+KEY_WRITE_ALLOWLIST = {
+    ("tree.py", "KeyTree.set_key"),
+    ("ckcs.py", "CkcsServer.__init__"),
+    ("ckcs.py", "CkcsServer._join"),
+    ("baselines/lkh.py", "LkhServer.__init__"),
+    ("baselines/oft.py", "OftServer.__init__"),
+}
+
+
+def _key_writes(source: str) -> list[tuple[str, int]]:
+    """(enclosing def, line) of every store to, or delete of, an attribute
+    named ``key``, and of every ``setattr(..., "key", ...)``."""
+    found: list[tuple[str, int]] = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            writes = (
+                isinstance(child, ast.Attribute)
+                and child.attr == "key"
+                and isinstance(child.ctx, (ast.Store, ast.Del))
+            ) or (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "setattr"
+                and len(child.args) > 1
+                and isinstance(child.args[1], ast.Constant)
+                and child.args[1].value == "key"
+            )
+            if writes:
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_key_writes_go_through_set_key():
+    src = Path(kt.__file__).resolve().parent
+    writers = set()
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        for scope, line in _key_writes(path.read_text(encoding="utf-8")):
+            assert (rel, scope) in KEY_WRITE_ALLOWLIST, (
+                f"{rel}:{line} in {scope or 'module'} writes .key directly; "
+                "use KeyTree.set_key so the change journal sees it"
+            )
+            writers.add((rel, scope))
+    assert writers == KEY_WRITE_ALLOWLIST  # no stale allowlist entries
+
+
+def test_key_write_scan_sees_every_form():
+    source = (
+        "class A:\n"
+        "    def f(self, n, m):\n"
+        "        n.key = 1\n"
+        "        n.key += 1\n"
+        "        m.a.key: int = 2\n"
+        "        for n.key in (): pass\n"
+        "        del n.key\n"
+        "        setattr(n, 'key', 3)\n"
+        "        n.key.data = 4\n"
+        "        return n.key\n"
+    )
+    assert [line for _, line in _key_writes(source)] == [3, 4, 5, 6, 7, 8]
+    assert {scope for scope, _ in _key_writes(source)} == {"A.f"}
+
+
+def test_set_key_and_structure_changes_are_journalled():
+    tree = kt.build_balanced(members(4), 2)
+    assert tree.journal == set()  # a fresh build is set-up, not journalled
+    leaf = tree.leaf_of("u1")
+    key = SymKey(bytes(32))
+    tree.set_key(leaf, key)
+    assert leaf.key == key and tree.journal == {leaf.node_id}
+    tree.journal.clear()
+    inserted = kt.insert_leaf(tree, "u5", fill_slots=False)
+    # the split parent, the new internal node and the new leaf
+    assert tree.journal == {
+        tree.node(inserted.parent_id).parent,
+        inserted.new_internal_id,
+        inserted.leaf_id,
+    }
+    tree.journal.clear()
+    kt.remove_leaves(tree, ["u5"])
+    # the spliced node is gone; its parent's child list changed
+    assert {i for i in tree.journal if i in tree.nodes} == {tree.leaf_of("u1").parent}
+
+
+def test_child_list_changes_are_journalled():
+    tree = kt.build_balanced(members(6), 3)  # a root over three pairs
+    left = tree.leaf_of("u1").parent
+    kt.detach_leaf(tree, "u1")
+    assert tree.journal == {tree.leaf_of("u2").parent} == {left}
+    tree.journal.clear()
+    inserted = kt.insert_leaf(tree, "u7", fill_slots=True)
+    assert inserted.parent_id == left
+    assert tree.journal == {left, inserted.leaf_id}
+    tree.journal.clear()
+    incoming = kt.build_balanced(["u8", "u9"], 3)
+    new_root, top = kt.attach_subtree(tree, incoming, Random(1), fresh_root_code="5")
+    assert tree.journal == {new_root, top, *tree.node(top).children}
