@@ -540,66 +540,63 @@ def _trace_digest(trace: TraceRecord) -> str:
 
     SHA-256 of the compact, key-sorted JSON list of per-event records, fed
     one event at a time: ``[``, the events joined by ``,``, then ``]``.
-    The bytes are those of ``json.dumps(events, sort_keys=True,
-    separators=(",", ":"))``, built in pieces: under sorted keys an event's
-    ``deliveries`` sits between ``cost`` and the other fields, and a
-    delivery's ``recipients`` comes last.
 
-    Recipient ids are written with no JSON escaping, as ``"id"`` joined by
+    Each event is JSON-encoded once with every delivery's recipients left
+    empty, then each empty list is filled in as the bytes are hashed.  The
+    list is written with no JSON escaping, as ``"id"`` strings joined by
     ``,``.  That is exact because every member id in a trace is ``u<n>``:
     ``run`` mints every founding and joining id, and a leave naming any
     other id fails ``ServerProtocol._validate`` before it reaches a
-    delivery.  Every other field goes through the JSON encoder.
+    delivery.  Under sorted keys ``recipients`` is each delivery's last
+    key, and a quoted key can only occur unescaped where it is a key, so
+    splitting the encoded event at ``"recipients":[]`` finds exactly one
+    place per delivery.
     """
-    encode = _DIGEST_ENCODER.encode
     digest = hashlib.sha256(b"[")
     update = digest.update
     separator = b""
     for record in trace.events:
-        cost = record.cost
-        head = encode(
-            {
-                "cost": {
-                    "keygen": cost.keygen,
-                    "encrypt": cost.encrypt,
-                    "unicast": cost.unicast,
-                    "multicast": cost.multicast,
-                    "msg_size_keys": cost.payload_keys,
-                }
-            }
-        )
-        update(separator + head[:-1].encode() + b',"deliveries":[')
-        comma = b""
-        for delivery in record.output.deliveries:
+        delivered = record.output.deliveries
+        deliveries = []
+        for delivery in delivered:
             if isinstance(delivery, Notice):
-                fields = {"kind": delivery.kind, "aux": delivery.aux}
+                deliveries.append({"kind": delivery.kind, "recipients": (), "aux": delivery.aux})
             else:
-                fields = {
-                    "channel": delivery.channel,
-                    "kek_ids": [p.kek_id for p in delivery.payloads],
-                    "ciphertexts": [p.ciphertext.hex() for p in delivery.payloads],
-                    "aux": delivery.aux,
-                }
-            update(comma + encode(fields)[:-1].encode() + b',"recipients":')
+                deliveries.append(
+                    {
+                        "channel": delivery.channel,
+                        "recipients": (),
+                        "kek_ids": [p.kek_id for p in delivery.payloads],
+                        "ciphertexts": [p.ciphertext.hex() for p in delivery.payloads],
+                        "aux": delivery.aux,
+                    }
+                )
+        event = {
+            "seq": record.seq,
+            "op": record.op,
+            "members": record.member_ids,
+            "n": record.n_at_event,
+            "cost": {
+                "keygen": record.cost.keygen,
+                "encrypt": record.cost.encrypt,
+                "unicast": record.cost.unicast,
+                "multicast": record.cost.multicast,
+                "msg_size_keys": record.cost.payload_keys,
+            },
+            "group_key": record.group_key.data.hex(),
+            "deliveries": deliveries,
+        }
+        head, *tails = _DIGEST_ENCODER.encode(event).split('"recipients":[]')
+        update(separator + head.encode())
+        for delivery, tail in zip(delivered, tails, strict=True):
             if delivery.recipients:
-                # three updates: the id list is the bulk of the bytes, so
-                # it is hashed without being copied into a larger string
-                update(b'["')
+                # the id list is the bulk of the bytes: hash it on its own
+                # rather than copy it into a larger string
+                update(b'"recipients":["')
                 update('","'.join(delivery.recipients).encode())
-                update(b'"]}')
+                update(b'"]' + tail.encode())
             else:
-                update(b"[]}")
-            comma = b","
-        tail = encode(
-            {
-                "seq": record.seq,
-                "op": record.op,
-                "members": record.member_ids,
-                "n": record.n_at_event,
-                "group_key": record.group_key.data.hex(),
-            }
-        )
-        update(b"]," + tail[1:].encode())
+                update(b'"recipients":[]' + tail.encode())
         separator = b","
     digest.update(b"]")
     return digest.hexdigest()
