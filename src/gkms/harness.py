@@ -556,9 +556,9 @@ def _trace_digest(trace: TraceRecord) -> str:
     update = digest.update
     separator = b""
     for record in trace.events:
-        delivered = record.output.deliveries
+        sent = record.output.deliveries
         deliveries = []
-        for delivery in delivered:
+        for delivery in sent:
             if isinstance(delivery, Notice):
                 deliveries.append({"kind": delivery.kind, "recipients": (), "aux": delivery.aux})
             else:
@@ -588,7 +588,7 @@ def _trace_digest(trace: TraceRecord) -> str:
         }
         head, *tails = _DIGEST_ENCODER.encode(event).split('"recipients":[]')
         update(separator + head.encode())
-        for delivery, tail in zip(delivered, tails, strict=True):
+        for delivery, tail in zip(sent, tails, strict=True):
             if delivery.recipients:
                 # the id list is the bulk of the bytes: hash it on its own
                 # rather than copy it into a larger string

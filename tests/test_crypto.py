@@ -108,7 +108,6 @@ def test_digest_keys_equal_checked_keys(data):
         checked = SymKey(made.data)
         assert type(made) is SymKey and len(made.data) == KEY_LEN
         assert made == checked and hash(made) == hash(checked)
-        assert {made: 1}[checked] == 1
 
 
 def test_unwrap_still_checks_the_payload_length():
