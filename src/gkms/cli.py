@@ -22,6 +22,7 @@ Exit codes are distinct per failure class:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from random import Random
@@ -187,23 +188,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_path = os.path.join(args.output_dir, args.out)
     notes_path = os.path.splitext(out_path)[0] + ".notes.txt"
     # the outputs are opened before the first cell runs, so an unwritable
-    # destination fails at once instead of after the whole grid
+    # destination fails at once instead of after the whole grid.  They are
+    # opened for appending and emptied only once every cell has run, so a
+    # failing grid leaves earlier results as they were; a file it created
+    # is removed again
+    new_files = [p for p in (out_path, notes_path) if not os.path.exists(p)]
     try:
         os.makedirs(args.output_dir, exist_ok=True)
         with (
-            open(out_path, "w", encoding="utf-8") as out_file,
-            open(notes_path, "w", encoding="utf-8") as notes_file,
+            open(out_path, "a", encoding="utf-8") as out_file,
+            open(notes_path, "a", encoding="utf-8") as notes_file,
         ):
             rows, notes = harness.sweep(
                 protocols, n_values, m_values, ops, seed=seed, layout=args.layout
             )
+            out_file.truncate(0)
             out_file.write(rows_to_csv(rows, harness.SWEEP_EXTRA_COLUMNS))
+            notes_file.truncate(0)
             notes_file.writelines(note + "\n" for note in notes)
-    except OSError as exc:
-        print(f"sweep failed: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_SWEEP
-    except (harness.ScenarioError, EventError, TreeError) as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
+    except (OSError, harness.ScenarioError, EventError, TreeError) as exc:
+        for path in new_files:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        what = "cannot write output: " if isinstance(exc, OSError) else ""
+        print(f"sweep failed: {what}{exc}", file=sys.stderr)
         return EXIT_SWEEP
     print(f"wrote {len(rows)} rows to {out_path}")
     print(f"wrote {len(notes)} notes to {notes_path}")

@@ -13,7 +13,6 @@ leaves are keyed by individual member keys and need no code.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
@@ -103,15 +102,15 @@ class KeyTree:
         self._next_id = 0
         self._member_leaf: dict[str, int] = {}
         # Placement bookkeeping for insert_leaf (see the helpers below):
-        # open child slots plus a lazy min-heap over their breadth-first
-        # ranks, and a resumable breadth-first scan for split victims.
+        # the internal nodes with a free child slot, and two resumable
+        # breadth-first scans, one for open slots and one for split victims.
         self._open_slots: set[int] = set()
-        self._slot_keys: dict[int, tuple[int, tuple[int, ...]]] = {}
-        self._slot_heap: list[tuple[tuple[int, tuple[int, ...]], int]] | None = None
+        self._slot_scan: deque[int] | None = None
         self._split_scan: deque[int] | None = None
-        # Change journal: ids of nodes whose key or child list changed, or
-        # that were created, since the last harness._log_tree drained it.
-        # After set-up every key write goes through set_key.
+        # Change journal: ids of live nodes whose key or child list changed,
+        # or that were created, since the last harness._log_tree drained it.
+        # After set-up every key write goes through set_key; a deleted node
+        # leaves the journal, so it never outgrows the tree.
         self.journal: set[int] = set()
 
     # -- basic accessors ---------------------------------------------------
@@ -208,67 +207,57 @@ class KeyTree:
         self.journal.add(node.node_id)
 
     # -- placement bookkeeping ----------------------------------------------
-    # insert_leaf picks its target in breadth-first order.  Rescanning the
-    # whole tree per insert would make a batch of m joins cost O(n*m), so the
-    # tree keeps two structures in step with mutations instead.  Both yield
-    # exactly the node a fresh breadth-first scan would pick.
-
-    def _bfs_rank(self, node_id: int) -> tuple[int, tuple[int, ...]]:
-        """Sort key equal to breadth-first visit order.
-
-        Breadth-first order is: shallower first, then by the child-index
-        path from the root compared left to right.
-        """
-        path: list[int] = []
-        node = self.nodes[node_id]
-        while node.parent is not None:
-            parent = self.nodes[node.parent]
-            path.append(parent.children.index(node.node_id))
-            node = parent
-        path.reverse()
-        return (len(path), tuple(path))
+    # insert_leaf picks its target in breadth-first order: the first internal
+    # node with a free child slot (when filling slots), otherwise the first
+    # leaf.  Rescanning the whole tree per insert would make a batch of m
+    # joins cost O(n*m), so each target has a breadth-first scan whose queue
+    # survives between inserts.  An insert changes the tree only where the
+    # scan that found its target stands, so that scan resumes in the state
+    # a fresh scan would reach; insert_leaf drops or restarts the other.
+    # Every other change drops both queues (_scan_dirty), and the next
+    # insert scans afresh from the root: up to O(n) node visits once per
+    # removal or attach, not once per join.
 
     def _slot_sync(self, node_id: int) -> None:
         """Re-check one node's open-slot status after its children changed,
         and record the change in the journal."""
         self.journal.add(node_id)
-        node = self.nodes.get(node_id)
-        if node is not None and not node.is_leaf and len(node.children) < self.arity:
-            if node_id not in self._open_slots:
-                self._open_slots.add(node_id)
-                if self._slot_heap is not None:
-                    rank = self._bfs_rank(node_id)
-                    self._slot_keys[node_id] = rank
-                    heapq.heappush(self._slot_heap, (rank, node_id))
+        children = self.nodes[node_id].children
+        if children and len(children) < self.arity:
+            self._open_slots.add(node_id)
         else:
             self._open_slots.discard(node_id)
 
-    def _slot_drop(self, node_id: int) -> None:
-        """Forget a node that is being deleted."""
+    def _drop_node(self, node_id: int) -> None:
+        """Delete a node: the one place a node leaves ``nodes``, the member
+        index, the open-slot set and the journal."""
+        node = self.nodes.pop(node_id)
+        if node.member is not None:
+            del self._member_leaf[node.member]
         self._open_slots.discard(node_id)
-
-    def _ranks_dirty(self) -> None:
-        """Depths or sibling indexes changed: cached slot ranks are stale."""
-        self._slot_heap = None
-        self._slot_keys.clear()
+        self.journal.discard(node_id)
 
     def _scan_dirty(self) -> None:
-        """The tree changed where a resumed split scan may already have passed."""
+        """The tree changed other than by an insert: drop both scans."""
+        self._slot_scan = None
         self._split_scan = None
 
     def _first_open_slot(self) -> Node | None:
-        """The open slot a breadth-first scan would reach first, if any."""
+        """The open slot a breadth-first scan would reach first, if any.
+
+        The scan stops at the slot without passing it, so inserts fill it
+        until it is full; only then does the scan pass it and queue its
+        children, as a fresh scan would.
+        """
         if not self._open_slots:
             return None
-        if self._slot_heap is None:
-            self._slot_keys = {i: self._bfs_rank(i) for i in self._open_slots}
-            self._slot_heap = [(rank, i) for i, rank in self._slot_keys.items()]
-            heapq.heapify(self._slot_heap)
-        while self._slot_heap:
-            rank, node_id = self._slot_heap[0]
-            if node_id in self._open_slots and self._slot_keys.get(node_id) == rank:
-                return self.nodes[node_id]
-            heapq.heappop(self._slot_heap)  # filled, deleted, or re-ranked
+        if self._slot_scan is None:
+            self._slot_scan = deque([self.root_id])
+        queue = self._slot_scan
+        while queue:
+            if queue[0] in self._open_slots:
+                return self.nodes[queue[0]]
+            queue.extend(self.nodes[queue.popleft()].children)
         return None
 
     def _first_split_victim(self) -> Node:
@@ -277,8 +266,9 @@ class KeyTree:
         The scan queue survives between calls: a split consumes the popped
         leaf and pushes the replacement pair at the tail, which is exactly
         the queue state a fresh scan of the new tree would have at that
-        point (the new internal node occupies the consumed position).  Any
-        other mutation discards the queue via _scan_dirty.
+        point (the new internal node occupies the consumed position).  A
+        leaf that fills a slot may sit behind the scan, so insert_leaf drops
+        the queue after a fill, as _scan_dirty does after any other change.
         """
         if self._split_scan is None:
             self._split_scan = deque([self.root_id])
@@ -446,7 +436,6 @@ def attach_subtree(
     if current.arity != incoming.arity:
         raise TreeError("arity mismatch between trees")
     old_root = current.root
-    current._ranks_dirty()  # every existing node gets one level deeper
     current._scan_dirty()
 
     id_map: dict[int, int] = {}
@@ -499,8 +488,7 @@ def remove_leaves(tree: KeyTree, member_ids: Sequence[str]) -> RemovalResult:
             tree.nodes[parent_id].children.remove(leaf.node_id)
             tree._slot_sync(parent_id)
             touched.append(parent_id)
-        del tree.nodes[leaf.node_id]
-        del tree._member_leaf[member]
+        tree._drop_node(leaf.node_id)
         removed.append(leaf.node_id)
 
     # process deepest first so cascades reach the root in one pass
@@ -518,8 +506,7 @@ def remove_leaves(tree: KeyTree, member_ids: Sequence[str]) -> RemovalResult:
             if parent_id is not None:
                 tree.nodes[parent_id].children.remove(node_id)
                 tree._slot_sync(parent_id)
-            del tree.nodes[node_id]
-            tree._slot_drop(node_id)
+            tree._drop_node(node_id)
             removed.append(node_id)
             if parent_id is not None and parent_id not in seen:
                 queue.append(parent_id)
@@ -534,9 +521,7 @@ def remove_leaves(tree: KeyTree, member_ids: Sequence[str]) -> RemovalResult:
                 siblings = tree.nodes[parent_id].children
                 siblings[siblings.index(node_id)] = child.node_id
                 tree.journal.add(parent_id)
-            del tree.nodes[node_id]
-            tree._slot_drop(node_id)
-            tree._ranks_dirty()  # the promoted subtree moved up a level
+            tree._drop_node(node_id)
             removed.append(node_id)
             promotions.append((child.node_id, node_id))
     return RemovalResult(tuple(removed), tuple(promotions))
@@ -554,8 +539,7 @@ def detach_leaf(tree: KeyTree, member: str) -> DetachResult:
     removed = [leaf.node_id]
     parent_id = leaf.parent
     tree.nodes[parent_id].children.remove(leaf.node_id)  # type: ignore[index]
-    del tree.nodes[leaf.node_id]
-    del tree._member_leaf[member]
+    tree._drop_node(leaf.node_id)
     tree._scan_dirty()
     tree._slot_sync(parent_id)  # type: ignore[arg-type]
     while parent_id is not None:
@@ -563,8 +547,7 @@ def detach_leaf(tree: KeyTree, member: str) -> DetachResult:
         if node.children or node.parent is None:
             break
         tree.nodes[node.parent].children.remove(parent_id)
-        del tree.nodes[parent_id]
-        tree._slot_drop(parent_id)
+        tree._drop_node(parent_id)
         tree._slot_sync(node.parent)
         removed.append(parent_id)
         parent_id = node.parent
@@ -573,12 +556,12 @@ def detach_leaf(tree: KeyTree, member: str) -> DetachResult:
 
 
 def insert_leaf(tree: KeyTree, member: str, fill_slots: bool) -> InsertResult:
-    """Add a member at the shallowest spot.
+    """Add a member at the first spot in breadth-first order.
 
-    With ``fill_slots`` the shallowest internal node with a free child slot
-    takes the new leaf directly.  Otherwise (or when the tree is full) the
-    shallowest leaf is split: a new internal node takes its position and
-    holds the old leaf and the new one.  ``member`` must be new to the tree.
+    With ``fill_slots`` the first internal node with a free child slot
+    takes the new leaf directly.  Otherwise (or when no slot is open) the
+    first leaf is split: a new internal node takes its position and holds
+    the old leaf and the new one.  ``member`` must be new to the tree.
     """
     root = tree.root
     if root.is_leaf:
@@ -598,7 +581,7 @@ def insert_leaf(tree: KeyTree, member: str, fill_slots: bool) -> InsertResult:
             leaf = tree._new_node(parent=slot.node_id, member=member)
             slot.children.append(leaf.node_id)
             tree._slot_sync(slot.node_id)
-            tree._scan_dirty()
+            tree._split_scan = None  # the new leaf may sit behind the split scan
             return InsertResult(leaf.node_id, slot.node_id, None, None)
 
     victim = tree._first_split_victim()
@@ -611,6 +594,9 @@ def insert_leaf(tree: KeyTree, member: str, fill_slots: bool) -> InsertResult:
     victim.parent = new_internal.node_id
     tree._split_scan.extend((victim.node_id, new_leaf.node_id))  # type: ignore[union-attr]
     tree._slot_sync(new_internal.node_id)
+    # a filling split means no slot was open, so the new node is the first
+    # open slot if it is one; a plain split may open one anywhere
+    tree._slot_scan = deque([new_internal.node_id]) if fill_slots else None
     return InsertResult(new_leaf.node_id, new_internal.node_id,
                         new_internal.node_id, victim.member)
 

@@ -6,8 +6,10 @@ from random import Random
 import pytest
 
 from gkms.baselines import LkhServer, OftServer, OkdServer
+from gkms.baselines import lkh as lkh_module
 from gkms.core import CostMeter, EventError, MembershipEvent, Notice
 from gkms.crypto import SymKey, blind, derive, mix, unwrap
+from tree_reference import assert_insert_matches_reference
 
 
 def members(n):
@@ -363,3 +365,54 @@ def test_okd_leave_draws_fresh_randoms():
     deliver(views, output)
     assert_agreement(server, views)
     assert departed.group_key != server.group_key
+
+
+# -- slot-filling placement under churn (lkh and okd) ----------------------------------
+
+
+def churn(server, rng, events, max_batch):
+    """Random join and leave batches of 1..max_batch through handle_event,
+    slightly more leaves than joins."""
+    last = server.member_count
+    for seq in range(1, events + 1):
+        live = server.member_ids
+        size = rng.randint(1, max_batch)
+        if len(live) > size and rng.random() < 0.55:
+            handle(server, rng, seq, "leave", rng.sample(live, size))
+        else:
+            handle(server, rng, seq, "join", [f"u{last + k}" for k in range(1, size + 1)])
+            last += size
+
+
+@pytest.mark.parametrize("server_class", [LkhServer, OkdServer])
+def test_joiners_land_where_a_fresh_scan_says_under_churn(server_class, monkeypatch):
+    # every joiner goes to the first open slot in breadth-first order, else
+    # splits the first leaf, however the leaves before it reshaped the tree
+    placed = []
+
+    def checked_insert(tree, member, fill_slots):
+        placed.append(member)
+        return assert_insert_matches_reference(tree, member, fill_slots)
+
+    monkeypatch.setattr(lkh_module, "insert_leaf", checked_insert)
+    for seed in range(40):
+        rng = Random(seed)
+        server = server_class(members(rng.randint(2, 60)), rng)
+        churn(server, rng, events=40, max_batch=20)
+    assert len(placed) > 5000
+
+
+def test_journal_holds_only_live_nodes_without_a_trace():
+    # nothing drains the journal here; deleted nodes must still leave it,
+    # so it stays bounded by the tree
+    rng = Random(5)
+    server = LkhServer(members(1024), rng)
+    tree = server.tree
+    last = 1024
+    for seq in range(1, 201):
+        if seq % 2:
+            handle(server, rng, seq, "join", [f"u{last + k}" for k in range(1, 17)])
+            last += 16
+        else:
+            handle(server, rng, seq, "leave", rng.sample(server.member_ids, 16))
+        assert tree.journal <= tree.nodes.keys(), seq

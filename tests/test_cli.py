@@ -344,6 +344,22 @@ def test_sweep_unwritable_destination_exits_5_without_traceback(tmp_path, capsys
     assert line.startswith("sweep failed: cannot write output: ")
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
+@pytest.mark.parametrize("earlier", [True, False])
+def test_failing_sweep_keeps_earlier_output(tmp_path, capsys, earlier):
+    # the m=2 cell runs, then best-half cannot take 200 of 256 members
+    earlier_files = {"sweep.csv": b"earlier rows\n", "sweep.notes.txt": b"earlier notes\n"}
+    if earlier:
+        for name, data in earlier_files.items():
+            (tmp_path / name).write_bytes(data)
+    grid = ["--protocols", "lkh", "--n", "256", "--m", "2,200", "--ops", "leave",
+            "--layout", "best-half", "--seed", "1"]
+    assert main(["--output-dir", str(tmp_path), "sweep", *grid]) == EXIT_SWEEP
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("sweep failed: best-half infeasible")
+    left = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert left == (earlier_files if earlier else {})
+
+
 @pytest.mark.parametrize(
     "grid",
     [

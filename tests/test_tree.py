@@ -7,11 +7,12 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkms import tree as kt
 from gkms.crypto import SymKey
+from tree_reference import assert_insert_matches_reference
 
 DIGIT = st.sampled_from(kt.DIGITS)
 CODES = st.text(alphabet=kt.DIGITS, min_size=1, max_size=12)
@@ -262,6 +263,65 @@ def test_insert_into_single_leaf_tree():
     assert result.split_member == "solo"
     assert tree.member_count == 2
     assert not tree.root.is_leaf
+
+
+def test_insert_after_detaches_fills_the_first_slot_in_scan_order():
+    # detaches shift sibling indexes under surviving nodes; placement must
+    # still follow the tree as it is now (u13 goes under node 11, not 16)
+    tree = kt.build_balanced(members(10), arity=2)
+    for member in ("u5", "u3", "u4"):
+        kt.detach_leaf(tree, member)
+    kt.insert_leaf(tree, "u11", fill_slots=True)
+    for member in ("u1", "u2", "u7", "u6", "u11", "u9"):
+        kt.detach_leaf(tree, member)
+    assert_insert_matches_reference(tree, "u12", fill_slots=True)
+    result = assert_insert_matches_reference(tree, "u13", fill_slots=True)
+    assert result.parent_id == 11
+
+
+PLACEMENT_STEPS = st.tuples(
+    st.sampled_from(["fill", "fill", "split", "detach", "detach", "remove", "attach"]),
+    st.integers(min_value=1, max_value=6),  # batch size
+    st.integers(min_value=0, max_value=2**32),  # picks the members that leave
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arity=st.sampled_from([2, 3]),
+    n=st.integers(min_value=1, max_value=40),
+    steps=st.lists(PLACEMENT_STEPS, max_size=30),
+)
+@example(  # the pinned case above, one detach per step
+    arity=2,
+    n=10,
+    steps=[("detach", 1, 4), ("detach", 1, 2), ("detach", 1, 2), ("fill", 1, 0)]
+    + [("detach", 1, i) for i in (0, 0, 1, 0, 3, 1)]
+    + [("fill", 2, 0)],
+)
+def test_every_insert_lands_where_a_fresh_scan_says(arity, n, steps):
+    # random batches of every tree mutation; each insert is checked against
+    # a fresh breadth-first scan of the tree it is made on.  A detach batch
+    # reads ``pick`` as a mixed-radix number: each detach takes the member
+    # at its next digit's index in registration order
+    tree = kt.build_balanced(members(n), arity)
+    last = n
+    for op, size, pick in steps:
+        if op == "attach":
+            incoming = [f"u{last + k}" for k in range(1, size + 1)]
+            last += size
+            kt.attach_subtree(tree, kt.build_balanced(incoming, arity), Random(pick))
+        elif op == "remove":
+            live = tree.members
+            kt.remove_leaves(tree, Random(pick).sample(live, min(size, len(live) - 1)))
+        for _ in range(size):
+            if op in ("fill", "split"):
+                last += 1
+                assert_insert_matches_reference(tree, f"u{last}", fill_slots=op == "fill")
+            elif op == "detach" and tree.member_count > 1:
+                live = tree.members
+                pick, index = divmod(pick, len(live))
+                kt.detach_leaf(tree, live[index])
 
 
 # -- detach (slot-keeping removal) ------------------------------------------------------

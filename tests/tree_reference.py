@@ -8,6 +8,10 @@ those replace: the recursive build over list slices, the per-child sibling
 scan for used digits, one ``random_key`` call per set-up key, and the OFT
 fold over a reversed ``walk()``.  Tests require every node, key, code and
 the generator's state to come out the same.
+
+``reference_placement`` is the direct form of ``insert_leaf``'s placement
+rule, a fresh breadth-first scan per insert, which the tree replaces with
+scans that resume between inserts.
 """
 
 from __future__ import annotations
@@ -90,6 +94,52 @@ def reference_assign_codes_below(tree, top_id, rng):
                     ]
                     child.code = kt.child_code(node.code, rng, used)
                 queue.append(child_id)
+
+
+def reference_placement(tree):
+    """(first open slot, first leaf) of a fresh breadth-first scan.
+
+    The open slot is the first internal node with fewer than ``arity``
+    children, or None; ``insert_leaf`` fills it when asked to fill slots and
+    otherwise splits the first leaf.
+    """
+    slot = leaf = None
+    queue = deque([tree.root_id])
+    while queue:
+        node = tree.nodes[queue.popleft()]
+        if node.is_leaf:
+            if leaf is None:
+                leaf = node.node_id
+        else:
+            if slot is None and len(node.children) < tree.arity:
+                slot = node.node_id
+            queue.extend(node.children)
+        if slot is not None and leaf is not None:
+            break
+    return slot, leaf
+
+
+def assert_insert_matches_reference(tree, member, fill_slots):
+    """``insert_leaf`` and check it picked the node ``reference_placement``
+    names: the open slot it fills, or the leaf whose position a new internal
+    node takes.  Returns the insert's result."""
+    slot, leaf = reference_placement(tree)
+    victim = tree.nodes[leaf]
+    victim_member, parent = victim.member, victim.parent
+    index = None if parent is None else tree.nodes[parent].children.index(leaf)
+    result = kt.insert_leaf(tree, member, fill_slots)
+    if fill_slots and slot is not None:
+        assert (result.parent_id, result.new_internal_id) == (slot, None), member
+        return result
+    assert result.split_member == victim_member, member
+    split = tree.nodes[result.new_internal_id]
+    assert split.children == [leaf, result.leaf_id], member
+    assert split.parent == parent, member
+    if parent is None:
+        assert tree.root_id == split.node_id, member
+    else:
+        assert tree.nodes[parent].children[index] == split.node_id, member
+    return result
 
 
 def reference_lkh_setup(member_ids, rng, arity=2):

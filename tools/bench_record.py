@@ -4,7 +4,8 @@ Runs ``python3 bench/run.py`` of each checkout over the given seeds for each
 workload named, then one traced run, and appends to ``BENCH_<workload>.json``
 at the root of this repository one point per checkout: the commit, the
 environment line, the median and quartiles of every end-to-end metric, and
-the traced per-layer self times and call counts.  With several
+the traced per-layer self times (in seconds and as shares of the traced
+round's wall time) and call counts.  With several
 ``--checkout`` directories every seed runs on each of them in turn, and the
 one that goes first rotates from seed to seed (A B, B A, ...), so that
 machine drift hits every checkout alike and the per-seed values pair up; the
@@ -95,6 +96,12 @@ def _point(checkout: Path, runs: list[tuple[int, dict, dict]], traced: tuple[int
         if name.rsplit(".", 1)[-1] not in PROTOCOLS
         and name.rsplit(".", 1)[-1] in ("self_s", "calls", "facts", "fails", "unwrap_hit_ratio")
     }
+    # raw seconds drift with the host between traced runs; a layer's share
+    # of its own traced round compares across checkouts
+    traced_wall = trace_result["metrics"]["trace.wall_s"]["value"]
+    shares = {
+        name: value / traced_wall for name, value in per_layer.items() if name.endswith(".self_s")
+    }
     return {
         "commit": _git(checkout, "rev-parse", "HEAD"),
         "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src", "bench")),
@@ -115,7 +122,8 @@ def _point(checkout: Path, runs: list[tuple[int, dict, dict]], traced: tuple[int
             }
             for name, values in samples.items()
         },
-        "per_layer": {"seed": trace_seed, **per_layer},
+        "per_layer": {"seed": trace_seed, "trace.wall_s": traced_wall, **per_layer},
+        "per_layer_share": shares,
     }
 
 
