@@ -344,6 +344,7 @@ def test_sweep_unwritable_destination_exits_5_without_traceback(tmp_path, capsys
     assert line.startswith("sweep failed: cannot write output: ")
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
+
 @pytest.mark.parametrize("earlier", [True, False])
 def test_failing_sweep_keeps_earlier_output(tmp_path, capsys, earlier):
     # the m=2 cell runs, then best-half cannot take 200 of 256 members
