@@ -60,7 +60,7 @@ class LkhServer(ServerProtocol):
         individual, old_members, inserted, split = self._place_joiner(member, rng, meter)
         chain = list(self.tree.ancestors(inserted.leaf_id))
         for node_id in chain:
-            self.tree.set_key(self.tree.node(node_id), random_key(rng, meter))
+            self.tree.node(node_id).key = random_key(rng, meter)
 
         # Chained unicast: each path key wrapped under the key one level below.
         payloads = []
@@ -103,7 +103,7 @@ class LkhServer(ServerProtocol):
         individual = random_key(rng, meter)
         old_members = tuple(self.tree.members)
         inserted = insert_leaf(self.tree, member, fill_slots=True)
-        self.tree.set_key(self.tree.node(inserted.leaf_id), individual)
+        self.tree.node(inserted.leaf_id).key = individual
         split = None
         if inserted.split_member is not None:
             split = {
@@ -125,7 +125,7 @@ class LkhServer(ServerProtocol):
 
         chain = list(detached.rekey_chain)
         for node_id in chain:
-            self.tree.set_key(self.tree.node(node_id), random_key(rng, meter))
+            self.tree.node(node_id).key = random_key(rng, meter)
 
         payloads, targets = self._wrap_under_children(chain, None, meter)
         message = RekeyMessage(

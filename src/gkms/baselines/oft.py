@@ -113,7 +113,7 @@ class OftServer(ServerProtocol):
             event_seq=seq,
         )
         output.send(message, meter)
-        self.tree.set_key(leaf, new_key)
+        leaf.key = new_key
 
     def _advert_multicast(
         self,
@@ -162,11 +162,11 @@ class OftServer(ServerProtocol):
         self._refresh_leaf(victim, rng, meter, output, seq, {"fold": False})
 
         leaf = self.tree.node(inserted.leaf_id)
-        self.tree.set_key(leaf, individual)
+        leaf.key = individual
 
         chain = [self.tree.node(i) for i in self.tree.ancestors(inserted.leaf_id)]
         for node in chain:
-            self.tree.set_key(node, self._folded(node))
+            node.key = self._folded(node)
             meter.count("keygen")
 
         joiner_side = self.tree.node(inserted.new_internal_id).children.index(inserted.leaf_id)
@@ -232,7 +232,7 @@ class OftServer(ServerProtocol):
 
         chain = [self.tree.node(i) for i in self.tree.ancestors(refresh_leaf.node_id)]
         for node in chain:
-            self.tree.set_key(node, self._folded(node))
+            node.key = self._folded(node)
             meter.count("keygen")
 
         changed = ([refresh_leaf] + chain)[:-1]

@@ -55,9 +55,9 @@ class OkdServer(LkhServer):
                 # brand-new internal node: nothing exists to step, so it gets
                 # fresh randomness; the displaced member receives it by
                 # unicast below, everyone else never needs it
-                self.tree.set_key(node, random_key(rng, meter))
+                node.key = random_key(rng, meter)
             else:
-                self.tree.set_key(node, derive(node.key))
+                node.key = derive(node.key)
                 meter.count("keygen")
 
         payloads = []

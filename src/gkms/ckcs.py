@@ -101,6 +101,9 @@ class CkcsServer(ServerProtocol):
         The cut codes with no shorter prefix among them block disjoint
         ranges, so the space is used up exactly when those ranges add up to
         all of it; then this raises CodeSpaceError.  It draws nothing.
+        Keeping every fresh lineage prefix-disjoint from every code ever used
+        makes full-code collisions impossible, so no two nodes can ever hold
+        equal code-derived keys by accident.
         """
         length = kt.ROOT_CODE_LEN
         blocked = {code[:length] for code in self._code_log}
@@ -111,17 +114,6 @@ class CkcsServer(ServerProtocol):
                 "prefix-disjoint from every code used so far"
             )
         return blocked
-
-    def _fresh_root_code(self, rng: Random, seq: int) -> str:
-        """A new root code lineage, prefix-disjoint from every code ever used.
-
-        Prefix-disjointness keeps full-code collisions impossible, so no two
-        nodes can ever hold equal code-derived keys by accident.  A logged
-        code blocks exactly the draws that start with its first
-        ``ROOT_CODE_LEN`` digits; when no draw is left this raises
-        CodeSpaceError before drawing.
-        """
-        return self._draw_root_code(rng, self._blocked_root_codes(seq))
 
     @staticmethod
     def _draw_root_code(rng: Random, blocked: set[str]) -> str:
@@ -153,17 +145,15 @@ class CkcsServer(ServerProtocol):
             node.key = individual[node.member]  # type: ignore[index]
 
         fresh_code: str | None = None
-        if blocked is not None:
-            fresh_code = self._draw_root_code(rng, blocked)
-        new_root_id, incoming_top_id = kt.attach_subtree(
-            self.tree, subtree, rng, fresh_root_code=fresh_code
-        )
+        if blocked is None:
+            new_root_code = kt.parent_code(old_root_code)  # type: ignore[arg-type]
+        else:
+            new_root_code = fresh_code = self._draw_root_code(rng, blocked)
+        new_root_id, incoming_top_id = kt.attach_subtree(self.tree, subtree, rng, new_root_code)
         kt.assign_codes_below(self.tree, incoming_top_id, rng)
         self._code_log.update(
             n.code for n in self.tree.walk(incoming_top_id) if n.code is not None
         )
-        new_root_code = self.tree.root.code
-        assert new_root_code is not None
         self._code_log.add(new_root_code)
 
         meter.count("keygen")  # one-way refresh of the group key

@@ -345,9 +345,10 @@ class TraceRecord:
     join_epoch: dict[str, int] = field(default_factory=dict)
     leave_epoch: dict[str, int] = field(default_factory=dict)
     digest: str = ""
-    # analysis-side records (never on the wire): which node each key value
-    # belonged to across epochs, the binary sibling structure over time, and
-    # the wrapping key of every emitted ciphertext
+    # analysis-side records (never on the wire), kept on tracked traces
+    # only: which node each key value belonged to across epochs, the binary
+    # sibling structure over time, and the wrapping key of every emitted
+    # ciphertext
     node_key_log: dict[bytes, set[int]] = field(default_factory=dict)
     sibling_pairs: set[tuple[int, int, int]] = field(default_factory=set)
     wrap_log: dict[bytes, bytes] = field(default_factory=dict)
@@ -368,7 +369,12 @@ class TraceRecord:
 
 
 def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
-    """Execute a scenario and return its full trace."""
+    """Execute a scenario and return its full trace.
+
+    With ``track_members`` false no member views are built, so the analyzer
+    has no adversary to seed from the trace; the analysis-side records
+    (``node_key_log``, ``sibling_pairs``, ``wrap_log``) then stay empty.
+    """
     rng = Random(scenario.seed)
     probe_rng = Random(f"{scenario.seed}/probe")
     initial = [f"u{i}" for i in range(1, scenario.n + 1)]
@@ -376,9 +382,9 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
     server = make_server(scenario.protocol, initial, rng, scenario.root_code)
     trace = TraceRecord(scenario=scenario, server=server)
     trace.group_key_history.append(server.group_key)
-    _log_tree(trace)
 
     if track_members:
+        _log_tree(trace)
         for boot in server.initial_bootstraps():
             trace.members[boot.member_id] = server.build_member(boot)
             trace.join_epoch[boot.member_id] = 0
@@ -398,10 +404,10 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
 
         meter = CostMeter()
         output = server.handle_event(event, rng, meter)
-        trace.wrap_log.update(meter.wrap_log)
         trace.group_key_history.append(server.group_key)
-        _log_tree(trace)
         if track_members:
+            trace.wrap_log.update(meter.wrap_log)
+            _log_tree(trace)
             _deliver(trace, event, output, meter)
             _run_probe(trace, probe_rng, event_seq=seq)
         record = EventRecord(
@@ -420,53 +426,31 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
 
 
 def _log_tree(trace: TraceRecord) -> None:
-    """Record the node keys and binary sibling triples that changed.
+    """Add every node key and binary sibling triple of the tree to the logs.
 
-    The first call, on an empty log, records every node.  Later calls read
-    the tree's change journal: every key write after set-up goes through
-    ``KeyTree.set_key``, and every new node or changed child list is
-    journalled by the tree operations, so a node outside the journal adds
-    nothing a full walk would not find already logged.  The walk keeps
-    ``KeyTree.walk`` preorder but descends only into the journalled nodes
-    and their ancestors, so new entries of ``node_key_log``, of its id sets
-    and of ``sibling_pairs`` go in in the order a full walk would add them,
-    at O(changed·depth) per event.  It drains the journal, so the tree must
-    be logged into one trace only.
+    One preorder walk (``KeyTree.walk`` order) of the whole tree, so new
+    entries of ``node_key_log``, of its id sets and of ``sibling_pairs`` go
+    in the order the walk meets them.  Entries already logged stay where
+    they are.
     """
     tree = trace.server.tree
     nodes = tree.nodes
     key_log = trace.node_key_log
     pairs = trace.sibling_pairs
-    if key_log:
-        changed = tree.journal
-        # the live journalled nodes and their ancestors: the only branches
-        # the walk enters (deleted nodes are gone from ``nodes``)
-        marked = set()
-        for node_id in changed:
-            if node_id in nodes:
-                while node_id is not None and node_id not in marked:
-                    marked.add(node_id)
-                    node_id = nodes[node_id].parent
-    else:
-        changed = marked = nodes.keys()  # first call: every node
     stack = [tree.root_id]
     while stack:
         node_id = stack.pop()
         node = nodes[node_id]
         children = node.children
-        if node_id in changed:
-            if node.key is not None:
-                ids = key_log.get(node.key.data)
-                if ids is None:
-                    key_log[node.key.data] = {node_id}
-                else:
-                    ids.add(node_id)
-            if len(children) == 2:
-                pairs.add((children[0], children[1], node_id))
-        for child in reversed(children):
-            if child in marked:
-                stack.append(child)
-    tree.journal.clear()
+        if node.key is not None:
+            ids = key_log.get(node.key.data)
+            if ids is None:
+                key_log[node.key.data] = {node_id}
+            else:
+                ids.add(node_id)
+        if len(children) == 2:
+            pairs.add((children[0], children[1], node_id))
+        stack.extend(reversed(children))
     key_log.setdefault(trace.server.group_key.data, set()).add(tree.root_id)
 
 

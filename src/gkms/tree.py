@@ -107,11 +107,7 @@ class KeyTree:
         self._open_slots: set[int] = set()
         self._slot_scan: deque[int] | None = None
         self._split_scan: deque[int] | None = None
-        # Change journal: ids of live nodes whose key or child list changed,
-        # or that were created, since the last harness._log_tree drained it.
-        # After set-up every key write goes through set_key; a deleted node
-        # leaves the journal, so it never outgrows the tree.
-        self.journal: set[int] = set()
+        self._last_split: int | None = None  # internal node the last split made
 
     # -- basic accessors ---------------------------------------------------
 
@@ -201,11 +197,6 @@ class KeyTree:
     def subtree_leaf_count(self, node_id: int) -> int:
         return sum(1 for n in self.walk(node_id) if n.is_leaf)
 
-    def set_key(self, node: Node, key: SymKey) -> None:
-        """Give ``node`` a new key and record it in the change journal."""
-        node.key = key
-        self.journal.add(node.node_id)
-
     # -- placement bookkeeping ----------------------------------------------
     # insert_leaf picks its target in breadth-first order: the first internal
     # node with a free child slot (when filling slots), otherwise the first
@@ -219,9 +210,7 @@ class KeyTree:
     # removal or attach, not once per join.
 
     def _slot_sync(self, node_id: int) -> None:
-        """Re-check one node's open-slot status after its children changed,
-        and record the change in the journal."""
-        self.journal.add(node_id)
+        """Re-check one node's open-slot status after its children changed."""
         children = self.nodes[node_id].children
         if children and len(children) < self.arity:
             self._open_slots.add(node_id)
@@ -230,12 +219,11 @@ class KeyTree:
 
     def _drop_node(self, node_id: int) -> None:
         """Delete a node: the one place a node leaves ``nodes``, the member
-        index, the open-slot set and the journal."""
+        index and the open-slot set."""
         node = self.nodes.pop(node_id)
         if node.member is not None:
             del self._member_leaf[node.member]
         self._open_slots.discard(node_id)
-        self.journal.discard(node_id)
 
     def _scan_dirty(self) -> None:
         """The tree changed other than by an insert: drop both scans."""
@@ -268,7 +256,10 @@ class KeyTree:
         the queue state a fresh scan of the new tree would have at that
         point (the new internal node occupies the consumed position).  A
         leaf that fills a slot may sit behind the scan, so insert_leaf drops
-        the queue after a fill, as _scan_dirty does after any other change.
+        the queue after a fill, as _scan_dirty does after any other change,
+        unless the fill went into the node the last split made: that node's
+        children are still the queue's tail, so the new leaf joins them
+        there.
         """
         if self._split_scan is None:
             self._split_scan = deque([self.root_id])
@@ -286,7 +277,6 @@ class KeyTree:
         node = Node(node_id=self._next_id, **kwargs)
         self._next_id += 1
         self.nodes[node.node_id] = node
-        self.journal.add(node.node_id)
         if node.member is not None:
             self._member_leaf[node.member] = node.node_id
         return node
@@ -421,20 +411,20 @@ def attach_subtree(
     current: KeyTree,
     incoming: KeyTree,
     rng: Random,
-    fresh_root_code: str | None = None,
+    root_code: str,
 ) -> tuple[int, int]:
-    """Mount ``incoming`` beside the current root under a fresh root.
+    """Mount ``incoming`` beside the current root under a new root coded
+    ``root_code``.
 
-    The new root's code is the current root's code shortened by one digit
-    (everyone below can compute it locally).  When no digit can be dropped —
-    the old root is a bare leaf, or its code is already a single digit — the
-    new root starts a fresh code lineage: ``fresh_root_code`` if given, else
-    a random ``ROOT_CODE_LEN``-digit draw.  The incoming subtree's top gets a
-    sibling child code of the new root.  Node keys and codes of both old
-    trees are untouched.  Returns (new root id, incoming top id).
+    The caller picks the code: ckcs passes the current root's code less a
+    digit, or a fresh lineage when no digit can be dropped.  The incoming
+    subtree's top gets a sibling child code of the new root.  Node keys and
+    codes of both old trees are untouched.  Returns (new root id, incoming
+    top id).
     """
     if current.arity != incoming.arity:
         raise TreeError("arity mismatch between trees")
+    root_code = _checked_code(root_code)
     old_root = current.root
     current._scan_dirty()
 
@@ -449,13 +439,7 @@ def attach_subtree(
         current._slot_sync(clone.node_id)
     incoming_top = current.nodes[id_map[incoming.root_id]]  # type: ignore[index]
 
-    new_root = current._new_node()
-    if old_root.code is not None and len(old_root.code) >= 2:
-        new_root.code = parent_code(old_root.code)
-    elif fresh_root_code is not None:
-        new_root.code = _checked_code(fresh_root_code)
-    else:
-        new_root.code = "".join(rng.choice(DIGITS) for _ in range(ROOT_CODE_LEN))
+    new_root = current._new_node(code=root_code)
     new_root.children = [old_root.node_id, incoming_top.node_id]
     old_root.parent = new_root.node_id
     incoming_top.parent = new_root.node_id
@@ -520,7 +504,6 @@ def remove_leaves(tree: KeyTree, member_ids: Sequence[str]) -> RemovalResult:
             else:
                 siblings = tree.nodes[parent_id].children
                 siblings[siblings.index(node_id)] = child.node_id
-                tree.journal.add(parent_id)
             tree._drop_node(node_id)
             removed.append(node_id)
             promotions.append((child.node_id, node_id))
@@ -581,7 +564,10 @@ def insert_leaf(tree: KeyTree, member: str, fill_slots: bool) -> InsertResult:
             leaf = tree._new_node(parent=slot.node_id, member=member)
             slot.children.append(leaf.node_id)
             tree._slot_sync(slot.node_id)
-            tree._split_scan = None  # the new leaf may sit behind the split scan
+            if tree._split_scan is not None and slot.node_id == tree._last_split:
+                tree._split_scan.append(leaf.node_id)
+            else:
+                tree._split_scan = None  # the new leaf may sit behind the split scan
             return InsertResult(leaf.node_id, slot.node_id, None, None)
 
     victim = tree._first_split_victim()
@@ -590,9 +576,9 @@ def insert_leaf(tree: KeyTree, member: str, fill_slots: bool) -> InsertResult:
     new_leaf = tree._new_node(parent=new_internal.node_id, member=member)
     new_internal.children = [victim.node_id, new_leaf.node_id]
     parent.children[parent.children.index(victim.node_id)] = new_internal.node_id
-    tree.journal.add(parent.node_id)
     victim.parent = new_internal.node_id
     tree._split_scan.extend((victim.node_id, new_leaf.node_id))  # type: ignore[union-attr]
+    tree._last_split = new_internal.node_id
     tree._slot_sync(new_internal.node_id)
     # a filling split means no slot was open, so the new node is the first
     # open slot if it is one; a plain split may open one anywhere

@@ -1,11 +1,12 @@
 """Plain reference version of the ckcs fresh root-code draw.
 
-``CkcsServer._fresh_root_code`` first decides exactly whether any
-``ROOT_CODE_LEN``-digit code is still free, then draws.  The function here
-is the direct rejection loop it replaces, with an attempt cap so that a
-used-up code space ends instead of spinning.  Tests require the server to
-draw the same code and leave its generator in the same state wherever this
-loop ends.
+``CkcsServer._blocked_root_codes`` first decides exactly whether any
+``ROOT_CODE_LEN``-digit code is still free, then ``_draw_root_code`` draws
+against the blocked prefixes.  The function here is the direct rejection
+loop over the whole code log that the pair replaces, with an attempt cap so
+that a used-up code space ends instead of spinning.  Tests require the
+server to draw the same code and leave its generator in the same state
+wherever this loop ends.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Plain reference versions of the harness's own per-event work.
 
 ``gkms.harness`` computes the worst-spread leaver layout with a frontier
-heap, logs only the tree's journalled branches after each event, and hashes
-the trace digest one event at a time with recipient ids joined, not
+heap, logs the tree with its own explicit-stack walk after each event, and
+hashes the trace digest one event at a time with recipient ids joined, not
 JSON-encoded.  The functions here are the direct forms those replace: the
-greedy that re-scores every leaf's whole path for each pick, a full walk
-over ``KeyTree.walk``, and one JSON blob of the whole trace.  Tests require
-the harness to give exactly their results, orders included.
+greedy that re-scores every leaf's whole path for each pick, a walk over
+``KeyTree.walk``, and one JSON blob of the whole trace.  Tests require the
+harness to give exactly their results, orders included.
 """
 
 from __future__ import annotations

@@ -401,18 +401,3 @@ def test_joiners_land_where_a_fresh_scan_says_under_churn(server_class, monkeypa
         churn(server, rng, events=40, max_batch=20)
     assert len(placed) > 5000
 
-
-def test_journal_holds_only_live_nodes_without_a_trace():
-    # nothing drains the journal here; deleted nodes must still leave it,
-    # so it stays bounded by the tree
-    rng = Random(5)
-    server = LkhServer(members(1024), rng)
-    tree = server.tree
-    last = 1024
-    for seq in range(1, 201):
-        if seq % 2:
-            handle(server, rng, seq, "join", [f"u{last + k}" for k in range(1, 17)])
-            last += 16
-        else:
-            handle(server, rng, seq, "leave", rng.sample(server.member_ids, 16))
-        assert tree.journal <= tree.nodes.keys(), seq

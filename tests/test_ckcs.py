@@ -222,10 +222,10 @@ def test_fresh_root_code_matches_the_reference_loop(used_digits, used_codes, see
     if expected is None:
         state = rng.getstate()
         with pytest.raises(kt.CodeSpaceError, match="event 7: no 8-digit root code is left"):
-            server._fresh_root_code(rng, 7)
+            server._draw_root_code(rng, server._blocked_root_codes(7))
         assert rng.getstate() == state  # decided before drawing
     else:
-        assert server._fresh_root_code(rng, 7) == expected
+        assert server._draw_root_code(rng, server._blocked_root_codes(7)) == expected
         assert rng.getstate() == expected_rng.getstate()
 
 
@@ -247,26 +247,10 @@ def test_fresh_root_code_space_is_used_up_exactly(last):
     server, _ = make(n=2)
     server._code_log = _all_but_eight_nines() | ({last} if last else set())
     if last is None:  # one code of 10**8 is still free
-        assert server._fresh_root_code(_AlwaysNine(), 3) == "99999999"
+        assert server._draw_root_code(_AlwaysNine(), server._blocked_root_codes(3)) == "99999999"
     else:  # the last code itself, or a longer code below it, blocks it
         with pytest.raises(kt.CodeSpaceError, match="event 3"):
-            server._fresh_root_code(_AlwaysNine(), 3)
-
-
-def test_long_join_run_draws_the_reference_codes(monkeypatch):
-    text = "init n=64 protocol=ckcs seed=1\n" + "join 1\n" * 79
-    expected = run(parse_scenario(text), track_members=False)
-
-    def reference_draw(self, rng, seq):
-        code = reference_fresh_root_code(self._code_log, rng, REFERENCE_ATTEMPTS)
-        assert code is not None
-        return code
-
-    monkeypatch.setattr(CkcsServer, "_fresh_root_code", reference_draw)
-    reference = run(parse_scenario(text), track_members=False)
-    assert reference.digest == expected.digest
-    assert reference.server.all_codes() == expected.server.all_codes()
-    assert sum("code_resets" in r.cost.extras for r in expected.events) == 9
+            server._blocked_root_codes(3)
 
 
 def test_long_join_run_draws_the_reference_codes_at_the_join(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkms import harness
+from gkms.analyzer import check_forward_secrecy
 from gkms.core import CSV_COLUMNS, CostMeter, EventError, MembershipEvent, Notice
 from gkms.crypto import SymKey
 from gkms.harness import (
@@ -417,34 +418,32 @@ def _churn_scenarios():
     return out
 
 
-def test_journalled_tree_log_matches_full_walk_after_every_event(monkeypatch):
-    # _log_tree walks only the branches the change journal names; after
-    # every event its logs must equal a full walk's, insertion orders included
-    fast_log_tree = harness._log_tree
-    reference = {}
-
-    def log_and_compare(trace):
-        fast_log_tree(trace)
-        reference_log_tree(trace.server, reference["log"], reference["pairs"])
-        assert list(trace.node_key_log) == list(reference["log"]), reference["event"]
-        assert [list(ids) for ids in trace.node_key_log.values()] == [
-            list(ids) for ids in reference["log"].values()
-        ], reference["event"]
-        assert list(trace.sibling_pairs) == list(reference["pairs"]), reference["event"]
-        assert not trace.server.tree.journal
-        reference["event"] += 1
-
-    monkeypatch.setattr(harness, "_log_tree", log_and_compare)
+def test_untracked_churn_digest_matches_reference():
+    # long untracked churn: recipient lists in the hundreds and the okd and
+    # ckcs join notices, hashed against the one-blob reference digest
     for scenario in _churn_scenarios():
-        reference.update(log={}, pairs=set(), event=0)
         trace = run(scenario, track_members=False)
-        assert reference["event"] == len(scenario.steps) + 1, scenario.protocol
-        # the same traces cover recipient lists in the hundreds and the
-        # okd and ckcs join notices
         assert trace.digest == reference_trace_digest(trace), scenario.protocol
         assert max(len(d.recipients) for d in trace.deliveries) >= 256
         if scenario.protocol in ("ckcs", "okd"):
             assert any(isinstance(d, Notice) for d in trace.deliveries)
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_untracked_run_keeps_no_analysis_records(protocol):
+    # no member views means no adversary to seed, so nothing reads them
+    text = f"init n=8 protocol={protocol} seed=5\nleave 2\njoin 3\nleave 1\n"
+    untracked = run(parse_scenario(text), track_members=False)
+    assert untracked.node_key_log == {}
+    assert untracked.sibling_pairs == set()
+    assert untracked.wrap_log == {}
+    leaver = untracked.events[0].member_ids[0]
+    with pytest.raises(ValueError, match="never leaves"):
+        check_forward_secrecy(untracked, leaver)
+    tracked = run(parse_scenario(text))
+    assert tracked.digest == untracked.digest
+    assert tracked.node_key_log and tracked.sibling_pairs and tracked.wrap_log
+    assert check_forward_secrecy(tracked, leaver).secure
 
 
 def test_probe_detects_membership_drift():

@@ -1,9 +1,7 @@
 """Key tree structure: code assignment, balanced builds, mutation operations,
 and the cover computation checked against an exhaustive oracle."""
 
-import ast
 from itertools import combinations
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -169,7 +167,9 @@ def test_attach_shortens_root_code_and_codes_the_incoming_top():
     old_root_id = current.root_id
     old_codes = {n.node_id: n.code for n in current.walk()}
     incoming = kt.build_balanced(["v1", "v2", "v3"], arity=2)
-    new_root_id, top_id = kt.attach_subtree(current, incoming, Random(2))
+    new_root_id, top_id = kt.attach_subtree(
+        current, incoming, Random(2), kt.parent_code(current.root.code)
+    )
     assert current.root_id == new_root_id
     assert current.root.code == "27"
     top = current.node(top_id)
@@ -185,22 +185,24 @@ def test_attach_shortens_root_code_and_codes_the_incoming_top():
 def test_attach_starts_fresh_lineage_when_code_exhausted():
     current = kt.build_balanced(members(2), arity=2, rng=Random(1), root_code="7", coded=True)
     incoming = kt.build_balanced(["v1"], arity=2)
-    kt.attach_subtree(current, incoming, Random(2), fresh_root_code="12345678")
+    kt.attach_subtree(current, incoming, Random(2), "12345678")
     assert current.root.code == "12345678"
 
 
 def test_attach_to_bare_leaf_draws_random_lineage():
+    # the lineage is drawn by the caller (CkcsServer._join); the incoming
+    # top still gets a child code of the new root
     current = kt.build_balanced(["solo"], arity=2)
     incoming = kt.build_balanced(["v1", "v2"], arity=2)
-    _, top_id = kt.attach_subtree(current, incoming, Random(4))
-    assert len(current.root.code) == kt.ROOT_CODE_LEN
+    _, top_id = kt.attach_subtree(current, incoming, Random(4), "90817263")
+    assert current.root.code == "90817263"
     assert current.node(top_id).code == current.root.code + current.node(top_id).code[-1]
 
 
 def test_attach_leaf_incoming_gets_no_code():
     current = kt.build_balanced(members(2), arity=2, rng=Random(1), root_code="34", coded=True)
     incoming = kt.build_balanced(["v1"], arity=2)
-    _, top_id = kt.attach_subtree(current, incoming, Random(2))
+    _, top_id = kt.attach_subtree(current, incoming, Random(2), kt.parent_code(current.root.code))
     assert current.node(top_id).is_leaf
     assert current.node(top_id).code is None
     assert current.root.code == "3"
@@ -212,6 +214,7 @@ def test_attach_rejects_arity_mismatch():
             kt.build_balanced(members(2), arity=2),
             kt.build_balanced(["v1", "v2"], arity=3),
             Random(0),
+            "1",
         )
 
 
@@ -220,7 +223,7 @@ def test_attach_preserves_node_keys():
     incoming = kt.build_balanced(["v1", "v2"], arity=2)
     marker = SymKey(bytes([9]) * 32)
     incoming.leaf_of("v2").key = marker
-    kt.attach_subtree(current, incoming, Random(2))
+    kt.attach_subtree(current, incoming, Random(2), "3")
     assert current.leaf_of("v2").key == marker
 
 
@@ -279,6 +282,19 @@ def test_insert_after_detaches_fills_the_first_slot_in_scan_order():
     assert result.parent_id == 11
 
 
+def test_a_fill_into_the_last_split_node_keeps_the_split_scan():
+    # arity 3 with no open slot: a split makes a two-child node, the next
+    # joiner fills it, and the split scan resumes instead of restarting
+    tree = kt.build_balanced(members(9), 3)
+    split = assert_insert_matches_reference(tree, "u10", fill_slots=True)
+    scan = tree._split_scan
+    fill = assert_insert_matches_reference(tree, "u11", fill_slots=True)
+    assert fill.parent_id == split.new_internal_id
+    assert tree._split_scan is scan and scan[-1] == fill.leaf_id
+    result = assert_insert_matches_reference(tree, "u12", fill_slots=True)
+    assert result.split_member == "u2" and tree._split_scan is scan
+
+
 PLACEMENT_STEPS = st.tuples(
     st.sampled_from(["fill", "fill", "split", "detach", "detach", "remove", "attach"]),
     st.integers(min_value=1, max_value=6),  # batch size
@@ -310,7 +326,7 @@ def test_every_insert_lands_where_a_fresh_scan_says(arity, n, steps):
         if op == "attach":
             incoming = [f"u{last + k}" for k in range(1, size + 1)]
             last += size
-            kt.attach_subtree(tree, kt.build_balanced(incoming, arity), Random(pick))
+            kt.attach_subtree(tree, kt.build_balanced(incoming, arity), Random(pick), "1")
         elif op == "remove":
             live = tree.members
             kt.remove_leaves(tree, Random(pick).sample(live, min(size, len(live) - 1)))
@@ -465,116 +481,3 @@ def test_cover_properties_random(n, rng):
         assert node_id not in seen
         seen.add(node_id)
         assert not (set(tree.ancestors(node_id)) & set(cover))
-
-
-# -- change journal ---------------------------------------------------------------
-
-# The only places that may assign ``.key`` directly.  harness._log_tree trusts
-# the tree's change journal, so every other key write must go through
-# KeyTree.set_key.  Set-up writes are allowed because the first _log_tree
-# call walks the whole tree; CKCS keys its incoming subtree, a separate
-# KeyTree, before attach_subtree copies it in through _new_node.
-KEY_WRITE_ALLOWLIST = {
-    ("tree.py", "KeyTree.set_key"),
-    ("ckcs.py", "CkcsServer.__init__"),
-    ("ckcs.py", "CkcsServer._join"),
-    ("baselines/lkh.py", "LkhServer.__init__"),
-    ("baselines/oft.py", "OftServer.__init__"),
-}
-
-
-def _key_writes(source: str) -> list[tuple[str, int]]:
-    """(enclosing def, line) of every store to, or delete of, an attribute
-    named ``key``, and of every ``setattr(..., "key", ...)``."""
-    found: list[tuple[str, int]] = []
-
-    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            writes = (
-                isinstance(child, ast.Attribute)
-                and child.attr == "key"
-                and isinstance(child.ctx, (ast.Store, ast.Del))
-            ) or (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Name)
-                and child.func.id == "setattr"
-                and len(child.args) > 1
-                and isinstance(child.args[1], ast.Constant)
-                and child.args[1].value == "key"
-            )
-            if writes:
-                found.append((".".join(scope), child.lineno))
-            visit(child, scope)
-
-    visit(ast.parse(source), ())
-    return found
-
-
-def test_key_writes_go_through_set_key():
-    src = Path(kt.__file__).resolve().parent
-    writers = set()
-    for path in sorted(src.rglob("*.py")):
-        rel = path.relative_to(src).as_posix()
-        for scope, line in _key_writes(path.read_text(encoding="utf-8")):
-            assert (rel, scope) in KEY_WRITE_ALLOWLIST, (
-                f"{rel}:{line} in {scope or 'module'} writes .key directly; "
-                "use KeyTree.set_key so the change journal sees it"
-            )
-            writers.add((rel, scope))
-    assert writers == KEY_WRITE_ALLOWLIST  # no stale allowlist entries
-
-
-def test_key_write_scan_sees_every_form():
-    source = (
-        "class A:\n"
-        "    def f(self, n, m):\n"
-        "        n.key = 1\n"
-        "        n.key += 1\n"
-        "        m.a.key: int = 2\n"
-        "        for n.key in (): pass\n"
-        "        del n.key\n"
-        "        setattr(n, 'key', 3)\n"
-        "        n.key.data = 4\n"
-        "        return n.key\n"
-    )
-    assert [line for _, line in _key_writes(source)] == [3, 4, 5, 6, 7, 8]
-    assert {scope for scope, _ in _key_writes(source)} == {"A.f"}
-
-
-def test_set_key_and_structure_changes_are_journalled():
-    tree = kt.build_balanced(members(4), 2)
-    assert tree.journal == set()  # a fresh build is set-up, not journalled
-    leaf = tree.leaf_of("u1")
-    key = SymKey(bytes(32))
-    tree.set_key(leaf, key)
-    assert leaf.key == key and tree.journal == {leaf.node_id}
-    tree.journal.clear()
-    inserted = kt.insert_leaf(tree, "u5", fill_slots=False)
-    # the split parent, the new internal node and the new leaf
-    assert tree.journal == {
-        tree.node(inserted.parent_id).parent,
-        inserted.new_internal_id,
-        inserted.leaf_id,
-    }
-    tree.journal.clear()
-    kt.remove_leaves(tree, ["u5"])
-    # the spliced node is gone; its parent's child list changed
-    assert {i for i in tree.journal if i in tree.nodes} == {tree.leaf_of("u1").parent}
-
-
-def test_child_list_changes_are_journalled():
-    tree = kt.build_balanced(members(6), 3)  # a root over three pairs
-    left = tree.leaf_of("u1").parent
-    kt.detach_leaf(tree, "u1")
-    assert tree.journal == {tree.leaf_of("u2").parent} == {left}
-    tree.journal.clear()
-    inserted = kt.insert_leaf(tree, "u7", fill_slots=True)
-    assert inserted.parent_id == left
-    assert tree.journal == {left, inserted.leaf_id}
-    tree.journal.clear()
-    incoming = kt.build_balanced(["u8", "u9"], 3)
-    new_root, top = kt.attach_subtree(tree, incoming, Random(1), fresh_root_code="5")
-    assert tree.journal == {new_root, top, *tree.node(top).children}
