@@ -315,6 +315,11 @@ PLACEMENT_STEPS = st.tuples(
     + [("detach", 1, i) for i in (0, 0, 1, 0, 3, 1)]
     + [("fill", 2, 0)],
 )
+@example(  # a fill into a node other than the last split's drops the split scan
+    arity=3,
+    n=9,
+    steps=[("detach", 1, 8), ("split", 1, 0), ("fill", 1, 0), ("split", 6, 0), ("split", 3, 0)],
+)
 def test_every_insert_lands_where_a_fresh_scan_says(arity, n, steps):
     # random batches of every tree mutation; each insert is checked against
     # a fresh breadth-first scan of the tree it is made on.  A detach batch
