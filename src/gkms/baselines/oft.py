@@ -167,7 +167,7 @@ class OftServer(ServerProtocol):
         chain = [self.tree.node(i) for i in self.tree.ancestors(inserted.leaf_id)]
         for node in chain:
             node.key = self._folded(node)
-            meter.count("keygen")
+            meter.keygen += 1
 
         joiner_side = self.tree.node(inserted.new_internal_id).children.index(inserted.leaf_id)
         split = {
@@ -233,7 +233,7 @@ class OftServer(ServerProtocol):
         chain = [self.tree.node(i) for i in self.tree.ancestors(refresh_leaf.node_id)]
         for node in chain:
             node.key = self._folded(node)
-            meter.count("keygen")
+            meter.keygen += 1
 
         changed = ([refresh_leaf] + chain)[:-1]
         self._advert_multicast(
@@ -335,7 +335,7 @@ class OftMember(MemberView):
                 level.folded = (inputs, key)
                 self.knowledge.learn_key(key)
             self.computed[parent_id] = key
-        meter.count_member_derivation(2 * len(self.computed))
+        meter.member_derivations += 2 * len(self.computed)
         self._learn_group_key(key)
 
     def _apply_structure(self, aux: dict) -> bool:

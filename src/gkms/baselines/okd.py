@@ -58,7 +58,7 @@ class OkdServer(LkhServer):
                 node.key = random_key(rng, meter)
             else:
                 node.key = derive(node.key)
-                meter.count("keygen")
+                meter.keygen += 1
 
         payloads = []
         for node_id in chain:
@@ -126,6 +126,6 @@ class OkdMember(LkhMember):
             if old is None:
                 continue
             self.keys[node_id] = derive(old)
-            meter.count_member_derivation()
+            meter.member_derivations += 1
             self.knowledge.learn_key(self.keys[node_id])
         self._refresh_group_key()

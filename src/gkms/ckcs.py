@@ -156,7 +156,7 @@ class CkcsServer(ServerProtocol):
         )
         self._code_log.add(new_root_code)
 
-        meter.count("keygen")  # one-way refresh of the group key
+        meter.keygen += 1  # one-way refresh of the group key
         new_group_key = derive(self._group_key)
         self._group_key = new_group_key
 
@@ -292,7 +292,7 @@ class CkcsMember(MemberView):
         for entry in self.path[:-1]:
             assert entry.code is not None
             key = derive_with_code(self.group_key, entry.code)
-            meter.count_member_derivation()
+            meter.member_derivations += 1
             self.middle_keys[entry.node_id] = key
             self.knowledge.learn_key(key)
 
@@ -312,7 +312,7 @@ class CkcsMember(MemberView):
         self.knowledge.learn_code(entry.code)  # type: ignore[arg-type]
 
         assert self.group_key is not None
-        meter.count_member_derivation()  # one-way group key refresh
+        meter.member_derivations += 1  # one-way group key refresh
         self._learn_group_key(derive(self.group_key))
         self._recompute_middle_keys(meter)
 

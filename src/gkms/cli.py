@@ -258,6 +258,19 @@ def _cmd_vectors(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()  # so a reader that left early shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout early (``gkms ... | head``): point stdout
+        # at nothing, so the flush at interpreter exit cannot fail again, and
+        # exit 1 as the uncaught error did
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command != "vectors" and not _check_vectors(None, quiet=True):

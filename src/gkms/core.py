@@ -21,8 +21,6 @@ from typing import Literal
 from gkms.crypto import SymKey, WrappedKey
 from gkms.tree import KeyTree
 
-COST_KINDS = ("keygen", "encrypt", "unicast", "multicast", "payload_key")
-
 CSV_COLUMNS = [
     "protocol",
     "n",
@@ -132,9 +130,13 @@ class EventOutput:
         """Emit one delivery and meter it: a message by channel and size, a
         notice outside the size model."""
         if isinstance(delivery, Notice):
-            meter.count_notice()
+            meter.notices += 1
         else:
-            meter.count_message(delivery)
+            if delivery.channel == "unicast":
+                meter.unicast += 1
+            else:
+                meter.multicast += 1
+            meter.payload_keys += delivery.size_in_keys
         self.deliveries.append(delivery)
 
     @property
@@ -146,87 +148,41 @@ class EventOutput:
         return [d for d in self.deliveries if isinstance(d, Notice)]
 
 
-@dataclass(frozen=True)
-class EventCost:
-    seq: int
-    op: Op
-    m: int
-    keygen: int
-    encrypt: int
-    unicast: int
-    multicast: int
-    payload_keys: int
-    member_derivations: int
-    notices: int
-    extras: dict
-
-
+@dataclass
 class CostMeter:
-    """Counts the metered operations of one event.
+    """The cost record of one event: what it counted, and nothing else.
 
-    Each event gets a fresh meter: the server meters its work on it, a
-    tracked run's members tally their derivations on it, and ``event_cost``
-    turns the totals into the event's ``EventCost``.  It also logs which key
-    wrapped each ciphertext.  The log is an analysis-side artifact (the wire
-    carries only ciphertexts); the secrecy analyzer uses it to index unwrap
-    attempts without changing their outcome, since exactly the wrapping key
-    can open a payload.  Work that is not charged to anyone (set-up, probes)
-    runs against a throwaway meter.
+    Each event gets a fresh meter.  The server adds its work to the five
+    server counters (``crypto`` counts keygen and encrypt, ``EventOutput.send``
+    the messages and their size), and a tracked run's members add their
+    derivations.  Work that is not charged to anyone (set-up, probes) runs
+    against a throwaway meter.
+
+    ``wrap_log``, when a dict, logs which key wrapped each ciphertext.  It is
+    an analysis-side record (the wire carries only ciphertexts): the secrecy
+    analyzer uses it to index unwrap attempts without changing their outcome,
+    since exactly the wrapping key can open a payload.  A tracked run hands
+    every event's meter the trace's own log; any other meter logs nothing.
     """
 
-    def __init__(self) -> None:
-        self._totals = dict.fromkeys(COST_KINDS, 0)
-        self.member_derivations = 0
-        self.notices = 0
-        self.wrap_log: dict[bytes, bytes] = {}
-
-    def count(self, kind: str, amount: int = 1) -> None:
-        if kind not in self._totals:
-            raise ValueError(f"unknown cost kind {kind!r}")
-        self._totals[kind] += amount
-
-    def record_wrap(self, kek: SymKey, wrapped: WrappedKey) -> None:
-        self.wrap_log[wrapped.ciphertext] = kek.data
-
-    def count_member_derivation(self, amount: int = 1) -> None:
-        self.member_derivations += amount
-
-    def count_notice(self) -> None:
-        self.notices += 1
-
-    def count_message(self, message: RekeyMessage) -> None:
-        self.count(message.channel)
-        self.count("payload_key", message.size_in_keys)
-
-    def total(self, kind: str) -> int:
-        return self._totals[kind]
-
-    def event_cost(self, event: MembershipEvent, **extras) -> EventCost:
-        """The cost of ``event``: everything this meter counted."""
-        totals = self._totals
-        return EventCost(
-            seq=event.seq,
-            op=event.op,
-            m=event.batch_size,
-            keygen=totals["keygen"],
-            encrypt=totals["encrypt"],
-            unicast=totals["unicast"],
-            multicast=totals["multicast"],
-            payload_keys=totals["payload_key"],
-            member_derivations=self.member_derivations,
-            notices=self.notices,
-            extras=extras,
-        )
+    keygen: int = 0
+    encrypt: int = 0
+    unicast: int = 0
+    multicast: int = 0
+    payload_keys: int = 0
+    member_derivations: int = 0
+    notices: int = 0
+    wrap_log: dict[bytes, bytes] | None = field(default=None, repr=False, compare=False)
 
 
-def csv_row(protocol: str, n: int, cost: EventCost) -> dict:
+def csv_row(protocol: str, n: int, m: int, op: str, cost: CostMeter) -> dict:
     """One schema row for one event; ``n`` is the group size when the event
     starts."""
     return {
         "protocol": protocol,
         "n": n,
-        "m": cost.m,
-        "op": cost.op,
+        "m": m,
+        "op": op,
         "keygen": cost.keygen,
         "encrypt": cost.encrypt,
         "unicast": cost.unicast,

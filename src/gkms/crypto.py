@@ -48,11 +48,11 @@ class UnwrapError(CryptoError):
 
 
 class MeterLike(Protocol):
-    """What the primitives meter through (implemented by core.CostMeter)."""
+    """What the primitives meter on (implemented by core.CostMeter)."""
 
-    def count(self, kind: str, amount: int = 1) -> None: ...
-
-    def record_wrap(self, kek: SymKey, wrapped: WrappedKey) -> None: ...
+    keygen: int
+    encrypt: int
+    wrap_log: dict[bytes, bytes] | None
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def decode_code(block: bytes) -> str:
 
 def random_key(rng: Random, meter: MeterLike) -> SymKey:
     """Fresh key from the seeded generator; metered as one key generation."""
-    meter.count("keygen")
+    meter.keygen += 1
     return SymKey(rng.randbytes(KEY_LEN))
 
 
@@ -156,7 +156,7 @@ def random_keys(rng: Random, meter: MeterLike, count: int) -> list[SymKey]:
     generator's 32-bit words in order, however many bytes one call asks for
     (tests/test_construction.py checks this).
     """
-    meter.count("keygen", count)
+    meter.keygen += count
     data = rng.randbytes(KEY_LEN * count)
     return [SymKey(data[i:i + KEY_LEN]) for i in range(0, len(data), KEY_LEN)]
 
@@ -169,13 +169,13 @@ def _cipher(key: bytes) -> AESSIV:
 
 
 def wrap(kek: SymKey, payload: SymKey, meter: MeterLike, kek_id: int | str) -> WrappedKey:
-    """Encrypt ``payload`` under ``kek``; metered as one encryption, and the
-    meter logs which key did the wrapping."""
-    meter.count("encrypt")
+    """Encrypt ``payload`` under ``kek``; metered as one encryption.  A meter
+    with a ``wrap_log`` also logs which key did the wrapping."""
+    meter.encrypt += 1
     ciphertext = _cipher(kek.data).encrypt(payload.data, None)
-    wrapped = WrappedKey(ciphertext=ciphertext, kek_id=kek_id)
-    meter.record_wrap(kek, wrapped)
-    return wrapped
+    if meter.wrap_log is not None:
+        meter.wrap_log[ciphertext] = kek.data
+    return WrappedKey(ciphertext=ciphertext, kek_id=kek_id)
 
 
 def unwrap(kek: SymKey, wrapped: WrappedKey) -> SymKey:

@@ -29,7 +29,6 @@ from gkms.baselines import LkhServer, OftServer, OkdServer
 from gkms.ckcs import CkcsServer
 from gkms.core import (
     CostMeter,
-    EventCost,
     EventOutput,
     MembershipEvent,
     MemberView,
@@ -38,7 +37,7 @@ from gkms.core import (
     ServerProtocol,
     csv_row,
 )
-from gkms.crypto import SymKey, UnwrapError, random_key, unwrap, wrap
+from gkms.crypto import KEY_LEN, SymKey, UnwrapError, random_key, unwrap, wrap
 from gkms.tree import KeyTree
 
 OPS = ("join", "leave")
@@ -97,6 +96,12 @@ class Scenario:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if self.n < 1:
             raise ScenarioError("initial group size must be at least 1")
+        if self.root_code is not None:
+            if self.protocol != "ckcs":
+                raise ScenarioError(f"protocol {self.protocol!r} does not use position codes")
+            code = self.root_code
+            if not (code.isascii() and code.isdigit() and len(code) <= KEY_LEN):
+                raise ScenarioError(f"root_code must be 1 to {KEY_LEN} ASCII digits, got {code!r}")
         reach = self.n + sum(step.count for step in self.steps if step.op == "join")
         if reach > MAX_GROUP_SIZE:
             raise ScenarioError(
@@ -329,7 +334,7 @@ class EventRecord:
     op: str
     member_ids: tuple[str, ...]
     n_at_event: int  # group size when the event started
-    cost: EventCost
+    cost: CostMeter
     output: EventOutput
     group_key: SymKey  # server group key after the event
 
@@ -348,7 +353,7 @@ class TraceRecord:
     # analysis-side records (never on the wire), kept on tracked traces
     # only: which node each key value belonged to across epochs, the binary
     # sibling structure over time, and the wrapping key of every emitted
-    # ciphertext
+    # ciphertext (each event's meter logs into it)
     node_key_log: dict[bytes, set[int]] = field(default_factory=dict)
     sibling_pairs: set[tuple[int, int, int]] = field(default_factory=set)
     wrap_log: dict[bytes, bytes] = field(default_factory=dict)
@@ -357,7 +362,10 @@ class TraceRecord:
     def rows(self) -> list[dict]:
         """One CSV schema row per event."""
         protocol = self.scenario.protocol
-        return [csv_row(protocol, record.n_at_event, record.cost) for record in self.events]
+        return [
+            csv_row(protocol, record.n_at_event, len(record.member_ids), record.op, record.cost)
+            for record in self.events
+        ]
 
     @property
     def deliveries(self) -> list[RekeyMessage | Notice]:
@@ -402,11 +410,10 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
             batch = tuple(leaver_layout(server.tree, step.count, layout, rng))
         event = MembershipEvent(seq, step.op, batch)
 
-        meter = CostMeter()
+        meter = CostMeter(wrap_log=trace.wrap_log if track_members else None)
         output = server.handle_event(event, rng, meter)
         trace.group_key_history.append(server.group_key)
         if track_members:
-            trace.wrap_log.update(meter.wrap_log)
             _log_tree(trace)
             _deliver(trace, event, output, meter)
             _run_probe(trace, probe_rng, event_seq=seq)
@@ -415,7 +422,7 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
             op=step.op,
             member_ids=batch,
             n_at_event=n_before,
-            cost=meter.event_cost(event, **output.stats),
+            cost=meter,
             output=output,
             group_key=server.group_key,
         )
@@ -678,10 +685,10 @@ def sweep(
     """One-event measurements per grid cell, members untracked.
 
     ``n`` is the group size when the event starts.  Leave cells with m >= n
-    are adjusted (m > n skipped, m == n trimmed to n-1) with a note, since a
-    group may not empty.  Wall time covers the server's event handling only.
-    A grid that ``check_sweep_grid`` rejects raises ScenarioError before any
-    cell runs.
+    are adjusted (m > n skipped, m == n trimmed to n-1, or skipped at n=1)
+    with a note, since a group may not empty.  Wall time covers the server's
+    event handling only.  A grid that ``check_sweep_grid`` rejects raises
+    ScenarioError before any cell runs.
     """
     check_sweep_grid(protocols, n_values, m_values, ops, layout)
     rows: list[dict] = []
@@ -696,9 +703,9 @@ def sweep(
                     batch = m
                     if op == "leave" and m == n:
                         batch = n - 1
+                        what = f"trimmed to m={batch}" if batch else "skipped"
                         notes.append(
-                            f"{protocol} leave n={n} m={m}: trimmed to m={batch}; "
-                            "the group may not empty"
+                            f"{protocol} leave n={n} m={m}: {what}; the group may not empty"
                         )
                         if batch == 0:
                             continue
@@ -730,15 +737,13 @@ def _sweep_cell(
     start = time.perf_counter()
     output = server.handle_event(event, rng, meter)
     elapsed = time.perf_counter() - start
-    cost = meter.event_cost(event, **output.stats)
-    row = csv_row(protocol, n, cost)
-    row["m"] = m  # the requested cell, even when the batch was trimmed
-    row["keygen_dedup"] = cost.extras.get("keygen_dedup", "")
+    row = csv_row(protocol, n, m, op, meter)  # the requested m, even when trimmed
+    row["keygen_dedup"] = output.stats.get("keygen_dedup", "")
     row["wall_ms"] = round(elapsed * 1000, 4)
     if protocol == "ckcs" and op == "leave":
         notes.append(
             f"ckcs leave n={n} m={m}: encryptions equal the measured cover size "
-            f"({cost.encrypt}), which depends on leaver placement"
+            f"({meter.encrypt}), which depends on leaver placement"
         )
     return row
 

@@ -81,7 +81,7 @@ def test_code_derivation_from_known_codes():
 
 
 def test_unwrap_from_transcript_and_code_learning():
-    meter = CostMeter()
+    meter = CostMeter(wrap_log={})
     code_block = SymKey(encode_code("2734"))
     ct_code = wrap(K, code_block, meter, kek_id=1)  # a confidential code delivery
     secret = derive_with_code(K2, "2734")

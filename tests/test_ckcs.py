@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ckcs_reference import reference_fresh_root_code
 from gkms import tree as kt
 from gkms.ckcs import CkcsMember, CkcsServer
-from gkms.core import COST_KINDS, CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
+from gkms.core import CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
 from gkms.crypto import SymKey, decode_code, derive, derive_with_code, unwrap
 from gkms.harness import parse_scenario, run
 
@@ -82,7 +82,7 @@ def test_join_batch_costs_and_structure():
     meter = CostMeter()
     event = MembershipEvent(1, "join", ("u5", "u6", "u7"))
     output = server.handle_event(event, rng, meter)
-    cost = meter.event_cost(event, **output.stats)
+    cost = meter
 
     assert cost.keygen == 4  # one per joiner + one group-key refresh
     assert cost.encrypt == 3
@@ -159,7 +159,7 @@ def test_repeated_joins_shorten_then_reset_the_root_code():
     meter = CostMeter()
     event = MembershipEvent(2, "join", ("u6",))
     output = server.handle_event(event, rng, meter)
-    cost = meter.event_cost(event, **output.stats)
+    cost = meter
     fresh = server.tree.root.code
     assert len(fresh) == kt.ROOT_CODE_LEN
     for old in codes_before_reset:
@@ -296,7 +296,7 @@ def test_leave_spread_uses_the_pre_removal_cover():
     meter = CostMeter()
     event = MembershipEvent(1, "leave", ("u1", "u4", "u8"))
     output = server.handle_event(event, rng, meter)
-    cost = meter.event_cost(event, **output.stats)
+    cost = meter
 
     assert cost.keygen == 1  # a single fresh group key
     assert cost.encrypt == 4 and cost.payload_keys == 4
@@ -329,7 +329,7 @@ def test_leave_of_a_whole_subtree_needs_one_encryption():
     meter = CostMeter()
     event = MembershipEvent(1, "leave", tuple(half))
     output = server.handle_event(event, rng, meter)
-    cost = meter.event_cost(event, **output.stats)
+    cost = meter
     assert cost.keygen == 1
     assert cost.encrypt == 1
     assert output.messages[0].aux["cover"] == [other]
@@ -394,11 +394,11 @@ def test_join_out_of_root_codes_changes_nothing():
     rng_state = rng.getstate()
     dump, group_key = server.dump(), server.group_key
     member_ids, codes = server.member_ids, server.all_codes()
-    meter = CostMeter()
+    meter = CostMeter(wrap_log={})
     with pytest.raises(kt.CodeSpaceError, match="event 80: no 8-digit root code is left"):
         server.handle_event(MembershipEvent(80, "join", ("j80",)), rng, meter)
     assert rng.getstate() == rng_state
-    assert [meter.total(kind) for kind in COST_KINDS] == [0] * len(COST_KINDS)
+    assert meter == CostMeter()
     assert meter.wrap_log == {}
     assert server.dump() == dump
     assert server.group_key == group_key

@@ -145,7 +145,23 @@ def test_run_non_ascii_root_code_exits_4(tmp_path, capsys):
     path.write_text("init n=8 protocol=ckcs seed=1 root_code=\u0661\u0662\u0663\u0664\nleave 2\n", encoding="utf-8")
     assert main(["run", str(path)]) == EXIT_RUN
     err = capsys.readouterr().err
-    assert "run failed: invalid node code" in err and "Traceback" not in err
+    assert "bad scenario: root_code must be 1 to 32 ASCII digits" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("init n=1 protocol=ckcs seed=1 root_code=abc", "root_code must be 1 to 32 ASCII digits"),
+        ("init n=4 protocol=ckcs seed=1 root_code=", "root_code must be 1 to 32 ASCII digits"),
+        ("init n=4 protocol=lkh seed=1 root_code=27", "protocol 'lkh' does not use position codes"),
+    ],
+)
+def test_run_bad_root_code_is_a_bad_scenario(tmp_path, capsys, header, message):
+    path = tmp_path / "code.txt"
+    path.write_text(header + "\n")
+    assert main(["run", str(path)]) == EXIT_RUN
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"bad scenario: {message}")
 
 
 def test_run_missing_scenario(tmp_path, capsys):
@@ -203,7 +219,9 @@ def test_run_overlong_root_code_exits_4(tmp_path, capsys, header):
     path = tmp_path / "long.txt"
     path.write_text(header + "\njoin 1\n")
     assert main(["run", str(path)]) == EXIT_RUN
-    assert "run failed" in capsys.readouterr().err
+    # 32 digits parse but leave no room for a child's digit; 33 do not parse
+    expected = "run failed" if header.endswith("=" + "1" * 32) else "bad scenario"
+    assert expected in capsys.readouterr().err
 
 
 def test_run_failing_event(tmp_path, capsys):
@@ -449,6 +467,29 @@ def test_audit_output_is_identical_across_hash_seeds():
         outputs.append(re.sub(r", [0-9.]+s$", ", <elapsed>", proc.stdout, flags=re.M))
     assert "BREACH" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", str(Path(__file__).resolve().parent.parent / "scenarios" / "mixed_churn.txt")],
+        ["audit", "--codes-public", "--trials", "3", "--seed", "7", "--max-n", "32"],
+    ],
+)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the reader is gone before the first write, as under ``| head`` once it
+    # has its lines
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gkms.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
 
 
 def test_module_entry_point_subprocess():

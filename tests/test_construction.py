@@ -119,7 +119,7 @@ def test_one_randbytes_call_equals_per_key_draws(count):
     keys = random_keys(one, meter, count)
     assert keys == [random_key(many, per_key_meter) for _ in range(count)], why
     assert one.getstate() == many.getstate(), why
-    assert meter.total("keygen") == per_key_meter.total("keygen") == count
+    assert meter.keygen == per_key_meter.keygen == count
 
 
 @pytest.mark.parametrize("n,arity", [(1, 2), (2, 3), (5, 2), (7, 3), (300, 2), (1000, 3), (4097, 2)])

@@ -4,7 +4,6 @@ CSV schema, and the base member/server interfaces."""
 import pytest
 
 from gkms.core import (
-    COST_KINDS,
     CSV_COLUMNS,
     Bootstrap,
     CostMeter,
@@ -78,51 +77,35 @@ def test_event_output_partitions_deliveries():
 
 
 def test_meter_counts_and_event_deltas():
+    # the meter is the event's cost record: callers add to its counters
     meter = CostMeter()
-    meter.count("keygen", 3)
-    meter.count("encrypt")
-    meter.count_message(msg(n_payloads=4))
-    meter.count_member_derivation(2)
-    meter.count_notice()
-    first = meter.event_cost(MembershipEvent(1, "join", ("a", "b")), cover_size=7)
-    assert (first.keygen, first.encrypt, first.multicast, first.unicast) == (3, 1, 1, 0)
-    assert first.payload_keys == 4
-    assert first.member_derivations == 2
-    assert first.notices == 1
-    assert first.extras == {"cover_size": 7}
-    assert (first.seq, first.op, first.m) == (1, "join", 2)
-    assert meter.total("keygen") == 3
+    meter.keygen += 3
+    meter.encrypt += 1
+    meter.member_derivations += 2
+    assert meter == CostMeter(keygen=3, encrypt=1, member_derivations=2)
+    assert (meter.unicast, meter.multicast, meter.payload_keys, meter.notices) == (0, 0, 0, 0)
+    assert meter.wrap_log is None
 
-    # each event gets a fresh meter, so its cost is its own work only
-    meter = CostMeter()
-    meter.count("keygen")
-    second = meter.event_cost(MembershipEvent(2, "leave", ("a",)))
-    assert second.keygen == 1
-    assert (second.member_derivations, second.notices) == (0, 0)
-    assert second.extras == {}
+    # the wrap log is an analysis-side record, not a cost
+    assert CostMeter() == CostMeter(wrap_log={b"ct": b"kek"})
 
 
-def test_meter_guards():
-    meter = CostMeter()
-    with pytest.raises(ValueError):
-        meter.count("decrypt")
-
-
-def test_cost_kinds_cover_csv_columns():
-    for kind in ("keygen", "encrypt", "unicast", "multicast"):
-        assert kind in COST_KINDS
-        assert kind in CSV_COLUMNS
+def test_send_meters_messages_by_channel_and_size():
+    meter, output = CostMeter(), EventOutput()
+    notice = Notice(kind="join", recipients=("a",), aux={}, event_seq=1)
+    deliveries = [msg(n_payloads=4), notice, msg(channel="unicast", recipients=("a",), n_payloads=1)]
+    for delivery in deliveries:
+        output.send(delivery, meter)
+    assert output.deliveries == deliveries
+    assert meter == CostMeter(unicast=1, multicast=1, payload_keys=5, notices=1)
 
 
 # -- csv -------------------------------------------------------------------------
 
 
 def test_csv_row_and_serialisation():
-    meter = CostMeter()
-    meter.count("keygen")
-    meter.count_message(msg(n_payloads=5))
-    cost = meter.event_cost(MembershipEvent(3, "leave", ("a", "b")))
-    row = csv_row("ckcs", 16, cost)
+    cost = CostMeter(keygen=1, multicast=1, payload_keys=5)
+    row = csv_row("ckcs", 16, 2, "leave", cost)
     assert row == {
         "protocol": "ckcs",
         "n": 16,

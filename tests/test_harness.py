@@ -112,6 +112,12 @@ def test_format_parse_round_trip():
         (f"init n={MAX_GROUP_SIZE - 4} protocol=lkh seed=1\njoin 4\nleave 9\njoin 1\n", "group size cap"),
         ("init n=" + "9" * 5000 + " protocol=lkh seed=1\n", "line 1: number of 5000 digits"),
         ("init n=4 protocol=lkh seed=1\njoin " + "9" * 5000 + "\n", "line 2: number of 5000 digits"),
+        ("init n=1 protocol=ckcs seed=1 root_code=abc\n", "root_code must be 1 to 32 ASCII digits"),
+        ("init n=4 protocol=ckcs seed=1 root_code=\n", "root_code must be 1 to 32 ASCII digits"),
+        ("init n=4 protocol=ckcs seed=1 root_code=" + "1" * 33 + "\n", "1 to 32 ASCII digits"),
+        ("init n=4 protocol=ckcs seed=1 root_code=\u0661\u0662\n", "1 to 32 ASCII digits"),
+        ("init n=4 protocol=lkh seed=1 root_code=12\n", "'lkh' does not use position codes"),
+        ("init n=1 protocol=okd seed=1 root_code=\n", "'okd' does not use position codes"),
     ],
 )
 def test_parse_scenario_rejects(text, fragment):
@@ -164,6 +170,8 @@ STEPS = st.one_of(
     st.one_of(st.none(), st.text(alphabet="0123456789", min_size=1, max_size=8)),
 )
 def test_format_scenario_round_trips(protocol, n, seed, steps, root_code):
+    if protocol != "ckcs":
+        root_code = None  # only ckcs takes a root code
     scenario = Scenario(protocol=protocol, n=n, seed=seed, steps=tuple(steps), root_code=root_code)
     assert parse_scenario(format_scenario(scenario)) == scenario
 
@@ -589,12 +597,54 @@ def test_membership_rules_reject_through_handle_event_and_change_nothing(protoco
     ]
     for op, ids, message in bad:
         before = _server_state(server, rng)
-        meter = CostMeter()
+        meter = CostMeter(wrap_log={})
         with pytest.raises(EventError, match=message):
             server.handle_event(MembershipEvent(3, op, ids), rng, meter)
         assert _server_state(server, rng) == before, (op, ids)
-        assert [meter.total(kind) for kind in ("keygen", "encrypt", "unicast", "multicast")] == [0] * 4
+        assert meter == CostMeter()
         assert meter.wrap_log == {}
+
+
+# Frozen before the trace's wrap log was written by each event's meter
+# directly: the analyzer's fact order rests on the log's insertion order.
+FROZEN_WRAP_LOGS = {
+    "ckcs": "99ec80d73bf8ee549e48925c612fb473880f98b314c1c2f7aa44fe0d808937ef",
+    "lkh": "f458879c8ddb1cf7aeee6531bcadc2ae2e42842da65306e03d95a482a6d6b235",
+    "oft": "8f03516eb976c874dc71297032511bb33b4411962d32115a2f8c0d180131c6f5",
+    "okd": "64f28affba074687cf03fd470fb377b5084f95e46b9fa4a9c9bd3c911abc6f11",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_wrap_log_order_matches_frozen_hash(protocol):
+    scenarios = [_churn_scenario(protocol)]
+    scenarios += [generate_random_scenario(7_000 + i, protocol=protocol) for i in range(12)]
+    digest = hashlib.sha256()
+    for scenario in scenarios:
+        digest.update(repr(list(run(scenario).wrap_log.items())).encode())
+    assert digest.hexdigest() == FROZEN_WRAP_LOGS[protocol]
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_untracked_meters_log_no_wraps(protocol, monkeypatch):
+    rng = Random(3)
+    server = make_server(protocol, [f"u{i}" for i in range(1, 9)], rng)
+    meter = CostMeter()
+    server.handle_event(MembershipEvent(1, "leave", ("u1", "u6")), rng, meter)
+    assert meter.encrypt > 0 and meter.wrap_log is None
+    untracked = run(_churn_scenario(protocol), track_members=False)
+    assert all(record.cost.wrap_log is None for record in untracked.events)
+    metered = []
+    real_csv_row = harness.csv_row
+
+    def spy(*args):
+        metered.append(args[-1])
+        return real_csv_row(*args)
+
+    monkeypatch.setattr(harness, "csv_row", spy)
+    rows, _ = sweep([protocol], [8], [2], ["join", "leave"], seed=1)
+    assert len(metered) == len(rows) == 2
+    assert all(m.encrypt > 0 and m.wrap_log is None for m in metered)
 
 
 @pytest.mark.parametrize(
@@ -642,6 +692,13 @@ def test_sweep_grid_schema_and_notes():
     assert any("skipped, m > n" in note for note in notes)
     assert any("trimmed to m=3" in note for note in notes)
     assert any(note.startswith("ckcs leave n=8 m=2:") for note in notes)
+    # a trim to m=0 leaves no batch: the cell is skipped, and the note says so
+    rows, notes = sweep(["lkh"], [1, 2], [1, 2], ["leave"], seed=0)
+    assert [(r["n"], r["m"]) for r in rows] == [(2, 1), (2, 2)]
+    assert notes[:2] == [
+        "lkh leave n=1 m=1: skipped; the group may not empty",
+        "lkh leave n=1 m=2: skipped, m > n",
+    ]
 
 
 @pytest.mark.parametrize(
