@@ -37,7 +37,7 @@ class LkhServer(ServerProtocol):
     def __init__(self, member_ids: list[str], rng: random.Random) -> None:
         if not member_ids:
             raise EventError("initial group must not be empty")
-        self.tree: KeyTree = build_balanced(member_ids, arity=self.arity, rng=rng, coded=False)
+        self.tree: KeyTree = build_balanced(member_ids, self.arity)
         setup = CostMeter()  # initial group setup is out of band, unmetered
         nodes = self.tree.nodes.values()  # id order, which is preorder
         for node, key in zip(nodes, random_keys(rng, setup, len(nodes))):
@@ -46,8 +46,7 @@ class LkhServer(ServerProtocol):
     # -- event handling ---------------------------------------------------
 
     def handle_event(self, event: MembershipEvent, rng: random.Random, meter: CostMeter) -> EventOutput:
-        # each join draws the joiner's individual key besides its chain
-        return self._sequential_batch(event, rng, meter, 1, 0)
+        return self._sequential_batch(event, rng, meter)
 
     def _join_one(
         self,
@@ -102,13 +101,13 @@ class LkhServer(ServerProtocol):
         (None when the joiner filled an open slot)."""
         individual = random_key(rng, meter)
         old_members = tuple(self.tree.members)
-        inserted = insert_leaf(self.tree, member, fill_slots=True)
+        inserted = insert_leaf(self.tree, member)
         self.tree.node(inserted.leaf_id).key = individual
         split = None
         if inserted.split_member is not None:
             split = {
                 "member": inserted.split_member,
-                "new_node": inserted.new_internal_id,
+                "new_node": inserted.parent_id,
                 "joiner_leaf": inserted.leaf_id,
             }
         return individual, old_members, inserted, split

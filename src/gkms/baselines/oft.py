@@ -59,7 +59,7 @@ class OftServer(ServerProtocol):
     def __init__(self, member_ids: list[str], rng: random.Random) -> None:
         if not member_ids:
             raise EventError("initial group must not be empty")
-        self.tree: KeyTree = build_balanced(member_ids, arity=self.arity, rng=rng, coded=False)
+        self.tree: KeyTree = build_balanced(member_ids, self.arity)
         setup = CostMeter()  # initial group setup is out of band, unmetered
         nodes = self.tree.nodes.values()  # id order, which is preorder
         leaves = [node for node in nodes if not node.children]
@@ -90,9 +90,7 @@ class OftServer(ServerProtocol):
     # -- event handling ---------------------------------------------------
 
     def handle_event(self, event: MembershipEvent, rng: random.Random, meter: CostMeter) -> EventOutput:
-        # a join draws the joiner's key and refreshes the split victim's; a
-        # leave refreshes one leaf of the promoted subtree
-        return self._sequential_batch(event, rng, meter, 2, 1)
+        return self._sequential_batch(event, rng, meter)
 
     def _refresh_leaf(
         self,
@@ -152,8 +150,8 @@ class OftServer(ServerProtocol):
     ) -> list[int]:
         individual = random_key(rng, meter)
         old_members = tuple(self.tree.members)
-        inserted = insert_leaf(self.tree, member, fill_slots=False)
-        if inserted.split_member is None or inserted.new_internal_id is None:
+        inserted = insert_leaf(self.tree, member)
+        if inserted.split_member is None:
             raise EventError("binary folding tree requires a split at every join")
 
         victim = self.tree.leaf_of(inserted.split_member)
@@ -169,10 +167,10 @@ class OftServer(ServerProtocol):
             node.key = self._folded(node)
             meter.keygen += 1
 
-        joiner_side = self.tree.node(inserted.new_internal_id).children.index(inserted.leaf_id)
+        joiner_side = self.tree.node(inserted.parent_id).children.index(inserted.leaf_id)
         split = {
             "member": inserted.split_member,
-            "new_node": inserted.new_internal_id,
+            "new_node": inserted.parent_id,
             "joiner_leaf": inserted.leaf_id,
             "joiner_side": joiner_side,
         }

@@ -52,7 +52,8 @@ class CkcsServer(ServerProtocol):
 
     def __init__(self, member_ids: list[str], rng: Random, root_code: str | None = None) -> None:
         setup = CostMeter()  # initial group setup is out of band, unmetered
-        self.tree = kt.build_balanced(member_ids, self.arity, rng, root_code=root_code, coded=True)
+        self.tree = kt.build_balanced(member_ids, self.arity)
+        kt.assign_codes(self.tree, rng, root_code)
         nodes = self.tree.nodes.values()
         leaves = [node for node in nodes if not node.children]
         # leaf keys in preorder, then the group key
@@ -149,8 +150,8 @@ class CkcsServer(ServerProtocol):
             new_root_code = kt.parent_code(old_root_code)  # type: ignore[arg-type]
         else:
             new_root_code = fresh_code = self._draw_root_code(rng, blocked)
-        new_root_id, incoming_top_id = kt.attach_subtree(self.tree, subtree, rng, new_root_code)
-        kt.assign_codes_below(self.tree, incoming_top_id, rng)
+        new_root_id, incoming_top_id = kt.attach_subtree(self.tree, subtree, new_root_code)
+        kt.assign_codes_below(self.tree, new_root_id, rng)
         self._code_log.update(
             n.code for n in self.tree.walk(incoming_top_id) if n.code is not None
         )

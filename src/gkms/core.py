@@ -303,32 +303,23 @@ class ServerProtocol(ABC):
             if len(event.member_ids) >= self.tree.member_count:
                 raise EventError("cannot remove every member; the group may not empty")
 
-    def _sequential_batch(
-        self,
-        event: MembershipEvent,
-        rng: Random,
-        meter: CostMeter,
-        join_individual_keys: int,
-        leave_individual_keys: int,
-    ) -> EventOutput:
+    def _sequential_batch(self, event: MembershipEvent, rng: Random, meter: CostMeter) -> EventOutput:
         """Run a batch as a sequence of single joins or leaves, in event order.
 
         For the sequential baselines, which define ``_join_one`` and
-        ``_leave_one``; each returns the ancestor chain it rekeyed.  The
-        ``*_individual_keys`` counts are the leaf keys one join or leave draws
-        besides that chain; with the chains' union they make the
-        ``keygen_dedup`` stat.
+        ``_leave_one``; each returns the ancestor chain whose keys it drew.
+        The ``keygen_dedup`` stat is the batch's keygen less the chain keys
+        drawn again for a node an earlier single event already rekeyed.
         """
         self._validate(event)
+        step = self._join_one if event.op == "join" else self._leave_one
         output = EventOutput()
+        keygen_before = meter.keygen
+        chain_keys = 0
         touched: set[int] = set()
-        if event.op == "join":
-            for member in event.member_ids:
-                touched.update(self._join_one(member, rng, meter, output, event.seq))
-            individual_keys = join_individual_keys * event.batch_size
-        else:
-            for member in event.member_ids:
-                touched.update(self._leave_one(member, rng, meter, output, event.seq))
-            individual_keys = leave_individual_keys * event.batch_size
-        output.stats["keygen_dedup"] = len(touched) + individual_keys
+        for member in event.member_ids:
+            chain = step(member, rng, meter, output, event.seq)
+            chain_keys += len(chain)
+            touched.update(chain)
+        output.stats["keygen_dedup"] = meter.keygen - keygen_before - chain_keys + len(touched)
         return output

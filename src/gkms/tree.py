@@ -85,8 +85,7 @@ class DetachResult:
 @dataclass(frozen=True)
 class InsertResult:
     leaf_id: int
-    parent_id: int
-    new_internal_id: int | None
+    parent_id: int  # after a split, the new internal node
     split_member: str | None
 
 
@@ -107,7 +106,6 @@ class KeyTree:
         self._open_slots: set[int] = set()
         self._slot_scan: deque[int] | None = None
         self._split_scan: deque[int] | None = None
-        self._last_split: int | None = None  # internal node the last split made
 
     # -- basic accessors ---------------------------------------------------
 
@@ -199,12 +197,12 @@ class KeyTree:
 
     # -- placement bookkeeping ----------------------------------------------
     # insert_leaf picks its target in breadth-first order: the first internal
-    # node with a free child slot (when filling slots), otherwise the first
-    # leaf.  Rescanning the whole tree per insert would make a batch of m
-    # joins cost O(n*m), so each target has a breadth-first scan whose queue
-    # survives between inserts.  An insert changes the tree only where the
+    # node with a free child slot, otherwise the first leaf.  Rescanning the
+    # whole tree per insert would make a batch of m joins cost O(n*m), so
+    # each target has a breadth-first scan whose queue survives between
+    # inserts.  An insert changes the tree only where the
     # scan that found its target stands, so that scan resumes in the state
-    # a fresh scan would reach; insert_leaf drops or restarts the other.
+    # a fresh scan would reach, and insert_leaf keeps the other in step.
     # Every other change drops both queues (_scan_dirty), and the next
     # insert scans afresh from the root: up to O(n) node visits once per
     # removal or attach, not once per join.
@@ -255,11 +253,10 @@ class KeyTree:
         leaf and pushes the replacement pair at the tail, which is exactly
         the queue state a fresh scan of the new tree would have at that
         point (the new internal node occupies the consumed position).  A
-        leaf that fills a slot may sit behind the scan, so insert_leaf drops
-        the queue after a fill, as _scan_dirty does after any other change,
-        unless the fill went into the node the last split made: that node's
-        children are still the queue's tail, so the new leaf joins them
-        there.
+        split happens only when no slot is open and opens at most the node it
+        makes, so while this queue lives every fill goes into the node the
+        last split made, whose children are still the queue's tail:
+        insert_leaf appends the new leaf there.
         """
         if self._split_scan is None:
             self._split_scan = deque([self.root_id])
@@ -305,23 +302,14 @@ class KeyTree:
         return "\n".join(lines)
 
 
-def build_balanced(
-    member_ids: Sequence[str],
-    arity: int,
-    rng: Random | None = None,
-    root_code: str | None = None,
-    coded: bool = False,
-) -> KeyTree:
+def build_balanced(member_ids: Sequence[str], arity: int) -> KeyTree:
     """Balanced tree over the members, height ceil(log_arity n).
 
     A node over k members has min(arity, k) children, over consecutive runs
     of the members whose sizes differ by at most one (longer runs first).
     Ids are handed out in preorder, so ``tree.nodes`` iterates in the order
-    of ``walk()``; the servers' set-up relies on that.
-
-    With ``coded=True`` internal nodes receive position codes: the root gets
-    ``root_code`` (or a fresh ``ROOT_CODE_LEN``-digit draw) and every other
-    internal node a child code of its parent.
+    of ``walk()``; the servers' set-up relies on that.  Nodes carry no codes;
+    :func:`assign_codes` adds them.
     """
     if not member_ids:
         raise TreeError("cannot build a tree with no members")
@@ -359,32 +347,36 @@ def build_balanced(
             end = start
     tree._next_id = next_id
     tree.root_id = 0
-    if coded:
-        if rng is None and root_code is None:
-            raise TreeError("coded build needs an rng or an explicit root code")
-        assign_codes(tree, rng, root_code=root_code)
     return tree
 
 
-def assign_codes(tree: KeyTree, rng: Random | None, root_code: str | None = None) -> None:
-    """Give every internal node a code; the root draws or uses ``root_code``."""
+def assign_codes(tree: KeyTree, rng: Random, root_code: str | None = None) -> None:
+    """Code every internal node of an uncoded tree: the root takes
+    ``root_code`` or a fresh ``ROOT_CODE_LEN``-digit draw, every other
+    internal node a child code of its parent.
+
+    A one-member tree is a bare leaf, which carries no code, so it takes no
+    ``root_code``.
+    """
     root = tree.root
     if root.is_leaf:
-        return  # single-member tree: the leaf carries no code
-    if root.code is None:
         if root_code is not None:
-            root.code = _checked_code(root_code)
-        else:
-            assert rng is not None
-            root.code = "".join(rng.choice(DIGITS) for _ in range(ROOT_CODE_LEN))
+            raise TreeError(f"a one-member tree has no node to take root code {root_code!r}")
+        return
+    if root_code is not None:
+        root.code = _checked_code(root_code)
+    else:
+        root.code = "".join(rng.choice(DIGITS) for _ in range(ROOT_CODE_LEN))
     assign_codes_below(tree, root.node_id, rng)
 
 
-def assign_codes_below(tree: KeyTree, top_id: int, rng: Random | None) -> None:
-    """Assign child codes to uncoded internal descendants of ``top_id``.
+def assign_codes_below(tree: KeyTree, top_id: int, rng: Random) -> None:
+    """Code the uncoded internal children of the coded node ``top_id``,
+    and every internal node below the ones it codes.
 
     Breadth-first, children in stored order: one ``rng.choice`` per code
-    drawn, avoiding the digits of siblings coded so far.
+    drawn, avoiding the digits of siblings coded so far.  A child that
+    already has a code keeps it, and its subtree is not visited.
     """
     nodes = tree.nodes
     queue = deque([top_id])
@@ -393,11 +385,9 @@ def assign_codes_below(tree: KeyTree, top_id: int, rng: Random | None) -> None:
         kids = [nodes[c] for c in node.children]
         used = [kid.code for kid in kids if kid.code is not None]
         for kid in kids:
-            if kid.children:
-                if kid.code is None:
-                    assert rng is not None and node.code is not None
-                    kid.code = child_code(node.code, rng, used)
-                    used.append(kid.code)
+            if kid.children and kid.code is None:
+                kid.code = child_code(node.code, rng, used)  # type: ignore[arg-type]
+                used.append(kid.code)
                 queue.append(kid.node_id)
 
 
@@ -407,20 +397,15 @@ def _checked_code(code: str) -> str:
     return code
 
 
-def attach_subtree(
-    current: KeyTree,
-    incoming: KeyTree,
-    rng: Random,
-    root_code: str,
-) -> tuple[int, int]:
+def attach_subtree(current: KeyTree, incoming: KeyTree, root_code: str) -> tuple[int, int]:
     """Mount ``incoming`` beside the current root under a new root coded
     ``root_code``.
 
     The caller picks the code: ckcs passes the current root's code less a
-    digit, or a fresh lineage when no digit can be dropped.  The incoming
-    subtree's top gets a sibling child code of the new root.  Node keys and
-    codes of both old trees are untouched.  Returns (new root id, incoming
-    top id).
+    digit, or a fresh lineage when no digit can be dropped, and then codes
+    the incoming side with :func:`assign_codes_below`.  Node keys and codes
+    of both old trees are untouched.  Returns (new root id, incoming top
+    id).
     """
     if current.arity != incoming.arity:
         raise TreeError("arity mismatch between trees")
@@ -445,10 +430,6 @@ def attach_subtree(
     incoming_top.parent = new_root.node_id
     current.root_id = new_root.node_id
     current._slot_sync(new_root.node_id)
-
-    if not incoming_top.is_leaf:
-        used = [old_root.code] if old_root.code is not None else []
-        incoming_top.code = child_code(new_root.code, rng, used)
     return new_root.node_id, incoming_top.node_id
 
 
@@ -538,13 +519,13 @@ def detach_leaf(tree: KeyTree, member: str) -> DetachResult:
     return DetachResult(tuple(removed), tuple(chain))
 
 
-def insert_leaf(tree: KeyTree, member: str, fill_slots: bool) -> InsertResult:
+def insert_leaf(tree: KeyTree, member: str) -> InsertResult:
     """Add a member at the first spot in breadth-first order.
 
-    With ``fill_slots`` the first internal node with a free child slot
-    takes the new leaf directly.  Otherwise (or when no slot is open) the
-    first leaf is split: a new internal node takes its position and holds
-    the old leaf and the new one.  ``member`` must be new to the tree.
+    The first internal node with a free child slot takes the new leaf
+    directly.  When no slot is open, the first leaf is split: a new internal
+    node takes its position and holds the old leaf and the new one.
+    ``member`` must be new to the tree.
     """
     root = tree.root
     if root.is_leaf:
@@ -555,20 +536,16 @@ def insert_leaf(tree: KeyTree, member: str, fill_slots: bool) -> InsertResult:
         tree.root_id = new_internal.node_id
         tree._scan_dirty()
         tree._slot_sync(new_internal.node_id)
-        return InsertResult(new_leaf.node_id, new_internal.node_id,
-                            new_internal.node_id, root.member)
+        return InsertResult(new_leaf.node_id, new_internal.node_id, root.member)
 
-    if fill_slots:
-        slot = tree._first_open_slot()
-        if slot is not None:
-            leaf = tree._new_node(parent=slot.node_id, member=member)
-            slot.children.append(leaf.node_id)
-            tree._slot_sync(slot.node_id)
-            if tree._split_scan is not None and slot.node_id == tree._last_split:
-                tree._split_scan.append(leaf.node_id)
-            else:
-                tree._split_scan = None  # the new leaf may sit behind the split scan
-            return InsertResult(leaf.node_id, slot.node_id, None, None)
+    slot = tree._first_open_slot()
+    if slot is not None:
+        leaf = tree._new_node(parent=slot.node_id, member=member)
+        slot.children.append(leaf.node_id)
+        tree._slot_sync(slot.node_id)
+        if tree._split_scan is not None:  # the slot is the last split's node
+            tree._split_scan.append(leaf.node_id)
+        return InsertResult(leaf.node_id, slot.node_id, None)
 
     victim = tree._first_split_victim()
     parent = tree.nodes[victim.parent]  # type: ignore[index]
@@ -578,13 +555,10 @@ def insert_leaf(tree: KeyTree, member: str, fill_slots: bool) -> InsertResult:
     parent.children[parent.children.index(victim.node_id)] = new_internal.node_id
     victim.parent = new_internal.node_id
     tree._split_scan.extend((victim.node_id, new_leaf.node_id))  # type: ignore[union-attr]
-    tree._last_split = new_internal.node_id
     tree._slot_sync(new_internal.node_id)
-    # a filling split means no slot was open, so the new node is the first
-    # open slot if it is one; a plain split may open one anywhere
-    tree._slot_scan = deque([new_internal.node_id]) if fill_slots else None
-    return InsertResult(new_leaf.node_id, new_internal.node_id,
-                        new_internal.node_id, victim.member)
+    # no slot was open, so the new node is the first open slot if it is one
+    tree._slot_scan = deque([new_internal.node_id])
+    return InsertResult(new_leaf.node_id, new_internal.node_id, victim.member)
 
 
 def compute_cover(tree: KeyTree, leaver_ids: Sequence[str]) -> list[int]:

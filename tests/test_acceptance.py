@@ -324,14 +324,14 @@ def test_c7_secrecy_audit_and_breach_witness():
 
 
 def _churn_tree(seed: int) -> kt.KeyTree:
-    """An irregular tree: balanced start, then random splits/fills/detaches."""
+    """An irregular tree: balanced start, then random inserts and detaches."""
     rng = Random(f"c8-tree/{seed}")
     n = rng.randint(4, 7)
-    tree = kt.build_balanced([f"u{i}" for i in range(1, n + 1)], arity=2, rng=rng)
+    tree = kt.build_balanced([f"u{i}" for i in range(1, n + 1)], arity=2)
     next_id = n + 1
     for _ in range(rng.randint(2, 5)):
         if rng.random() < 0.6 or tree.member_count < 3:
-            kt.insert_leaf(tree, f"u{next_id}", fill_slots=rng.random() < 0.5)
+            kt.insert_leaf(tree, f"u{next_id}")
             next_id += 1
         else:
             kt.detach_leaf(tree, rng.choice(tree.members))
@@ -355,7 +355,7 @@ def test_c8_oracle_equivalences():
     # (a) cover computation vs the direct-definition oracle, exhaustively
     cover_checks = 0
     for n in range(2, 17):
-        tree = kt.build_balanced([f"u{i}" for i in range(1, n + 1)], arity=2, rng=Random(n))
+        tree = kt.build_balanced([f"u{i}" for i in range(1, n + 1)], arity=2)
         cover_checks += _all_subsets_match(tree)
     for seed in range(8):
         cover_checks += _all_subsets_match(_churn_tree(seed))

@@ -7,6 +7,7 @@ import pytest
 
 from gkms.baselines import LkhServer, OftServer, OkdServer
 from gkms.baselines import lkh as lkh_module
+from gkms.baselines import oft as oft_module
 from gkms.core import CostMeter, EventError, MembershipEvent, Notice
 from gkms.crypto import SymKey, blind, derive, mix, unwrap
 from tree_reference import assert_insert_matches_reference
@@ -367,7 +368,7 @@ def test_okd_leave_draws_fresh_randoms():
     assert departed.group_key != server.group_key
 
 
-# -- slot-filling placement under churn (lkh and okd) ----------------------------------
+# -- join placement under churn --------------------------------------------------------
 
 
 def churn(server, rng, events, max_batch):
@@ -384,17 +385,19 @@ def churn(server, rng, events, max_batch):
             last += size
 
 
-@pytest.mark.parametrize("server_class", [LkhServer, OkdServer])
+@pytest.mark.parametrize("server_class", [LkhServer, OkdServer, OftServer])
 def test_joiners_land_where_a_fresh_scan_says_under_churn(server_class, monkeypatch):
     # every joiner goes to the first open slot in breadth-first order, else
-    # splits the first leaf, however the leaves before it reshaped the tree
+    # splits the first leaf, however the leaves before it reshaped the tree;
+    # an oft tree never holds an open slot, so its joiners always split
     placed = []
 
-    def checked_insert(tree, member, fill_slots):
+    def checked_insert(tree, member):
         placed.append(member)
-        return assert_insert_matches_reference(tree, member, fill_slots)
+        return assert_insert_matches_reference(tree, member)
 
     monkeypatch.setattr(lkh_module, "insert_leaf", checked_insert)
+    monkeypatch.setattr(oft_module, "insert_leaf", checked_insert)
     for seed in range(40):
         rng = Random(seed)
         server = server_class(members(rng.randint(2, 60)), rng)

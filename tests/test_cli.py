@@ -164,6 +164,18 @@ def test_run_bad_root_code_is_a_bad_scenario(tmp_path, capsys, header, message):
     assert line.startswith(f"bad scenario: {message}")
 
 
+def test_run_root_code_on_a_one_member_ckcs_group_fails(tmp_path, capsys):
+    # the lone member's leaf is the root and carries no code, so the given
+    # code would be silently dropped
+    path = tmp_path / "solo.txt"
+    path.write_text("init n=1 protocol=ckcs seed=1 root_code=12\njoin 2\n")
+    assert main(["run", str(path)]) == EXIT_RUN
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("run failed: a one-member tree has no node to take root code '12'")
+    assert "trace digest" not in captured.out
+
+
 def test_run_missing_scenario(tmp_path, capsys):
     assert main(["run", str(tmp_path / "ghost.txt")]) == EXIT_RUN
     assert "cannot read scenario" in capsys.readouterr().err

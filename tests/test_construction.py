@@ -10,14 +10,14 @@ trace digest and audit verdict that follows is unchanged.
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkms import tree as kt
 from gkms.core import CostMeter
 from gkms.crypto import KEY_LEN, random_key, random_keys
 from gkms.harness import make_server
-from tree_reference import REFERENCE_SETUPS, reference_build_balanced
+from tree_reference import REFERENCE_SETUPS, reference_assign_codes, reference_build_balanced
 
 
 def members(n: int) -> list[str]:
@@ -37,11 +37,11 @@ def snapshot(tree: kt.KeyTree):
     )
 
 
-def assert_same_inserts(tree, reference, fill_slots, count=5):
+def assert_same_inserts(tree, reference, count=5):
     """The first inserts after a fresh build land where the reference's do."""
     for k in range(count):
-        got = kt.insert_leaf(tree, f"j{k}", fill_slots)
-        want = kt.insert_leaf(reference, f"j{k}", fill_slots)
+        got = kt.insert_leaf(tree, f"j{k}")
+        want = kt.insert_leaf(reference, f"j{k}")
         assert got == want
     assert snapshot(tree) == snapshot(reference)
 
@@ -53,16 +53,19 @@ def assert_same_inserts(tree, reference, fill_slots, count=5):
     codes=st.sampled_from(["none", "drawn", "given"]),
     root_code=st.text(alphabet=kt.DIGITS, min_size=1, max_size=8),
     seed=st.integers(min_value=0, max_value=2**32),
-    fill_slots=st.booleans(),
 )
-def test_build_matches_reference(n, arity, codes, root_code, seed, fill_slots):
-    kwargs = {"coded": codes != "none", "root_code": root_code if codes == "given" else None}
+def test_build_matches_reference(n, arity, codes, root_code, seed):
+    assume(not (n == 1 and codes == "given"))  # a bare leaf takes no code
     rng, reference_rng = Random(seed), Random(seed)
-    tree = kt.build_balanced(members(n), arity, rng, **kwargs)
-    reference = reference_build_balanced(members(n), arity, reference_rng, **kwargs)
+    tree = kt.build_balanced(members(n), arity)
+    reference = reference_build_balanced(members(n), arity)
+    if codes != "none":
+        given_code = root_code if codes == "given" else None
+        kt.assign_codes(tree, rng, given_code)
+        reference_assign_codes(reference, reference_rng, given_code)
     assert snapshot(tree) == snapshot(reference)
     assert rng.getstate() == reference_rng.getstate()
-    assert_same_inserts(tree, reference, fill_slots)
+    assert_same_inserts(tree, reference)
 
 
 def assert_same_setup(protocol, n, seed, root_code=None):
@@ -86,6 +89,9 @@ def assert_same_setup(protocol, n, seed, root_code=None):
     root_code=st.none() | st.text(alphabet=kt.DIGITS, min_size=1, max_size=8),
 )
 def test_server_setup_matches_reference(protocol, n, seed, root_code):
+    # a one-member ckcs group has no node to take a root code: the server
+    # raises TreeError (tests/test_tree.py), the reference ignores the code
+    assume(not (protocol == "ckcs" and n == 1 and root_code is not None))
     assert_same_setup(protocol, n, seed, root_code if protocol == "ckcs" else None)
 
 
@@ -96,8 +102,7 @@ def test_server_setup_matches_reference(protocol, n, seed, root_code):
 )
 def test_server_setup_matches_reference_at_scale(protocol, root_code, n):
     server, reference = assert_same_setup(protocol, n, seed=n + 5, root_code=root_code)
-    # lkh/okd fill open slots on join; ckcs and oft trees only ever split
-    assert_same_inserts(server.tree, reference.tree, fill_slots=protocol in ("lkh", "okd"))
+    assert_same_inserts(server.tree, reference.tree)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 7, 64, 1025])

@@ -201,7 +201,7 @@ def test_make_server_guards():
 
 def balanced_tree(n):
     members = [f"u{i}" for i in range(1, n + 1)]
-    return build_balanced(members, arity=2, rng=Random(1))
+    return build_balanced(members, arity=2)
 
 
 def test_layout_guards():

@@ -83,9 +83,14 @@ def test_build_rejects_bad_input():
         kt.KeyTree(arity=1)
 
 
+def coded_tree(n: int, seed: int, root_code: str | None = None) -> kt.KeyTree:
+    tree = kt.build_balanced(members(n), arity=2)
+    kt.assign_codes(tree, Random(seed), root_code)
+    return tree
+
+
 def test_coded_build_assigns_extension_codes():
-    tree = kt.build_balanced(members(8), arity=2, rng=Random(3), root_code="278", coded=True)
-    kt.assign_codes(tree, Random(3), root_code="278")
+    tree = coded_tree(8, 3, "278")
     assert tree.root.code == "278"
     for node in tree.walk():
         if node.is_leaf:
@@ -102,14 +107,20 @@ def test_coded_build_assigns_extension_codes():
 
 
 def test_coded_build_via_flag_draws_root_code():
-    tree = kt.build_balanced(members(4), arity=2, rng=Random(9), coded=True)
+    tree = coded_tree(4, 9)
     assert tree.root.code is not None
     assert len(tree.root.code) == kt.ROOT_CODE_LEN
 
 
-def test_coded_build_needs_rng_or_root_code():
-    with pytest.raises(kt.TreeError):
-        kt.build_balanced(members(4), arity=2, coded=True)
+def test_one_member_tree_takes_no_root_code():
+    # the bare leaf carries no code, so a given root code would be dropped
+    tree = kt.build_balanced(["solo"], arity=2)
+    with pytest.raises(kt.TreeError, match="one-member tree"):
+        kt.assign_codes(tree, Random(0), root_code="12")
+    assert tree.root.code is None
+    rng = Random(0)
+    kt.assign_codes(tree, rng)  # without one, nothing is coded or drawn
+    assert tree.root.code is None and rng.getstate() == Random(0).getstate()
 
 
 def test_assign_codes_rejects_malformed_root_code():
@@ -122,17 +133,17 @@ def test_root_code_must_be_ascii_digits():
     arabic_indic = "\u0661\u0662\u0663\u0664"  # str.isdigit accepts these
     assert arabic_indic.isdigit()
     with pytest.raises(kt.TreeError, match="invalid node code"):
-        kt.build_balanced(members(4), arity=2, rng=Random(0), root_code=arabic_indic, coded=True)
+        coded_tree(4, 0, arabic_indic)
     current = kt.build_balanced(["solo"], arity=2)
     with pytest.raises(kt.TreeError, match="invalid node code"):
-        kt.attach_subtree(current, kt.build_balanced(["v1"], arity=2), Random(0), arabic_indic)
+        kt.attach_subtree(current, kt.build_balanced(["v1"], arity=2), arabic_indic)
 
 
 # -- accessors -----------------------------------------------------------------------
 
 
 def test_paths_and_relations():
-    tree = kt.build_balanced(members(8), arity=2, rng=Random(1), root_code="278", coded=True)
+    tree = coded_tree(8, 1, "278")
     leaf = tree.leaf_of("u3")
     chain = tree.ancestors(leaf.node_id)
     assert chain[-1] == tree.root_id
@@ -153,7 +164,7 @@ def test_paths_and_relations():
 
 
 def test_dump_renders_every_node():
-    tree = kt.build_balanced(members(4), arity=2, rng=Random(1), root_code="5", coded=True)
+    tree = coded_tree(4, 1, "5")
     text = tree.dump()
     assert len(text.splitlines()) == len(tree.nodes)
     assert "member=u1" in text and "code=5" in text
@@ -163,15 +174,15 @@ def test_dump_renders_every_node():
 
 
 def test_attach_shortens_root_code_and_codes_the_incoming_top():
-    current = kt.build_balanced(members(4), arity=2, rng=Random(1), root_code="278", coded=True)
+    current = coded_tree(4, 1, "278")
     old_root_id = current.root_id
     old_codes = {n.node_id: n.code for n in current.walk()}
     incoming = kt.build_balanced(["v1", "v2", "v3"], arity=2)
-    new_root_id, top_id = kt.attach_subtree(
-        current, incoming, Random(2), kt.parent_code(current.root.code)
-    )
+    new_root_id, top_id = kt.attach_subtree(current, incoming, kt.parent_code(current.root.code))
     assert current.root_id == new_root_id
     assert current.root.code == "27"
+    assert current.node(top_id).code is None  # the caller codes the incoming side
+    kt.assign_codes_below(current, new_root_id, Random(2))
     top = current.node(top_id)
     assert top.code is not None and len(top.code) == 3
     assert top.code.startswith("27") and top.code != "278"
@@ -183,9 +194,9 @@ def test_attach_shortens_root_code_and_codes_the_incoming_top():
 
 
 def test_attach_starts_fresh_lineage_when_code_exhausted():
-    current = kt.build_balanced(members(2), arity=2, rng=Random(1), root_code="7", coded=True)
+    current = coded_tree(2, 1, "7")
     incoming = kt.build_balanced(["v1"], arity=2)
-    kt.attach_subtree(current, incoming, Random(2), "12345678")
+    kt.attach_subtree(current, incoming, "12345678")
     assert current.root.code == "12345678"
 
 
@@ -194,15 +205,19 @@ def test_attach_to_bare_leaf_draws_random_lineage():
     # top still gets a child code of the new root
     current = kt.build_balanced(["solo"], arity=2)
     incoming = kt.build_balanced(["v1", "v2"], arity=2)
-    _, top_id = kt.attach_subtree(current, incoming, Random(4), "90817263")
+    new_root_id, top_id = kt.attach_subtree(current, incoming, "90817263")
+    kt.assign_codes_below(current, new_root_id, Random(4))
     assert current.root.code == "90817263"
     assert current.node(top_id).code == current.root.code + current.node(top_id).code[-1]
 
 
 def test_attach_leaf_incoming_gets_no_code():
-    current = kt.build_balanced(members(2), arity=2, rng=Random(1), root_code="34", coded=True)
+    current = coded_tree(2, 1, "34")
     incoming = kt.build_balanced(["v1"], arity=2)
-    _, top_id = kt.attach_subtree(current, incoming, Random(2), kt.parent_code(current.root.code))
+    new_root_id, top_id = kt.attach_subtree(current, incoming, kt.parent_code(current.root.code))
+    rng = Random(2)
+    kt.assign_codes_below(current, new_root_id, rng)
+    assert rng.getstate() == Random(2).getstate()  # nothing left to code
     assert current.node(top_id).is_leaf
     assert current.node(top_id).code is None
     assert current.root.code == "3"
@@ -213,17 +228,16 @@ def test_attach_rejects_arity_mismatch():
         kt.attach_subtree(
             kt.build_balanced(members(2), arity=2),
             kt.build_balanced(["v1", "v2"], arity=3),
-            Random(0),
             "1",
         )
 
 
 def test_attach_preserves_node_keys():
-    current = kt.build_balanced(members(2), arity=2, rng=Random(1), root_code="34", coded=True)
+    current = coded_tree(2, 1, "34")
     incoming = kt.build_balanced(["v1", "v2"], arity=2)
     marker = SymKey(bytes([9]) * 32)
     incoming.leaf_of("v2").key = marker
-    kt.attach_subtree(current, incoming, Random(2), "3")
+    kt.attach_subtree(current, incoming, "3")
     assert current.leaf_of("v2").key == marker
 
 
@@ -234,35 +248,27 @@ def test_insert_fills_open_slot_first():
     tree = kt.build_balanced(members(4), arity=2)
     kt.detach_leaf(tree, "u2")  # leaves a one-child stub
     stub_id = tree.leaf_of("u1").parent
-    result = kt.insert_leaf(tree, "u9", fill_slots=True)
+    result = kt.insert_leaf(tree, "u9")
     assert result.parent_id == stub_id
-    assert result.new_internal_id is None and result.split_member is None
+    assert result.split_member is None
     assert tree.leaf_of("u9").parent == stub_id
 
 
 def test_insert_splits_shallowest_leaf_when_full():
     tree = kt.build_balanced(members(4), arity=2)
     depths_before = {m: tree.depth(tree.leaf_of(m).node_id) for m in members(4)}
-    result = kt.insert_leaf(tree, "u9", fill_slots=True)
+    result = kt.insert_leaf(tree, "u9")
     assert result.split_member == "u1"  # first leaf in scan order
-    assert result.new_internal_id is not None
     assert tree.depth(tree.leaf_of("u9").node_id) == depths_before["u1"] + 1
     assert tree.depth(tree.leaf_of("u1").node_id) == depths_before["u1"] + 1
-    assert sorted(tree.node(result.new_internal_id).children) == sorted(
+    assert sorted(tree.node(result.parent_id).children) == sorted(
         [tree.leaf_of("u1").node_id, tree.leaf_of("u9").node_id]
     )
 
 
-def test_insert_without_fill_always_splits():
-    tree = kt.build_balanced(members(4), arity=2)
-    kt.detach_leaf(tree, "u2")
-    result = kt.insert_leaf(tree, "u9", fill_slots=False)
-    assert result.split_member is not None
-
-
 def test_insert_into_single_leaf_tree():
     tree = kt.build_balanced(["solo"], arity=2)
-    result = kt.insert_leaf(tree, "u2", fill_slots=True)
+    result = kt.insert_leaf(tree, "u2")
     assert result.split_member == "solo"
     assert tree.member_count == 2
     assert not tree.root.is_leaf
@@ -274,11 +280,11 @@ def test_insert_after_detaches_fills_the_first_slot_in_scan_order():
     tree = kt.build_balanced(members(10), arity=2)
     for member in ("u5", "u3", "u4"):
         kt.detach_leaf(tree, member)
-    kt.insert_leaf(tree, "u11", fill_slots=True)
+    kt.insert_leaf(tree, "u11")
     for member in ("u1", "u2", "u7", "u6", "u11", "u9"):
         kt.detach_leaf(tree, member)
-    assert_insert_matches_reference(tree, "u12", fill_slots=True)
-    result = assert_insert_matches_reference(tree, "u13", fill_slots=True)
+    assert_insert_matches_reference(tree, "u12")
+    result = assert_insert_matches_reference(tree, "u13")
     assert result.parent_id == 11
 
 
@@ -286,17 +292,17 @@ def test_a_fill_into_the_last_split_node_keeps_the_split_scan():
     # arity 3 with no open slot: a split makes a two-child node, the next
     # joiner fills it, and the split scan resumes instead of restarting
     tree = kt.build_balanced(members(9), 3)
-    split = assert_insert_matches_reference(tree, "u10", fill_slots=True)
+    split = assert_insert_matches_reference(tree, "u10")
     scan = tree._split_scan
-    fill = assert_insert_matches_reference(tree, "u11", fill_slots=True)
-    assert fill.parent_id == split.new_internal_id
+    fill = assert_insert_matches_reference(tree, "u11")
+    assert fill.parent_id == split.parent_id
     assert tree._split_scan is scan and scan[-1] == fill.leaf_id
-    result = assert_insert_matches_reference(tree, "u12", fill_slots=True)
+    result = assert_insert_matches_reference(tree, "u12")
     assert result.split_member == "u2" and tree._split_scan is scan
 
 
 PLACEMENT_STEPS = st.tuples(
-    st.sampled_from(["fill", "fill", "split", "detach", "detach", "remove", "attach"]),
+    st.sampled_from(["insert", "insert", "insert", "detach", "detach", "remove", "attach"]),
     st.integers(min_value=1, max_value=6),  # batch size
     st.integers(min_value=0, max_value=2**32),  # picks the members that leave
 )
@@ -304,21 +310,16 @@ PLACEMENT_STEPS = st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    arity=st.sampled_from([2, 3]),
+    arity=st.sampled_from([2, 3, 4]),
     n=st.integers(min_value=1, max_value=40),
     steps=st.lists(PLACEMENT_STEPS, max_size=30),
 )
 @example(  # the pinned case above, one detach per step
     arity=2,
     n=10,
-    steps=[("detach", 1, 4), ("detach", 1, 2), ("detach", 1, 2), ("fill", 1, 0)]
+    steps=[("detach", 1, 4), ("detach", 1, 2), ("detach", 1, 2), ("insert", 1, 0)]
     + [("detach", 1, i) for i in (0, 0, 1, 0, 3, 1)]
-    + [("fill", 2, 0)],
-)
-@example(  # a fill into a node other than the last split's drops the split scan
-    arity=3,
-    n=9,
-    steps=[("detach", 1, 8), ("split", 1, 0), ("fill", 1, 0), ("split", 6, 0), ("split", 3, 0)],
+    + [("insert", 2, 0)],
 )
 def test_every_insert_lands_where_a_fresh_scan_says(arity, n, steps):
     # random batches of every tree mutation; each insert is checked against
@@ -331,14 +332,14 @@ def test_every_insert_lands_where_a_fresh_scan_says(arity, n, steps):
         if op == "attach":
             incoming = [f"u{last + k}" for k in range(1, size + 1)]
             last += size
-            kt.attach_subtree(tree, kt.build_balanced(incoming, arity), Random(pick), "1")
+            kt.attach_subtree(tree, kt.build_balanced(incoming, arity), "1")
         elif op == "remove":
             live = tree.members
             kt.remove_leaves(tree, Random(pick).sample(live, min(size, len(live) - 1)))
         for _ in range(size):
-            if op in ("fill", "split"):
+            if op == "insert":
                 last += 1
-                assert_insert_matches_reference(tree, f"u{last}", fill_slots=op == "fill")
+                assert_insert_matches_reference(tree, f"u{last}")
             elif op == "detach" and tree.member_count > 1:
                 live = tree.members
                 pick, index = divmod(pick, len(live))
@@ -451,7 +452,7 @@ def test_cover_matches_oracle_on_irregular_trees():
             if rng.random() < 0.5 and tree.member_count > 2:
                 kt.detach_leaf(tree, rng.choice(tree.members))
             else:
-                kt.insert_leaf(tree, f"u{extra}", fill_slots=rng.random() < 0.5)
+                kt.insert_leaf(tree, f"u{extra}")
                 extra += 1
         names = tree.members
         for r in range(1, len(names)):

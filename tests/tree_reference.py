@@ -42,7 +42,7 @@ def _split_even(ids, parts):
     return out
 
 
-def reference_build_balanced(member_ids, arity, rng=None, root_code=None, coded=False):
+def reference_build_balanced(member_ids, arity):
     """Recursive balanced build: each node splits its slice of members."""
     if not member_ids:
         raise kt.TreeError("cannot build a tree with no members")
@@ -59,10 +59,6 @@ def reference_build_balanced(member_ids, arity, rng=None, root_code=None, coded=
         return node.node_id
 
     tree.root_id = grow(list(member_ids), None)
-    if coded:
-        if rng is None and root_code is None:
-            raise kt.TreeError("coded build needs an rng or an explicit root code")
-        reference_assign_codes(tree, rng, root_code=root_code)
     return tree
 
 
@@ -70,11 +66,10 @@ def reference_assign_codes(tree, rng, root_code=None):
     root = tree.root
     if root.is_leaf:
         return
-    if root.code is None:
-        if root_code is not None:
-            root.code = kt._checked_code(root_code)
-        else:
-            root.code = "".join(rng.choice(kt.DIGITS) for _ in range(kt.ROOT_CODE_LEN))
+    if root_code is not None:
+        root.code = kt._checked_code(root_code)
+    else:
+        root.code = "".join(rng.choice(kt.DIGITS) for _ in range(kt.ROOT_CODE_LEN))
     reference_assign_codes_below(tree, root.node_id, rng)
 
 
@@ -100,7 +95,7 @@ def reference_placement(tree):
     """(first open slot, first leaf) of a fresh breadth-first scan.
 
     The open slot is the first internal node with fewer than ``arity``
-    children, or None; ``insert_leaf`` fills it when asked to fill slots and
+    children, or None; ``insert_leaf`` fills it when there is one and
     otherwise splits the first leaf.
     """
     slot = leaf = None
@@ -119,7 +114,7 @@ def reference_placement(tree):
     return slot, leaf
 
 
-def assert_insert_matches_reference(tree, member, fill_slots):
+def assert_insert_matches_reference(tree, member):
     """``insert_leaf`` and check it picked the node ``reference_placement``
     names: the open slot it fills, or the leaf whose position a new internal
     node takes.  Returns the insert's result."""
@@ -127,12 +122,12 @@ def assert_insert_matches_reference(tree, member, fill_slots):
     victim = tree.nodes[leaf]
     victim_member, parent = victim.member, victim.parent
     index = None if parent is None else tree.nodes[parent].children.index(leaf)
-    result = kt.insert_leaf(tree, member, fill_slots)
-    if fill_slots and slot is not None:
-        assert (result.parent_id, result.new_internal_id) == (slot, None), member
+    result = kt.insert_leaf(tree, member)
+    if slot is not None:
+        assert (result.parent_id, result.split_member) == (slot, None), member
         return result
     assert result.split_member == victim_member, member
-    split = tree.nodes[result.new_internal_id]
+    split = tree.nodes[result.parent_id]
     assert split.children == [leaf, result.leaf_id], member
     assert split.parent == parent, member
     if parent is None:
@@ -144,7 +139,7 @@ def assert_insert_matches_reference(tree, member, fill_slots):
 
 def reference_lkh_setup(member_ids, rng, arity=2):
     """LKH (arity 2) and OKD (arity 3): one key per node in walk order."""
-    tree = reference_build_balanced(member_ids, arity, rng=rng, coded=False)
+    tree = reference_build_balanced(member_ids, arity)
     setup = CostMeter()
     for node in tree.walk():
         node.key = random_key(rng, setup)
@@ -157,7 +152,7 @@ def reference_okd_setup(member_ids, rng):
 
 def reference_oft_setup(member_ids, rng):
     """Leaf keys in leaf order, then every internal key folded bottom-up."""
-    tree = reference_build_balanced(member_ids, 2, rng=rng, coded=False)
+    tree = reference_build_balanced(member_ids, 2)
     setup = CostMeter()
     for leaf_id in tree.leaf_ids():
         tree.node(leaf_id).key = random_key(rng, setup)
@@ -170,7 +165,8 @@ def reference_oft_setup(member_ids, rng):
 
 def reference_ckcs_setup(member_ids, rng, root_code=None):
     """Coded build, leaf keys in leaf order, then the group key."""
-    tree = reference_build_balanced(member_ids, 2, rng, root_code=root_code, coded=True)
+    tree = reference_build_balanced(member_ids, 2)
+    reference_assign_codes(tree, rng, root_code=root_code)
     setup = CostMeter()
     for leaf_id in tree.leaf_ids():
         tree.nodes[leaf_id].key = random_key(rng, setup)
