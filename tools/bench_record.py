@@ -46,12 +46,10 @@ def _seeds(text: str) -> list[int]:
     """``961-970`` or ``961,965,970``; a range that names no seed is an error."""
     if "-" in text:
         first, last = (int(part) for part in text.split("-"))
-        seeds = list(range(first, last + 1))
-    else:
-        seeds = [int(part) for part in text.split(",")]
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"{text!r} names no seed")
-    return seeds
+        if last < first:
+            raise argparse.ArgumentTypeError(f"{text!r} names no seed")
+        return list(range(first, last + 1))
+    return [int(part) for part in text.split(",")]
 
 
 def _bench(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
