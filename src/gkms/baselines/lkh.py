@@ -25,7 +25,7 @@ from gkms.core import (
     ServerProtocol,
 )
 from gkms.crypto import SymKey, WrappedKey, random_key, random_keys, unwrap, wrap
-from gkms.tree import InsertResult, KeyTree, build_balanced, detach_leaf, insert_leaf
+from gkms.tree import KeyTree, build_balanced, detach_leaf
 
 
 class LkhServer(ServerProtocol):
@@ -54,7 +54,6 @@ class LkhServer(ServerProtocol):
         rng: random.Random,
         meter: CostMeter,
         output: EventOutput,
-        seq: int,
     ) -> list[int]:
         individual, old_members, inserted, split = self._place_joiner(member, rng, meter)
         chain = list(self.tree.ancestors(inserted.leaf_id))
@@ -75,7 +74,6 @@ class LkhServer(ServerProtocol):
             recipients=(member,),
             payloads=tuple(payloads),
             aux={"op": "join", "joined": [member], "targets": targets, "split": split},
-            event_seq=seq,
         )
         output.send(joiner_msg, meter)
 
@@ -86,31 +84,11 @@ class LkhServer(ServerProtocol):
             recipients=old_members,
             payloads=payloads,
             aux={"op": "join", "joined": [member], "targets": targets, "split": split},
-            event_seq=seq,
         )
         output.send(group_msg, meter)
 
         output.bootstraps.append(self._bootstrap_for(member, individual))
         return chain
-
-    def _place_joiner(
-        self, member: str, rng: random.Random, meter: CostMeter
-    ) -> tuple[SymKey, tuple[str, ...], InsertResult, dict | None]:
-        """Draw the joiner's individual key and give it a leaf.  Returns the
-        key, the members before the join, the placement and the split record
-        (None when the joiner filled an open slot)."""
-        individual = random_key(rng, meter)
-        old_members = tuple(self.tree.members)
-        inserted = insert_leaf(self.tree, member)
-        self.tree.node(inserted.leaf_id).key = individual
-        split = None
-        if inserted.split_member is not None:
-            split = {
-                "member": inserted.split_member,
-                "new_node": inserted.parent_id,
-                "joiner_leaf": inserted.leaf_id,
-            }
-        return individual, old_members, inserted, split
 
     def _leave_one(
         self,
@@ -118,7 +96,6 @@ class LkhServer(ServerProtocol):
         rng: random.Random,
         meter: CostMeter,
         output: EventOutput,
-        seq: int,
     ) -> list[int]:
         detached = detach_leaf(self.tree, member)
 
@@ -129,7 +106,7 @@ class LkhServer(ServerProtocol):
         payloads, targets = self._wrap_under_children(chain, None, meter)
         message = RekeyMessage(
             channel="multicast",
-            recipients=tuple(self.tree.members),
+            recipients=self.tree.members,
             payloads=payloads,
             aux={
                 "op": "leave",
@@ -137,7 +114,6 @@ class LkhServer(ServerProtocol):
                 "deleted": list(detached.removed_node_ids),
                 "targets": targets,
             },
-            event_seq=seq,
         )
         output.send(message, meter)
         return chain

@@ -33,7 +33,7 @@ from gkms.core import (
     ServerProtocol,
 )
 from gkms.crypto import SymKey, blind, mix, random_key, random_keys, unwrap, wrap
-from gkms.tree import KeyTree, Node, build_balanced, insert_leaf, remove_leaves
+from gkms.tree import KeyTree, Node, build_balanced, remove_leaves
 
 
 @dataclass
@@ -98,7 +98,6 @@ class OftServer(ServerProtocol):
         rng: random.Random,
         meter: CostMeter,
         output: EventOutput,
-        seq: int,
         aux: dict,
     ) -> None:
         old_key = leaf.key
@@ -108,7 +107,6 @@ class OftServer(ServerProtocol):
             recipients=(leaf.member,),
             payloads=(wrap(old_key, new_key, meter, kek_id=leaf.node_id),),
             aux={"op": "refresh", "targets": [leaf.node_id], **aux},
-            event_seq=seq,
         )
         output.send(message, meter)
         leaf.key = new_key
@@ -120,7 +118,6 @@ class OftServer(ServerProtocol):
         aux: dict,
         meter: CostMeter,
         output: EventOutput,
-        seq: int,
     ) -> None:
         """One blinded-key advert per changed node, wrapped for its sibling."""
         payloads = []
@@ -136,7 +133,6 @@ class OftServer(ServerProtocol):
             recipients=recipients,
             payloads=tuple(payloads),
             aux={**aux, "targets": targets},
-            event_seq=seq,
         )
         output.send(message, meter)
 
@@ -146,34 +142,22 @@ class OftServer(ServerProtocol):
         rng: random.Random,
         meter: CostMeter,
         output: EventOutput,
-        seq: int,
     ) -> list[int]:
-        individual = random_key(rng, meter)
-        old_members = tuple(self.tree.members)
-        inserted = insert_leaf(self.tree, member)
-        if inserted.split_member is None:
+        individual, old_members, inserted, split = self._place_joiner(member, rng, meter)
+        if split is None:
             raise EventError("binary folding tree requires a split at every join")
+        split["joiner_side"] = self.tree.node(inserted.parent_id).children.index(inserted.leaf_id)
 
         victim = self.tree.leaf_of(inserted.split_member)
         # The victim must not fold yet: its new level only becomes foldable
         # once the advert multicast delivers the joiner's blinded key.
-        self._refresh_leaf(victim, rng, meter, output, seq, {"fold": False})
+        self._refresh_leaf(victim, rng, meter, output, {"fold": False})
 
         leaf = self.tree.node(inserted.leaf_id)
-        leaf.key = individual
-
         chain = [self.tree.node(i) for i in self.tree.ancestors(inserted.leaf_id)]
         for node in chain:
             node.key = self._folded(node)
             meter.keygen += 1
-
-        joiner_side = self.tree.node(inserted.parent_id).children.index(inserted.leaf_id)
-        split = {
-            "member": inserted.split_member,
-            "new_node": inserted.parent_id,
-            "joiner_leaf": inserted.leaf_id,
-            "joiner_side": joiner_side,
-        }
 
         # Unicast to the joiner: the blinded sibling at every level, plus the
         # group key, all wrapped under the joiner's new individual key.
@@ -186,7 +170,6 @@ class OftServer(ServerProtocol):
             recipients=(member,),
             payloads=tuple(payloads),
             aux={"op": "join", "joined": [member], "targets": targets, "split": split},
-            event_seq=seq,
         )
         output.send(joiner_msg, meter)
 
@@ -197,7 +180,6 @@ class OftServer(ServerProtocol):
             {"op": "join", "joined": [member], "split": split},
             meter,
             output,
-            seq,
         )
 
         output.bootstraps.append(self._bootstrap_for(member, individual, with_blinds=False))
@@ -209,7 +191,6 @@ class OftServer(ServerProtocol):
         rng: random.Random,
         meter: CostMeter,
         output: EventOutput,
-        seq: int,
     ) -> list[int]:
         removal = remove_leaves(self.tree, [member])
         if not removal.promotions:
@@ -224,7 +205,6 @@ class OftServer(ServerProtocol):
             rng,
             meter,
             output,
-            seq,
             {"fold": True, "deleted": list(removal.removed_node_ids)},
         )
 
@@ -236,7 +216,7 @@ class OftServer(ServerProtocol):
         changed = ([refresh_leaf] + chain)[:-1]
         self._advert_multicast(
             changed,
-            tuple(self.tree.members),
+            self.tree.members,
             {
                 "op": "leave",
                 "left": [member],
@@ -245,7 +225,6 @@ class OftServer(ServerProtocol):
             },
             meter,
             output,
-            seq,
         )
         return [n.node_id for n in chain]
 

@@ -43,7 +43,6 @@ class OkdServer(LkhServer):
         rng: random.Random,
         meter: CostMeter,
         output: EventOutput,
-        seq: int,
     ) -> list[int]:
         individual, old_members, inserted, split = self._place_joiner(member, rng, meter)
         new_node_id = split["new_node"] if split else None
@@ -69,7 +68,6 @@ class OkdServer(LkhServer):
             recipients=(member,),
             payloads=tuple(payloads),
             aux={"op": "join", "joined": [member], "targets": list(chain), "split": split},
-            event_seq=seq,
         )
         output.send(joiner_msg, meter)
 
@@ -92,15 +90,13 @@ class OkdServer(LkhServer):
                     "targets": [new_node_id],
                     "split": split,
                 },
-                event_seq=seq,
-            )
+                )
             output.send(victim_msg, meter)
 
         notice = Notice(
             kind="join",
             recipients=old_members,
             aux={"op": "join", "joined": [member], "chain": list(chain), "split": split},
-            event_seq=seq,
         )
         output.send(notice, meter)
 

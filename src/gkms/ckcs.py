@@ -34,6 +34,7 @@ from gkms.core import (
     ServerProtocol,
 )
 from gkms.crypto import (
+    KEY_LEN,
     SymKey,
     decode_code,
     derive,
@@ -133,24 +134,32 @@ class CkcsServer(ServerProtocol):
         # Normally the new root's code is the old one less a digit, which old
         # members derive locally.  A bare-leaf root has no code and a single
         # digit cannot shorten, so those cases start a fresh lineage below.
-        # Whether one is left is decided first, so a join that cannot run
-        # draws no key and changes nothing.
+        # Whether the codes fit is decided first, so a join that cannot run
+        # draws no key and changes nothing: a fresh lineage must be left,
+        # and the joiners' deepest internal node, one digit per level below
+        # the new root of a binary subtree over them, must fit a code.
         blocked: set[str] | None = None
         if old_root_code is None or len(old_root_code) < 2:
             blocked = self._blocked_root_codes(event.seq)
+            new_code_len = kt.ROOT_CODE_LEN
+        else:
+            new_code_len = len(old_root_code) - 1
+        deepest = new_code_len + (len(joiners) - 1).bit_length()
+        if deepest > KEY_LEN:
+            raise kt.CodeSpaceError(
+                f"event {event.seq}: a join of {len(joiners)} needs codes of {deepest} "
+                f"digits; a code has at most {KEY_LEN}"
+            )
 
         individual: dict[str, SymKey] = {m: random_key(rng, meter) for m in joiners}
-        subtree = kt.build_balanced(joiners, self.arity)
-        for leaf_id in subtree.leaf_ids():
-            node = subtree.nodes[leaf_id]
-            node.key = individual[node.member]  # type: ignore[index]
-
         fresh_code: str | None = None
         if blocked is None:
             new_root_code = kt.parent_code(old_root_code)  # type: ignore[arg-type]
         else:
             new_root_code = fresh_code = self._draw_root_code(rng, blocked)
-        new_root_id, incoming_top_id = kt.attach_subtree(self.tree, subtree, new_root_code)
+        new_root_id, incoming_top_id = kt.attach_subtree(self.tree, joiners, new_root_code)
+        for m, key in individual.items():
+            self.tree.leaf_of(m).key = key
         kt.assign_codes_below(self.tree, new_root_id, rng)
         self._code_log.update(
             n.code for n in self.tree.walk(incoming_top_id) if n.code is not None
@@ -176,7 +185,6 @@ class CkcsServer(ServerProtocol):
                     recipients=(member,),
                     payloads=(wrap(self.node_key(leaf.node_id), code_block, meter, kek_id=leaf.node_id),),
                     aux={"op": "code_reset", "new_root": new_root_id},
-                    event_seq=event.seq,
                 )
                 output.send(reset, meter)
 
@@ -189,16 +197,14 @@ class CkcsServer(ServerProtocol):
             recipients=tuple(joiners),
             payloads=payloads,
             aux={"op": "join", "joined": joiners, "new_root": new_root_id},
-            event_seq=event.seq,
         )
         for m in joiners:
             output.bootstraps.append(self._bootstrap_for(m, individual[m]))
         output.send(message, meter)
         notice = Notice(
             kind="join",
-            recipients=tuple(old_members),
+            recipients=old_members,
             aux={"op": "join", "new_root": new_root_id, "joined": joiners},
-            event_seq=event.seq,
         )
         output.send(notice, meter)
         output.stats["keygen_dedup"] = len(joiners) + 1
@@ -221,7 +227,7 @@ class CkcsServer(ServerProtocol):
         )
         message = RekeyMessage(
             channel="multicast",
-            recipients=tuple(remaining),
+            recipients=remaining,
             payloads=payloads,
             aux={
                 "op": "leave",
@@ -230,7 +236,6 @@ class CkcsServer(ServerProtocol):
                 "promotions": [list(p) for p in removal.promotions],
                 "cover": list(cover_ids),
             },
-            event_seq=event.seq,
         )
         output = EventOutput()
         output.send(message, meter)
@@ -242,11 +247,7 @@ class CkcsServer(ServerProtocol):
 
     def _bootstrap_for(self, member: str, individual_key: SymKey, include_group_key: bool = False) -> Bootstrap:
         leaf = self.tree.leaf_of(member)
-        path = [
-            {"node_id": entry.node_id, "code": entry.code}
-            for entry in self.tree.path_to_root(member)
-        ]
-        extra: dict = {"path": path}
+        extra: dict = {"path": self.tree.path_to_root(member)}
         if include_group_key:
             extra["group_key"] = self._group_key
         return Bootstrap(
@@ -273,9 +274,7 @@ class CkcsMember(MemberView):
         assert bootstrap.individual_key is not None and bootstrap.leaf_id is not None
         super().__init__(bootstrap.member_id, bootstrap.individual_key)
         self.leaf_id = bootstrap.leaf_id
-        self.path: list[kt.PathEntry] = [
-            kt.PathEntry(e["node_id"], e["code"]) for e in bootstrap.extra["path"]
-        ]
+        self.path: list[kt.PathEntry] = list(bootstrap.extra["path"])
         for entry in self.path:
             if entry.code is not None:
                 self.knowledge.learn_code(entry.code)

@@ -18,8 +18,8 @@ from functools import cached_property
 from random import Random
 from typing import Literal
 
-from gkms.crypto import SymKey, WrappedKey
-from gkms.tree import KeyTree
+from gkms.crypto import SymKey, WrappedKey, random_key
+from gkms.tree import InsertResult, KeyTree, insert_leaf
 
 CSV_COLUMNS = [
     "protocol",
@@ -79,7 +79,6 @@ class RekeyMessage(_Addressed):
     recipients: tuple[str, ...]
     payloads: tuple[WrappedKey, ...]
     aux: dict
-    event_seq: int
 
     def __post_init__(self) -> None:
         if not self.recipients:
@@ -99,7 +98,6 @@ class Notice(_Addressed):
     kind: str
     recipients: tuple[str, ...]
     aux: dict
-    event_seq: int
 
 
 @dataclass(frozen=True)
@@ -268,7 +266,7 @@ class ServerProtocol(ABC):
         return self.tree.node(node_id).key
 
     @property
-    def member_ids(self) -> list[str]:
+    def member_ids(self) -> tuple[str, ...]:
         return self.tree.members
 
     @property
@@ -318,8 +316,27 @@ class ServerProtocol(ABC):
         chain_keys = 0
         touched: set[int] = set()
         for member in event.member_ids:
-            chain = step(member, rng, meter, output, event.seq)
+            chain = step(member, rng, meter, output)
             chain_keys += len(chain)
             touched.update(chain)
         output.stats["keygen_dedup"] = meter.keygen - keygen_before - chain_keys + len(touched)
         return output
+
+    def _place_joiner(
+        self, member: str, rng: Random, meter: CostMeter
+    ) -> tuple[SymKey, tuple[str, ...], InsertResult, dict | None]:
+        """Draw a sequential baseline joiner's individual key and give it a
+        leaf.  Returns the key, the members before the join, the placement
+        and the split record (None when the joiner filled an open slot)."""
+        individual = random_key(rng, meter)
+        old_members = self.member_ids
+        inserted = insert_leaf(self.tree, member)
+        self.tree.node(inserted.leaf_id).key = individual
+        split = None
+        if inserted.split_member is not None:
+            split = {
+                "member": inserted.split_member,
+                "new_node": inserted.parent_id,
+                "joiner_leaf": inserted.leaf_id,
+            }
+        return individual, old_members, inserted, split

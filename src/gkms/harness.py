@@ -396,7 +396,7 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
         for boot in server.initial_bootstraps():
             trace.members[boot.member_id] = server.build_member(boot)
             trace.join_epoch[boot.member_id] = 0
-        _run_probe(trace, probe_rng, event_seq=0)
+        _run_probe(trace, probe_rng, seq=0)
 
     for seq, step in enumerate(scenario.steps, start=1):
         n_before = server.member_count
@@ -416,7 +416,7 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
         if track_members:
             _log_tree(trace)
             _deliver(trace, event, output, meter)
-            _run_probe(trace, probe_rng, event_seq=seq)
+            _run_probe(trace, probe_rng, seq=seq)
         record = EventRecord(
             seq=seq,
             op=step.op,
@@ -485,31 +485,31 @@ def _deliver(trace: TraceRecord, event: MembershipEvent, output: EventOutput, me
                 view.apply_message(delivery, meter)
 
 
-def _run_probe(trace: TraceRecord, probe_rng: Random, event_seq: int) -> None:
+def _run_probe(trace: TraceRecord, probe_rng: Random, seq: int) -> None:
     quiet = CostMeter()  # probes are not protocol work
     probe_payload = random_key(probe_rng, quiet)
     probe = wrap(trace.server.group_key, probe_payload, quiet, kek_id="probe")
     if set(trace.members) != set(trace.server.member_ids):
         raise ProbeError(
-            f"event {event_seq}: tracked members {sorted(trace.members)} != "
+            f"event {seq}: tracked members {sorted(trace.members)} != "
             f"server membership {sorted(trace.server.member_ids)}"
         )
     for member_id, view in trace.members.items():
         if view.group_key != trace.server.group_key:
             raise ProbeError(
-                f"event {event_seq}: member {member_id} holds group key "
+                f"event {seq}: member {member_id} holds group key "
                 f"{view.group_key.fingerprint if view.group_key else None}, server has "
                 f"{trace.server.group_key.fingerprint}"
             )
         try:
             got = unwrap(view.group_key, probe)
         except UnwrapError as exc:
-            raise ProbeError(f"event {event_seq}: member {member_id} failed the probe: {exc}") from exc
+            raise ProbeError(f"event {seq}: member {member_id} failed the probe: {exc}") from exc
         if got != probe_payload:
-            raise ProbeError(f"event {event_seq}: member {member_id} unwrapped a wrong probe value")
+            raise ProbeError(f"event {seq}: member {member_id} unwrapped a wrong probe value")
         if view.unwrap_misses:
             raise ProbeError(
-                f"event {event_seq}: member {member_id} missed {view.unwrap_misses} deliveries"
+                f"event {seq}: member {member_id} missed {view.unwrap_misses} deliveries"
             )
     for member_id, view in trace.departed.items():
         if view.group_key is None:
@@ -519,7 +519,7 @@ def _run_probe(trace: TraceRecord, probe_rng: Random, event_seq: int) -> None:
         except UnwrapError:
             continue
         raise ProbeError(
-            f"event {event_seq}: departed member {member_id} still unwraps the probe"
+            f"event {seq}: departed member {member_id} still unwraps the probe"
         )
 
 

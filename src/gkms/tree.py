@@ -131,13 +131,13 @@ class KeyTree:
         return member in self._member_leaf
 
     @property
-    def members(self) -> list[str]:
+    def members(self) -> tuple[str, ...]:
         """Members in registration order (joins append, removals keep order).
 
-        O(n) list construction without touching the tree, so building
-        recipient lists never dominates an O(m) event.
+        One O(n) copy without touching the tree, so building recipient
+        lists never dominates an O(m) event.
         """
-        return list(self._member_leaf)
+        return tuple(self._member_leaf)
 
     @property
     def member_count(self) -> int:
@@ -316,10 +316,19 @@ def build_balanced(member_ids: Sequence[str], arity: int) -> KeyTree:
     if len(set(member_ids)) != len(member_ids):
         raise TreeError("duplicate member ids")
     tree = KeyTree(arity)
+    tree.root_id = _grow_balanced(tree, member_ids).node_id
+    return tree
+
+
+def _grow_balanced(tree: KeyTree, member_ids: Sequence[str]) -> Node:
+    """Add a parentless balanced subtree over new, distinct members to
+    ``tree`` and return its top.  Ids run in preorder from the tree's next
+    id; see :func:`build_balanced` for the shape."""
+    arity = tree.arity
     nodes = tree.nodes
     member_leaf = tree._member_leaf
     open_slots = tree._open_slots
-    next_id = 0
+    top_id = next_id = tree._next_id
     # (first member, end of members, parent id) of each subtree still to
     # build; a parent's runs are pushed last-first, so they pop in order
     stack: list[tuple[int, int, int | None]] = [(0, len(member_ids), None)]
@@ -346,8 +355,7 @@ def build_balanced(member_ids: Sequence[str], arity: int) -> KeyTree:
             stack.append((start, end, node_id))
             end = start
     tree._next_id = next_id
-    tree.root_id = 0
-    return tree
+    return nodes[top_id]
 
 
 def assign_codes(tree: KeyTree, rng: Random, root_code: str | None = None) -> None:
@@ -397,40 +405,29 @@ def _checked_code(code: str) -> str:
     return code
 
 
-def attach_subtree(current: KeyTree, incoming: KeyTree, root_code: str) -> tuple[int, int]:
-    """Mount ``incoming`` beside the current root under a new root coded
-    ``root_code``.
+def attach_subtree(current: KeyTree, member_ids: Sequence[str], root_code: str) -> tuple[int, int]:
+    """Grow a balanced subtree over ``member_ids`` beside the current root,
+    under a new root coded ``root_code``.
 
-    The caller picks the code: ckcs passes the current root's code less a
-    digit, or a fresh lineage when no digit can be dropped, and then codes
-    the incoming side with :func:`assign_codes_below`.  Node keys and codes
-    of both old trees are untouched.  Returns (new root id, incoming top
-    id).
+    The members must be new to the tree and distinct
+    (``ServerProtocol._validate`` checks this).  The subtree's ids run in
+    preorder from the tree's next id, as :func:`build_balanced` hands them
+    out, and the new root takes the id after them.  The caller picks the
+    code: ckcs passes the current root's code less a digit, or a fresh
+    lineage when no digit can be dropped, and then keys the new leaves and
+    codes the new side with :func:`assign_codes_below`.  The old tree's
+    keys and codes are untouched.  Returns (new root id, subtree top id).
     """
-    if current.arity != incoming.arity:
-        raise TreeError("arity mismatch between trees")
     root_code = _checked_code(root_code)
     old_root = current.root
     current._scan_dirty()
-
-    id_map: dict[int, int] = {}
-    for node in incoming.walk():
-        clone = current._new_node(key=node.key, code=node.code, member=node.member)
-        id_map[node.node_id] = clone.node_id
-    for node in incoming.walk():
-        clone = current.nodes[id_map[node.node_id]]
-        clone.parent = id_map[node.parent] if node.parent is not None else None
-        clone.children = [id_map[c] for c in node.children]
-        current._slot_sync(clone.node_id)
-    incoming_top = current.nodes[id_map[incoming.root_id]]  # type: ignore[index]
-
+    top = _grow_balanced(current, member_ids)
     new_root = current._new_node(code=root_code)
-    new_root.children = [old_root.node_id, incoming_top.node_id]
-    old_root.parent = new_root.node_id
-    incoming_top.parent = new_root.node_id
+    new_root.children = [old_root.node_id, top.node_id]
+    old_root.parent = top.parent = new_root.node_id
     current.root_id = new_root.node_id
     current._slot_sync(new_root.node_id)
-    return new_root.node_id, incoming_top.node_id
+    return new_root.node_id, top.node_id
 
 
 def remove_leaves(tree: KeyTree, member_ids: Sequence[str]) -> RemovalResult:

@@ -89,7 +89,7 @@ def test_unwrap_from_transcript_and_code_learning():
     from gkms.core import RekeyMessage
 
     transcript = [
-        RekeyMessage("multicast", ("x",), (ct_code, ct_key), {}, 1),
+        RekeyMessage("multicast", ("x",), (ct_code, ct_key), {}),
     ]
     index = ClosureIndex(
         transcript=transcript, rules=RULESETS["ckcs"], derive_cap=1, wrap_log=meter.wrap_log

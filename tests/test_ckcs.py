@@ -49,7 +49,7 @@ def test_initial_tree_and_node_keys():
     server, _ = make(n=8, root_code="278")
     tree = server.tree
     assert tree.root.code == "278"
-    assert server.member_ids == members(8)
+    assert server.member_ids == tuple(members(8))
     assert server.node_key(tree.root_id) == server.group_key
     for node in tree.walk():
         if node.is_leaf:
@@ -376,12 +376,11 @@ def test_member_rejects_unknown_traffic():
         recipients=("u1",),
         payloads=(),
         aux={"op": "mystery"},
-        event_seq=1,
     )
     with pytest.raises(EventError):
         view.apply_message(bogus, CostMeter())
     with pytest.raises(EventError):
-        view.apply_notice(Notice(kind="farewell", recipients=("u1",), aux={}, event_seq=1), CostMeter())
+        view.apply_notice(Notice(kind="farewell", recipients=("u1",), aux={}), CostMeter())
 
 
 def test_join_out_of_root_codes_changes_nothing():
@@ -404,6 +403,51 @@ def test_join_out_of_root_codes_changes_nothing():
     assert server.group_key == group_key
     assert server.member_ids == member_ids
     assert server.all_codes() == codes
+
+
+def test_join_past_the_code_length_changes_nothing():
+    # a 31-digit root code shortens to 30, and a binary subtree over 16
+    # joiners needs 4 digits below that, 34 in all: the join must fail before
+    # drawing any key, leaving everything as it was; 4 joiners fit in 32
+    rng = Random(1)
+    server = CkcsServer(members(4), rng, root_code="1" * 31)
+    rng_state = rng.getstate()
+    dump, group_key = server.dump(), server.group_key
+    member_ids, codes = server.member_ids, server.all_codes()
+    meter = CostMeter(wrap_log={})
+    joiners = tuple(f"j{k}" for k in range(1, 17))
+    with pytest.raises(kt.CodeSpaceError, match="event 1: a join of 16 needs codes of 34 digits"):
+        server.handle_event(MembershipEvent(1, "join", joiners), rng, meter)
+    assert rng.getstate() == rng_state
+    assert meter == CostMeter()
+    assert meter.wrap_log == {}
+    assert server.dump() == dump
+    assert server.group_key == group_key
+    assert server.member_ids == member_ids
+    assert server.all_codes() == codes
+    server.handle_event(MembershipEvent(1, "join", joiners[:4]), rng, CostMeter())
+    assert server.member_count == 8
+    assert max(len(code) for code in server.all_codes()) == 32
+
+
+@pytest.mark.parametrize("root_len", [20, 26, 29, 31, 32])
+def test_join_fails_exactly_when_the_joiners_codes_overflow(root_len):
+    # a join of m that runs codes its deepest new node with exactly the
+    # predicted length, the new root's code plus the joiners' subtree
+    # height; a join whose prediction passes 32 digits fails untouched
+    for m in (1, 2, 3, 5, 8, 9, 16, 17, 33):
+        server = CkcsServer(members(2), Random(m), root_code="7" * root_len)
+        event = MembershipEvent(1, "join", tuple(f"j{k}" for k in range(m)))
+        predicted = root_len - 1 + (m - 1).bit_length()
+        rng = Random(0)
+        if predicted > 32:
+            with pytest.raises(kt.CodeSpaceError, match=f"needs codes of {predicted} digits"):
+                server.handle_event(event, rng, CostMeter())
+            assert rng.getstate() == Random(0).getstate()
+        else:
+            server.handle_event(event, rng, CostMeter())
+            assert max(len(code) for code in server.all_codes()) == max(predicted, root_len)
+
 
 
 # -- code invariant under churn ----------------------------------------------------

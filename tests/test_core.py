@@ -23,7 +23,7 @@ from gkms.tree import build_balanced
 K = SymKey(bytes(32))
 
 
-def msg(channel="multicast", recipients=("a", "b"), n_payloads=2, aux=None, seq=1):
+def msg(channel="multicast", recipients=("a", "b"), n_payloads=2, aux=None):
     payloads = tuple(
         WrappedKey(ciphertext=bytes(48), kek_id=i) for i in range(n_payloads)
     )
@@ -32,7 +32,6 @@ def msg(channel="multicast", recipients=("a", "b"), n_payloads=2, aux=None, seq=
         recipients=tuple(recipients),
         payloads=payloads,
         aux=aux or {},
-        event_seq=seq,
     )
 
 
@@ -67,7 +66,7 @@ def test_message_shapes():
 
 
 def test_event_output_partitions_deliveries():
-    notice = Notice(kind="join", recipients=("a",), aux={}, event_seq=1)
+    notice = Notice(kind="join", recipients=("a",), aux={})
     out = EventOutput(deliveries=[msg(), notice, msg()])
     assert len(out.messages) == 2
     assert out.notices == [notice]
@@ -92,7 +91,7 @@ def test_meter_counts_and_event_deltas():
 
 def test_send_meters_messages_by_channel_and_size():
     meter, output = CostMeter(), EventOutput()
-    notice = Notice(kind="join", recipients=("a",), aux={}, event_seq=1)
+    notice = Notice(kind="join", recipients=("a",), aux={})
     deliveries = [msg(n_payloads=4), notice, msg(channel="unicast", recipients=("a",), n_payloads=1)]
     for delivery in deliveries:
         output.send(delivery, meter)
@@ -140,7 +139,7 @@ def test_member_view_basics():
     view._check_addressed(msg(recipients=("bob", "alice")))
     with pytest.raises(EventError):
         view._check_addressed(msg(recipients=("bob",)))
-    notice = Notice(kind="join", recipients=("alice",), aux={}, event_seq=1)
+    notice = Notice(kind="join", recipients=("alice",), aux={})
     with pytest.raises(EventError):
         view.apply_notice(notice, CostMeter())
     view.apply_message(msg(recipients=("alice",)), CostMeter())
@@ -157,7 +156,7 @@ def test_recipient_check_against_the_delivery_set():
     other = msg(recipients=("carol", "bob"))
     with pytest.raises(EventError, match=r"not addressed to alice: \('carol', 'bob'\)"):
         view._check_addressed(other)
-    notice = Notice(kind="join", recipients=("bob",), aux={}, event_seq=1)
+    notice = Notice(kind="join", recipients=("bob",), aux={})
     assert notice.recipient_set == frozenset(("bob",))
     with pytest.raises(EventError):
         view._check_addressed(notice)
@@ -183,7 +182,7 @@ class _StubServer(ServerProtocol):
 
 def test_server_validation_rules():
     server = _StubServer()
-    assert server.member_ids == ["a", "b", "c"]
+    assert server.member_ids == ("a", "b", "c")
     assert server.member_count == 3
     server._validate(MembershipEvent(1, "join", ("d",)))
     server._validate(MembershipEvent(1, "leave", ("a", "b")))

@@ -458,14 +458,14 @@ def test_probe_detects_membership_drift():
     trace = run(parse_scenario("init n=4 protocol=lkh seed=1\n"))
     trace.members["ghost"] = next(iter(trace.members.values()))
     with pytest.raises(ProbeError, match="!= server membership"):
-        _run_probe(trace, Random(0), event_seq=99)
+        _run_probe(trace, Random(0), seq=99)
 
 
 def test_probe_detects_wrong_member_key():
     trace = run(parse_scenario("init n=4 protocol=lkh seed=1\n"))
     trace.members["u2"].group_key = SymKey(bytes(32))
     with pytest.raises(ProbeError, match="member u2 holds group key"):
-        _run_probe(trace, Random(0), event_seq=99)
+        _run_probe(trace, Random(0), seq=99)
 
 
 def test_probe_detects_departed_member_with_live_key():
@@ -473,7 +473,7 @@ def test_probe_detects_departed_member_with_live_key():
     stayer = sorted(trace.members)[0]
     trace.departed["mole"] = trace.members[stayer]
     with pytest.raises(ProbeError, match="departed member mole still unwraps"):
-        _run_probe(trace, Random(0), event_seq=99)
+        _run_probe(trace, Random(0), seq=99)
 
 
 def test_recording_meter_logs_wrapping_keys():

@@ -1,0 +1,53 @@
+"""``tools/output_hash.py``: the same outputs give the same hash in any
+process, and a change to an output changes it."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from gkms import tree as kt
+
+REPO = Path(__file__).resolve().parent.parent
+TOOL_PATH = REPO / "tools" / "output_hash.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("output_hash", TOOL_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_hash_does_not_depend_on_the_hash_seed():
+    code = (
+        "import importlib.util, sys;"
+        f"spec = importlib.util.spec_from_file_location('output_hash', {str(TOOL_PATH)!r});"
+        "tool = importlib.util.module_from_spec(spec); spec.loader.exec_module(tool);"
+        "print(tool.output_hash(seeds=2))"
+    )
+    hashes = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        hashes.append(done.stdout.strip())
+    assert hashes[0] == hashes[1]
+    assert len(hashes[0]) == 64
+
+
+def test_a_swapped_attach_changes_the_hash(monkeypatch):
+    tool = _tool()
+    before = tool.output_hash(seeds=3)
+    assert tool.output_hash(seeds=3) == before
+    attach = kt.attach_subtree
+
+    def swapped(current, member_ids, root_code):
+        new_root_id, top_id = attach(current, member_ids, root_code)
+        current.nodes[new_root_id].children.reverse()
+        return new_root_id, top_id
+
+    monkeypatch.setattr(kt, "attach_subtree", swapped)
+    assert tool.output_hash(seeds=3) != before

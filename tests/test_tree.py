@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gkms import tree as kt
 from gkms.crypto import SymKey
-from tree_reference import assert_insert_matches_reference
+from tree_reference import assert_insert_matches_reference, reference_attach_subtree
 
 DIGIT = st.sampled_from(kt.DIGITS)
 CODES = st.text(alphabet=kt.DIGITS, min_size=1, max_size=12)
@@ -68,7 +68,7 @@ def test_balanced_height(n, arity, height):
     tree = kt.build_balanced(members(n), arity=arity)
     assert tree.member_count == n
     assert tree.height() == height
-    assert tree.members == members(n)  # leaf order preserves input order
+    assert tree.members == tuple(members(n))  # leaf order preserves input order
     for node in tree.walk():
         if not node.is_leaf:
             assert 2 <= len(node.children) <= arity
@@ -136,7 +136,7 @@ def test_root_code_must_be_ascii_digits():
         coded_tree(4, 0, arabic_indic)
     current = kt.build_balanced(["solo"], arity=2)
     with pytest.raises(kt.TreeError, match="invalid node code"):
-        kt.attach_subtree(current, kt.build_balanced(["v1"], arity=2), arabic_indic)
+        kt.attach_subtree(current, ["v1"], arabic_indic)
 
 
 # -- accessors -----------------------------------------------------------------------
@@ -177,8 +177,7 @@ def test_attach_shortens_root_code_and_codes_the_incoming_top():
     current = coded_tree(4, 1, "278")
     old_root_id = current.root_id
     old_codes = {n.node_id: n.code for n in current.walk()}
-    incoming = kt.build_balanced(["v1", "v2", "v3"], arity=2)
-    new_root_id, top_id = kt.attach_subtree(current, incoming, kt.parent_code(current.root.code))
+    new_root_id, top_id = kt.attach_subtree(current, ["v1", "v2", "v3"], kt.parent_code(current.root.code))
     assert current.root_id == new_root_id
     assert current.root.code == "27"
     assert current.node(top_id).code is None  # the caller codes the incoming side
@@ -190,13 +189,12 @@ def test_attach_shortens_root_code_and_codes_the_incoming_top():
     assert current.node(old_root_id).code == "278"
     for node_id, code in old_codes.items():  # old codes untouched
         assert current.node(node_id).code == code
-    assert current.members == members(4) + ["v1", "v2", "v3"]
+    assert current.members == (*members(4), "v1", "v2", "v3")
 
 
 def test_attach_starts_fresh_lineage_when_code_exhausted():
     current = coded_tree(2, 1, "7")
-    incoming = kt.build_balanced(["v1"], arity=2)
-    kt.attach_subtree(current, incoming, "12345678")
+    kt.attach_subtree(current, ["v1"], "12345678")
     assert current.root.code == "12345678"
 
 
@@ -204,8 +202,7 @@ def test_attach_to_bare_leaf_draws_random_lineage():
     # the lineage is drawn by the caller (CkcsServer._join); the incoming
     # top still gets a child code of the new root
     current = kt.build_balanced(["solo"], arity=2)
-    incoming = kt.build_balanced(["v1", "v2"], arity=2)
-    new_root_id, top_id = kt.attach_subtree(current, incoming, "90817263")
+    new_root_id, top_id = kt.attach_subtree(current, ["v1", "v2"], "90817263")
     kt.assign_codes_below(current, new_root_id, Random(4))
     assert current.root.code == "90817263"
     assert current.node(top_id).code == current.root.code + current.node(top_id).code[-1]
@@ -213,8 +210,7 @@ def test_attach_to_bare_leaf_draws_random_lineage():
 
 def test_attach_leaf_incoming_gets_no_code():
     current = coded_tree(2, 1, "34")
-    incoming = kt.build_balanced(["v1"], arity=2)
-    new_root_id, top_id = kt.attach_subtree(current, incoming, kt.parent_code(current.root.code))
+    new_root_id, top_id = kt.attach_subtree(current, ["v1"], kt.parent_code(current.root.code))
     rng = Random(2)
     kt.assign_codes_below(current, new_root_id, rng)
     assert rng.getstate() == Random(2).getstate()  # nothing left to code
@@ -223,22 +219,18 @@ def test_attach_leaf_incoming_gets_no_code():
     assert current.root.code == "3"
 
 
-def test_attach_rejects_arity_mismatch():
-    with pytest.raises(kt.TreeError):
-        kt.attach_subtree(
-            kt.build_balanced(members(2), arity=2),
-            kt.build_balanced(["v1", "v2"], arity=3),
-            "1",
-        )
-
-
 def test_attach_preserves_node_keys():
-    current = coded_tree(2, 1, "34")
-    incoming = kt.build_balanced(["v1", "v2"], arity=2)
-    marker = SymKey(bytes([9]) * 32)
-    incoming.leaf_of("v2").key = marker
-    kt.attach_subtree(current, incoming, "3")
-    assert current.leaf_of("v2").key == marker
+    # the old tree's keys stay where they were; the new nodes are unkeyed
+    # until the caller keys the joiners' leaves
+    current = coded_tree(4, 1, "34")
+    old_keys = {}
+    for node in current.walk():
+        node.key = old_keys[node.node_id] = SymKey(bytes([node.node_id + 1]) * 32)
+    new_root_id, top_id = kt.attach_subtree(current, ["v1", "v2"], "3")
+    for node_id, key in old_keys.items():
+        assert current.node(node_id).key == key
+    assert all(node.key is None for node in current.walk(top_id))
+    assert current.node(new_root_id).key is None
 
 
 # -- insert --------------------------------------------------------------------------
@@ -332,7 +324,7 @@ def test_every_insert_lands_where_a_fresh_scan_says(arity, n, steps):
         if op == "attach":
             incoming = [f"u{last + k}" for k in range(1, size + 1)]
             last += size
-            kt.attach_subtree(tree, kt.build_balanced(incoming, arity), "1")
+            kt.attach_subtree(tree, incoming, "1")
         elif op == "remove":
             live = tree.members
             kt.remove_leaves(tree, Random(pick).sample(live, min(size, len(live) - 1)))
@@ -344,6 +336,59 @@ def test_every_insert_lands_where_a_fresh_scan_says(arity, n, steps):
                 live = tree.members
                 pick, index = divmod(pick, len(live))
                 kt.detach_leaf(tree, live[index])
+
+
+def tree_state(tree):
+    """Everything placement and the servers read: each node's id, parent,
+    children in order, code and member, then the registration order, the
+    open slots and the next id."""
+    nodes = [(n.node_id, n.parent, list(n.children), n.code, n.member) for n in tree.walk()]
+    return nodes, tree.members, sorted(tree._open_slots), tree._next_id, tree.root_id
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arity=st.sampled_from([2, 3, 4]),
+    n=st.integers(min_value=1, max_value=40),
+    steps=st.lists(PLACEMENT_STEPS, max_size=20),
+)
+def test_attach_in_place_matches_the_clone_based_attach(arity, n, steps):
+    # two trees take the same random mutations; at each attach one grows the
+    # joiners in place and the other clones a separately built tree in.
+    # After each step, and after three more inserts, both must agree on
+    # every id, parent, child order, code, member, open slot and next id
+    tree = kt.build_balanced(members(n), arity)
+    ref = kt.build_balanced(members(n), arity)
+    last = n
+    for op, size, pick in steps:
+        if op == "attach":
+            incoming = [f"u{last + k}" for k in range(1, size + 1)]
+            last += size
+            got = kt.attach_subtree(tree, incoming, "1")
+            want = reference_attach_subtree(ref, kt.build_balanced(incoming, arity), "1")
+            assert got == want
+            kt.assign_codes_below(tree, got[0], Random(pick))
+            kt.assign_codes_below(ref, want[0], Random(pick))
+        elif op == "remove":
+            live = tree.members
+            leavers = Random(pick).sample(live, min(size, len(live) - 1))
+            kt.remove_leaves(tree, leavers)
+            kt.remove_leaves(ref, leavers)
+        elif op == "insert":
+            for _ in range(size):
+                last += 1
+                assert kt.insert_leaf(tree, f"u{last}") == kt.insert_leaf(ref, f"u{last}")
+        else:
+            for _ in range(size):
+                if tree.member_count > 1:
+                    live = tree.members
+                    pick, index = divmod(pick, len(live))
+                    kt.detach_leaf(tree, live[index])
+                    kt.detach_leaf(ref, live[index])
+        assert tree_state(tree) == tree_state(ref)
+    for k in range(1, 4):
+        assert kt.insert_leaf(tree, f"u{last + k}") == kt.insert_leaf(ref, f"u{last + k}")
+    assert tree_state(tree) == tree_state(ref)
 
 
 # -- detach (slot-keeping removal) ------------------------------------------------------

@@ -11,7 +11,10 @@ the generator's state to come out the same.
 
 ``reference_placement`` is the direct form of ``insert_leaf``'s placement
 rule, a fresh breadth-first scan per insert, which the tree replaces with
-scans that resume between inserts.
+scans that resume between inserts.  ``reference_attach_subtree`` is the
+two-tree form of ``attach_subtree``: build the joiners' tree apart, then
+clone it node by node into the current tree, which the tree replaces with
+one build in place.
 """
 
 from __future__ import annotations
@@ -135,6 +138,32 @@ def assert_insert_matches_reference(tree, member):
     else:
         assert tree.nodes[parent].children[index] == split.node_id, member
     return result
+
+
+def reference_attach_subtree(current, incoming, root_code):
+    """Mount the separately built tree ``incoming`` beside the current root
+    by cloning it in walk order, under a new root coded ``root_code``.
+    Returns (new root id, incoming top id)."""
+    root_code = kt._checked_code(root_code)
+    old_root = current.root
+    current._scan_dirty()
+    id_map = {}
+    for node in incoming.walk():
+        clone = current._new_node(key=node.key, code=node.code, member=node.member)
+        id_map[node.node_id] = clone.node_id
+    for node in incoming.walk():
+        clone = current.nodes[id_map[node.node_id]]
+        clone.parent = id_map[node.parent] if node.parent is not None else None
+        clone.children = [id_map[c] for c in node.children]
+        current._slot_sync(clone.node_id)
+    incoming_top = current.nodes[id_map[incoming.root_id]]
+    new_root = current._new_node(code=root_code)
+    new_root.children = [old_root.node_id, incoming_top.node_id]
+    old_root.parent = new_root.node_id
+    incoming_top.parent = new_root.node_id
+    current.root_id = new_root.node_id
+    current._slot_sync(new_root.node_id)
+    return new_root.node_id, incoming_top.node_id
 
 
 def reference_lkh_setup(member_ids, rng, arity=2):

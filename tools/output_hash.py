@@ -1,0 +1,130 @@
+"""Print one SHA-256 per checkout over the simulator's outputs.
+
+    python3 tools/output_hash.py --checkout ../parent --checkout .
+
+Each checkout's own ``src/`` runs in a subprocess, so two checkouts that
+print the same hash produced the same outputs.  The hash covers:
+
+- for ``generate_random_scenario`` seeds 0-299 and each of
+  the four protocols (max_n 64, max_events 30), run tracked and untracked:
+  the trace digest, every event's ``stats`` and its seven cost counts, or
+  the ``CodeSpaceError`` text where a trace stops;
+- for the tracked traces also: the ordered ``node_key_log`` (id sets
+  sorted), the sorted ``sibling_pairs``, the ordered ``wrap_log``, every
+  member's and departed member's sorted keys and codes and
+  ``unwrap_misses``, the final tree in ``walk()`` order (id, parent,
+  children, code, member, key) and, for ckcs, ``all_codes()``;
+- one ``harness.sweep`` (4 protocols x n 1,8,64,256 x m 1,4,8,16,64 x join,
+  leave, seed 3) as CSV without ``wall_ms``, and its notes.
+
+Every set is sorted before it is hashed, so the result does not depend on
+``PYTHONHASHSEED``.  With more than one checkout the exit status is 1 when
+the hashes differ.  About 50 s per checkout on one core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+PROTOCOLS = ("ckcs", "lkh", "oft", "okd")
+COSTS = (
+    "keygen", "encrypt", "unicast", "multicast", "payload_keys", "member_derivations", "notices",
+)
+
+
+def output_hash(seeds: int = 300) -> str:
+    """The hash of the outputs of whichever ``gkms`` is importable."""
+    from gkms import harness
+    from gkms.core import rows_to_csv
+    from gkms.tree import CodeSpaceError
+
+    digest = hashlib.sha256()
+
+    def put(*parts) -> None:
+        digest.update(repr(parts).encode() + b"\n")
+
+    for seed in range(seeds):
+        for protocol in PROTOCOLS:
+            scenario = harness.generate_random_scenario(seed, protocol, max_n=64, max_events=30)
+            for tracked in (True, False):
+                put("trace", seed, protocol, tracked)
+                try:
+                    trace = harness.run(scenario, track_members=tracked)
+                except CodeSpaceError as exc:
+                    put("stop", str(exc))
+                    continue
+                put(trace.digest)
+                for record in trace.events:
+                    cost = record.cost
+                    put(sorted(record.output.stats.items()), [getattr(cost, k) for k in COSTS])
+                if tracked:
+                    _put_tracked(put, trace)
+
+    rows, notes = harness.sweep(
+        list(PROTOCOLS), [1, 8, 64, 256], [1, 4, 8, 16, 64], ["join", "leave"], seed=3
+    )
+    put("sweep", rows_to_csv(rows, ["keygen_dedup"]), notes)
+    return digest.hexdigest()
+
+
+def _put_tracked(put, trace) -> None:
+    """The analysis-side records, member knowledge and final tree of a
+    tracked trace."""
+    put([(key, sorted(ids)) for key, ids in trace.node_key_log.items()])
+    put(sorted(trace.sibling_pairs))
+    put(list(trace.wrap_log.items()))
+    for kind, views in (("member", trace.members), ("departed", trace.departed)):
+        for member_id in sorted(views):
+            view = views[member_id]
+            knowledge = view.knowledge
+            put(kind, member_id, sorted(knowledge.key_bytes), sorted(knowledge.codes),
+                view.unwrap_misses)
+    server = trace.server
+    for node in server.tree.walk():
+        put(node.node_id, node.parent, node.children, node.code, node.member,
+            node.key.data if node.key is not None else None)
+    if hasattr(server, "all_codes"):
+        put(sorted(server.all_codes()))
+
+
+def _run_checkout(checkout: Path) -> str:
+    """The hash of one checkout's ``src/``, computed in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker"]
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: hashing failed\n{done.stderr}")
+    return done.stdout.strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--checkout", action="append", type=Path,
+        help="a checkout to hash (repeatable; default: this repository)",
+    )
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        import gkms
+
+        src = (Path.cwd() / "src").resolve()
+        if not Path(gkms.__file__).resolve().is_relative_to(src):
+            raise SystemExit(f"imported {gkms.__file__}, not the checkout's {src}")
+        print(output_hash())
+        return 0
+    hashes = []
+    for checkout in (c.resolve() for c in (args.checkout or [REPO])):
+        hashes.append(_run_checkout(checkout))
+        print(f"{hashes[-1]}  {checkout}", flush=True)
+    return 0 if len(set(hashes)) == 1 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
