@@ -19,6 +19,11 @@ Rules (per protocol):
   public tree structure (which sibling pairs existed), keeping the closure
   finite; combining non-sibling values can never produce a protocol key.
 
+Every rule but the unwrap applies one one-way function, named once in
+``DERIVATIONS``; the closure's shared cache and the witness check both read
+that table.  Only seeds and the outputs of ``_CHAINABLE`` rules (refresh
+steps and unwrapped keys) start a further refresh or code derivation.
+
 There is deliberately no inverse rule for any one-way function: backward
 secrecy rests exactly on that absence.
 
@@ -32,7 +37,7 @@ import hashlib
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from gkms.core import RekeyMessage
 from gkms.crypto import (
@@ -56,10 +61,21 @@ RULESETS: dict[str, tuple[str, ...]] = {
     "okd": ("okd-derive", "unwrap-from-transcript"),
 }
 
-# kinds of fact a key-refresh or code derivation may legitimately start from;
-# chaining them off code-derived/blinded/mixed values models nothing any
-# protocol computes and would make the fact universe explode
-_CHAINABLE = ("seed", "derived", "opaque")
+# rule -> the one-way function it applies to its input keys (and code).
+# Each entry looks its function up by name when it runs, so whatever the
+# module binds that name to then (a tracing wrapper, say) sees the call.
+DERIVATIONS: dict[str, Callable[[list[SymKey], str | None], SymKey]] = {
+    "hash-forward": lambda keys, code: derive(*keys),
+    "okd-derive": lambda keys, code: derive(*keys),
+    "code-derive": lambda keys, code: derive_with_code(*keys, code),
+    "oft-blind": lambda keys, code: blind(*keys),
+    "oft-mix": lambda keys, code: mix(*keys),
+}
+
+# rules whose outputs a key-refresh or code derivation may start from (None
+# is a seed); chaining off code-derived/blinded/mixed values models nothing
+# any protocol computes and would make the fact universe explode
+_CHAINABLE = frozenset((None, "hash-forward", "okd-derive", "unwrap-from-transcript"))
 
 
 def fingerprint(value: bytes | SymKey) -> str:
@@ -81,7 +97,6 @@ class Fact:
     code: str | None = None
     wrapped: WrappedKey | None = None
     hops: int = 0  # consecutive one-way refresh steps
-    kind: str = "seed"
 
     def line(self) -> str:
         parts = [fingerprint(v) for v in self.inputs]
@@ -166,9 +181,9 @@ class ClosureIndex:
     cap, the node tags and sibling pairs, and the wrap log, which names the
     key that wrapped each ciphertext; from them it builds the transcript's
     payloads grouped by wrapping key, the OFT blind oracle and the
-    sibling-pair maps.  It also keeps a table per rule of the finished facts
-    that rule has produced: each output is computed with real crypto the
-    first time any adversary needs it, and later adversaries look it up.
+    sibling-pair maps.  It also keeps the finished facts the rules have
+    produced: each output is computed with real crypto the first time any
+    adversary needs it, and later adversaries look it up.
     Facts are frozen and compare by value, so sharing them changes no
     output; what stays per adversary is the fixpoint itself: its facts,
     codes and queue.
@@ -203,20 +218,17 @@ class ClosureIndex:
                 self.cts_by_kek.setdefault(kek, []).append(cts[ct])
 
         # rule outputs: unwrap by key value (a tuple of (fact, decoded code or
-        # None) for the payloads it opens), derive by (value, hops),
-        # code-derive by (value, code), blind by value, mix by (left, right)
+        # None) for the payloads it opens), every other rule in one cache
         self.unwrapped: dict[bytes, tuple[tuple[Fact, str | None], ...]] = {}
-        self.derived: dict[tuple[bytes, int], Fact] = {}
-        self.code_derived: dict[tuple[bytes, str], Fact] = {}
-        self.blinded: dict[bytes, Fact] = {}
-        self.mixed: dict[tuple[bytes, bytes], Fact] = {}
+        self.outputs = _Derivations()
 
         # blind(real node key) -> node ids; lets the mix rule recognise which
         # known values are blinds of which tree slots (public placement metadata)
         oracle: dict[bytes, set[int]] = {}
         if "oft-mix" in self.rules:
             for key_bytes, nodes in self.node_tags.items():
-                oracle.setdefault(self.blind_fact(key_bytes).value, set()).update(nodes)
+                blinded = self.outputs["oft-blind", (key_bytes,), None, 0].value
+                oracle.setdefault(blinded, set()).update(nodes)
         self.blind_oracle: dict[bytes, tuple[int, ...]] = {
             value: tuple(nodes) for value, nodes in oracle.items()
         }
@@ -244,43 +256,27 @@ class ClosureIndex:
                     code: str | None = decode_code(plaintext)
                 except ValueError:
                     code = None  # an ordinary key, not an encoded node code
-                fact = Fact(
-                    plaintext, "unwrap-from-transcript", (value,), wrapped=wrapped, kind="opaque"
-                )
+                fact = Fact(plaintext, "unwrap-from-transcript", (value,), wrapped=wrapped)
                 opened.append((fact, code))
             found = self.unwrapped[value] = tuple(opened)
         return found
 
-    def derive_fact(self, value: bytes, hops: int) -> Fact:
-        fact = self.derived.get((value, hops))
-        if fact is None:
-            stepped = derive(SymKey(value)).data
-            fact = Fact(stepped, self.derive_rule, (value,), hops=hops + 1, kind="derived")
-            self.derived[value, hops] = fact
+
+class _Derivations(dict):
+    """Derivation outputs by what determines their fact: (rule, inputs, code,
+    hops), hops being the output's one-way chain length.  Looking up a
+    missing output computes it with real crypto and keeps it; a hit stays a
+    plain dict lookup."""
+
+    def __missing__(self, key: tuple[str, tuple[bytes, ...], str | None, int]) -> Fact:
+        rule, inputs, code, hops = key
+        fact = self[key] = Fact(_apply(rule, inputs, code), rule, inputs, code, hops=hops)
         return fact
 
-    def code_derive_fact(self, value: bytes, code: str) -> Fact:
-        fact = self.code_derived.get((value, code))
-        if fact is None:
-            derived = derive_with_code(SymKey(value), code).data
-            fact = Fact(derived, "code-derive", (value,), code=code, kind="code-derived")
-            self.code_derived[value, code] = fact
-        return fact
 
-    def blind_fact(self, value: bytes) -> Fact:
-        fact = self.blinded.get(value)
-        if fact is None:
-            fact = Fact(blind(SymKey(value)).data, "oft-blind", (value,), kind="blinded")
-            self.blinded[value] = fact
-        return fact
-
-    def mix_fact(self, left: bytes, right: bytes) -> Fact:
-        fact = self.mixed.get((left, right))
-        if fact is None:
-            mixed = mix(SymKey(left), SymKey(right)).data
-            fact = Fact(mixed, "oft-mix", (left, right), kind="mixed")
-            self.mixed[left, right] = fact
-        return fact
+def _apply(rule: str, inputs: tuple[bytes, ...], code: str | None) -> bytes:
+    """Run derivation ``rule``'s one-way function with real crypto."""
+    return DERIVATIONS[rule]([SymKey(value) for value in inputs], code).data
 
 
 def closure(initial: KnowledgeSet) -> KnowledgeSet:
@@ -309,7 +305,7 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
     node_tags = index.node_tags
     blind_oracle = index.blind_oracle
     right_of, left_of = index.right_of, index.left_of
-    unwrap_facts, code_derive_fact = index.unwrap_facts, index.code_derive_fact
+    unwrap_facts, outputs = index.unwrap_facts, index.outputs
     blinds_by_node: dict[int, dict[bytes, None]] = {}  # insertion-ordered sets
 
     queue: deque[bytes] = deque(facts)
@@ -326,8 +322,8 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
         codes[code] = origin
         if code_rule:
             for value, fact in list(facts.items()):
-                if fact.kind in _CHAINABLE:
-                    add(code_derive_fact(value, code))
+                if fact.rule in _CHAINABLE:
+                    add(outputs["code-derive", (value,), code, 0])
 
     def register_blind(value: bytes) -> None:
         for node in blind_oracle.get(value, ()):
@@ -337,15 +333,15 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
             per_node[value] = None
             for right in right_of.get(node, ()):
                 for partner in list(blinds_by_node.get(right, ())):
-                    add(index.mix_fact(value, partner))
+                    add(outputs["oft-mix", (value, partner), None, 0])
             for left in left_of.get(node, ()):
                 for partner in list(blinds_by_node.get(left, ())):
-                    add(index.mix_fact(partner, value))
+                    add(outputs["oft-mix", (partner, value), None, 0])
 
     while queue:
         value = queue.popleft()
         fact = facts[value]
-        chainable = fact.kind in _CHAINABLE
+        chainable = fact.rule in _CHAINABLE
 
         if unwrap_rule:
             for opened, code in unwrap_facts(value):
@@ -354,14 +350,15 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
                     add_code(code, opened.value)
 
         if derive_rule and chainable and fact.hops < derive_cap:
-            add(index.derive_fact(value, fact.hops))
+            add(outputs[derive_rule, (value,), None, fact.hops + 1])
 
         if code_rule and chainable:
+            inputs = (value,)
             for code in list(codes):
-                add(code_derive_fact(value, code))
+                add(outputs["code-derive", inputs, code, 0])
 
         if blind_rule and value in node_tags:
-            add(index.blind_fact(value))
+            add(outputs["oft-blind", (value,), None, 0])
 
         if mix_rule:
             register_blind(value)
@@ -376,21 +373,13 @@ def verify_witness(ks: KnowledgeSet, key: bytes | SymKey) -> bool:
     except KeyError:
         return False
     for fact in chain:
-        if fact.rule in ("hash-forward", "okd-derive"):
-            ok = derive(SymKey(fact.inputs[0])).data == fact.value
-        elif fact.rule == "code-derive":
-            ok = derive_with_code(SymKey(fact.inputs[0]), fact.code).data == fact.value
-        elif fact.rule == "oft-blind":
-            ok = blind(SymKey(fact.inputs[0])).data == fact.value
-        elif fact.rule == "oft-mix":
-            ok = mix(SymKey(fact.inputs[0]), SymKey(fact.inputs[1])).data == fact.value
-        elif fact.rule == "unwrap-from-transcript":
+        if fact.rule == "unwrap-from-transcript":
             try:
                 ok = unwrap(SymKey(fact.inputs[0]), fact.wrapped).data == fact.value
             except UnwrapError:
                 ok = False
         else:
-            ok = False
+            ok = fact.rule in DERIVATIONS and _apply(fact.rule, fact.inputs, fact.code) == fact.value
         if not ok:
             return False
     return True

@@ -65,15 +65,10 @@ class OftServer(ServerProtocol):
         leaves = [node for node in nodes if not node.children]
         for leaf, key in zip(leaves, random_keys(rng, setup, len(leaves))):
             leaf.key = key
-        # Fold bottom-up: in reverse preorder every child comes before its
-        # parent and hands its blind up; the root is not blinded.
-        blinds: dict[int, SymKey] = {}
+        # fold bottom-up: in reverse preorder every child is keyed before its parent
         for node in reversed(nodes):
             if node.children:
-                left, right = node.children
-                node.key = mix(blinds.pop(left), blinds.pop(right))
-            if node.parent is not None:
-                blinds[node.node_id] = blind(node.key)
+                node.key = self._folded(node)
 
     def _folded(self, node: Node) -> SymKey:
         """The mix of the blinded keys of an internal node's two children."""

@@ -50,10 +50,6 @@ class MembershipEvent:
     op: Op
     member_ids: tuple[str, ...]
 
-    @property
-    def batch_size(self) -> int:
-        return len(self.member_ids)
-
 
 class _Addressed:
     """A delivery to a fixed tuple of recipients."""

@@ -192,9 +192,6 @@ class KeyTree:
     def subtree_member_ids(self, node_id: int) -> list[str]:
         return [n.member for n in self.walk(node_id) if n.is_leaf and n.member]
 
-    def subtree_leaf_count(self, node_id: int) -> int:
-        return sum(1 for n in self.walk(node_id) if n.is_leaf)
-
     # -- placement bookkeeping ----------------------------------------------
     # insert_leaf picks its target in breadth-first order: the first internal
     # node with a free child slot, otherwise the first leaf.  Rescanning the

@@ -80,19 +80,19 @@ def reference_closure(initial: KnowledgeSet, brute_force: bool = False) -> Knowl
         out.codes[code] = origin
         if "code-derive" in rules:
             for value, fact in list(facts.items()):
-                if fact.kind in _CHAINABLE:
+                if fact.rule in _CHAINABLE:
                     add(_code_derived(value, code))
 
     def _code_derived(value: bytes, code: str) -> Fact:
         derived = derive_with_code(SymKey(value), code)
-        return Fact(derived.data, "code-derive", (value,), code=code, kind="code-derived")
+        return Fact(derived.data, "code-derive", (value,), code=code)
 
     def try_unwrap(value: bytes, wrapped: WrappedKey) -> None:
         try:
             plaintext = unwrap(SymKey(value), wrapped)
         except UnwrapError:
             return
-        add(Fact(plaintext.data, "unwrap-from-transcript", (value,), wrapped=wrapped, kind="opaque"))
+        add(Fact(plaintext.data, "unwrap-from-transcript", (value,), wrapped=wrapped))
         try:
             add_code(decode_code(plaintext.data), plaintext.data)
         except ValueError:
@@ -107,11 +107,11 @@ def reference_closure(initial: KnowledgeSet, brute_force: bool = False) -> Knowl
             for left, right, parent in pairs_left.get(node, ()):
                 for partner in list(blinds_by_node.get(right, ())):
                     mixed = mix(SymKey(value), SymKey(partner))
-                    add(Fact(mixed.data, "oft-mix", (value, partner), kind="mixed"))
+                    add(Fact(mixed.data, "oft-mix", (value, partner)))
             for left, right, parent in pairs_right.get(node, ()):
                 for partner in list(blinds_by_node.get(left, ())):
                     mixed = mix(SymKey(partner), SymKey(value))
-                    add(Fact(mixed.data, "oft-mix", (partner, value), kind="mixed"))
+                    add(Fact(mixed.data, "oft-mix", (partner, value)))
 
     while queue:
         value = queue.popleft()
@@ -125,17 +125,17 @@ def reference_closure(initial: KnowledgeSet, brute_force: bool = False) -> Knowl
                 for wrapped in cts.values():
                     try_unwrap(value, wrapped)
 
-        if derive_rule and fact.kind in _CHAINABLE and fact.hops < context.derive_cap:
+        if derive_rule and fact.rule in _CHAINABLE and fact.hops < context.derive_cap:
             stepped = derive(SymKey(value))
-            add(Fact(stepped.data, derive_rule, (value,), hops=fact.hops + 1, kind="derived"))
+            add(Fact(stepped.data, derive_rule, (value,), hops=fact.hops + 1))
 
-        if "code-derive" in rules and fact.kind in _CHAINABLE:
+        if "code-derive" in rules and fact.rule in _CHAINABLE:
             for code in list(out.codes):
                 add(_code_derived(value, code))
 
         if "oft-blind" in rules and value in context.node_tags:
             blinded = blind(SymKey(value))
-            add(Fact(blinded.data, "oft-blind", (value,), kind="blinded"))
+            add(Fact(blinded.data, "oft-blind", (value,)))
 
         if "oft-mix" in rules:
             register_blind(value)

@@ -2,13 +2,13 @@
 verdicts, the codes-public leak demonstration, and agreement with the
 independent reachability oracle."""
 
-from random import Random
-
 import pytest
 
 from analyzer_reference import ReferenceProver
 from closure_reference import reference_closure
+from gkms import analyzer
 from gkms.analyzer import (
+    DERIVATIONS,
     ClosureIndex,
     Fact,
     KnowledgeSet,
@@ -39,7 +39,7 @@ def trace_of(text):
 def test_fingerprint_and_fact_line():
     assert fingerprint(K) == "05050505"
     assert fingerprint(K.data) == "05050505"
-    fact = Fact(value=derive(K).data, rule="hash-forward", inputs=(K.data,), kind="derived")
+    fact = Fact(value=derive(K).data, rule="hash-forward", inputs=(K.data,))
     assert fact.line() == f"hash-forward(05050505) -> {derive(K).fingerprint}"
 
 
@@ -108,10 +108,57 @@ def test_unwrap_from_transcript_and_code_learning():
 
 def test_verify_witness_rejects_fabricated_facts():
     ks = KnowledgeSet(ClosureIndex(), keys=[K])
-    bogus = Fact(value=K2.data, rule="hash-forward", inputs=(K.data,), kind="derived")
+    bogus = Fact(value=K2.data, rule="hash-forward", inputs=(K.data,))
     ks.facts[K2.data] = bogus  # claim derive(K) == K2, which is false
     assert not verify_witness(ks, K2)
     assert not verify_witness(ks, SymKey(bytes(32)))  # unknown key
+
+
+def test_verify_witness_rejects_a_rule_that_names_no_derivation():
+    ks = KnowledgeSet(ClosureIndex(), keys=[K])
+    stepped = derive(K).data
+    ks.facts[stepped] = Fact(value=stepped, rule="hash-backward", inputs=(K.data,), hops=1)
+    assert not verify_witness(ks, stepped)
+    ks.facts[stepped] = Fact(value=stepped, rule="hash-forward", inputs=(K.data,), hops=1)
+    assert verify_witness(ks, stepped)
+
+
+def test_verify_witness_rejects_a_code_derive_step_with_the_wrong_code():
+    ks = KnowledgeSet(ClosureIndex(), keys=[K], codes=["41", "42"])
+    coded = derive_with_code(K, "41").data
+    ks.facts[coded] = Fact(value=coded, rule="code-derive", inputs=(K.data,), code="42")
+    assert not verify_witness(ks, coded)
+    ks.facts[coded] = Fact(value=coded, rule="code-derive", inputs=(K.data,), code="41")
+    assert verify_witness(ks, coded)
+
+
+def test_every_rule_is_a_derivation_or_the_unwrap():
+    rules = {rule for ruleset in RULESETS.values() for rule in ruleset}
+    assert rules == set(DERIVATIONS) | {"unwrap-from-transcript"}
+
+
+def test_derivations_call_the_one_way_function_bound_at_call_time(monkeypatch):
+    """A wrapper bound over the module's name afterwards (as a tracer does)
+    sees every derivation the closure and the witness check run."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("derive", "derive_with_code"):
+        monkeypatch.setattr(analyzer, name, counting(name, getattr(analyzer, name)))
+    closed = closure(
+        KnowledgeSet(ClosureIndex(rules=RULESETS["ckcs"], derive_cap=1), keys=[K], codes=["41"])
+    )
+    assert sorted(calls) == ["derive", "derive_with_code", "derive_with_code"]
+    target = derive_with_code(derive(K), "41")
+    calls.clear()
+    assert verify_witness(closed, target)
+    assert calls == ["derive", "derive_with_code"]
 
 
 # -- adversary construction -----------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from gkms import core as core_module
 from gkms.baselines import LkhServer, OftServer, OkdServer
 from gkms.core import CostMeter, EventError, MembershipEvent, Notice
-from gkms.crypto import SymKey, blind, derive, mix, unwrap
+from gkms.crypto import blind, derive, mix, unwrap
 from tree_reference import assert_insert_matches_reference
 
 

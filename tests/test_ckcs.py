@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from ckcs_reference import reference_fresh_root_code
 from gkms import tree as kt
-from gkms.ckcs import CkcsMember, CkcsServer
+from gkms.ckcs import CkcsServer
 from gkms.core import CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
-from gkms.crypto import SymKey, decode_code, derive, derive_with_code, unwrap
+from gkms.crypto import decode_code, derive, derive_with_code, unwrap
 from gkms.harness import parse_scenario, run
 
 

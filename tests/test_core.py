@@ -39,8 +39,6 @@ def msg(channel="multicast", recipients=("a", "b"), n_payloads=2, aux=None):
 
 
 def test_event_validation():
-    event = MembershipEvent(1, "join", ("a", "b"))
-    assert event.batch_size == 2
     # a plain record: the server's _validate is the one membership check
     server = _StubServer()
     for bad, message in (

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gkms import analyzer
 from gkms import tree as kt
 
 REPO = Path(__file__).resolve().parent.parent
@@ -25,7 +26,7 @@ def test_the_hash_does_not_depend_on_the_hash_seed():
         "import importlib.util, sys;"
         f"spec = importlib.util.spec_from_file_location('output_hash', {str(TOOL_PATH)!r});"
         "tool = importlib.util.module_from_spec(spec); spec.loader.exec_module(tool);"
-        "print(tool.output_hash(seeds=2))"
+        "print(tool.output_hash(seeds=2, analyzer_seeds=2, audit_trials=4))"
     )
     hashes = []
     for hash_seed in ("0", "1"):
@@ -40,8 +41,8 @@ def test_the_hash_does_not_depend_on_the_hash_seed():
 
 def test_a_swapped_attach_changes_the_hash(monkeypatch):
     tool = _tool()
-    before = tool.output_hash(seeds=3)
-    assert tool.output_hash(seeds=3) == before
+    before = tool.output_hash(seeds=3, analyzer_seeds=0, audit_trials=1)
+    assert tool.output_hash(seeds=3, analyzer_seeds=0, audit_trials=1) == before
     attach = kt.attach_subtree
 
     def swapped(current, member_ids, root_code):
@@ -50,4 +51,12 @@ def test_a_swapped_attach_changes_the_hash(monkeypatch):
         return new_root_id, top_id
 
     monkeypatch.setattr(kt, "attach_subtree", swapped)
-    assert tool.output_hash(seeds=3) != before
+    assert tool.output_hash(seeds=3, analyzer_seeds=0, audit_trials=1) != before
+
+
+def test_a_change_to_the_closure_changes_the_hash(monkeypatch):
+    tool = _tool()
+    before = tool.output_hash(seeds=0, analyzer_seeds=3, audit_trials=1)
+    # unwrapped keys no longer start a refresh chain: okd closures shrink
+    monkeypatch.setattr(analyzer, "_CHAINABLE", analyzer._CHAINABLE - {"unwrap-from-transcript"})
+    assert tool.output_hash(seeds=0, analyzer_seeds=3, audit_trials=1) != before

@@ -155,7 +155,6 @@ def test_paths_and_relations():
     assert len(sibling) == 1 and tree.node(sibling[0]).member == "u4"
     assert tree.siblings(tree.root_id) == []
     assert tree.subtree_member_ids(chain[0]) == ["u3", "u4"]
-    assert tree.subtree_leaf_count(tree.root_id) == 8
     assert tree.has_member("u5") and not tree.has_member("u99")
     with pytest.raises(kt.TreeError):
         tree.leaf_of("u99")

@@ -15,11 +15,18 @@ print the same hash produced the same outputs.  The hash covers:
   ``unwrap_misses``, the final tree in ``walk()`` order (id, parent,
   children, code, member, key) and, for ckcs, ``all_codes()``;
 - one ``harness.sweep`` (4 protocols x n 1,8,64,256 x m 1,4,8,16,64 x join,
-  leave, seed 3) as CSV without ``wall_ms``, and its notes.
+  leave, seed 3) as CSV without ``wall_ms``, and its notes;
+- the secrecy analyzer: for ``generate_random_scenario`` seeds 0-39 and each
+  protocol (max_n 32, max_events 6), run tracked, the closure of every
+  adversary ``_audit_adversaries(trace, "all")`` names, as its facts in
+  order (value, rule, inputs, code, hops, wrapped ciphertext) and its codes
+  in order with the value each was decoded from;
+- the text of ``audit(trials=60, seed=7, max_n=32, codes_public=True)``:
+  the summary without the elapsed time, and every breach's seed and text.
 
 Every set is sorted before it is hashed, so the result does not depend on
 ``PYTHONHASHSEED``.  With more than one checkout the exit status is 1 when
-the hashes differ.  About 50 s per checkout on one core.
+the hashes differ.  About 60 s per checkout on one core.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ COSTS = (
 )
 
 
-def output_hash(seeds: int = 300) -> str:
+def output_hash(seeds: int = 300, analyzer_seeds: int = 40, audit_trials: int = 60) -> str:
     """The hash of the outputs of whichever ``gkms`` is importable."""
     from gkms import harness
     from gkms.core import rows_to_csv
@@ -70,7 +77,36 @@ def output_hash(seeds: int = 300) -> str:
         list(PROTOCOLS), [1, 8, 64, 256], [1, 4, 8, 16, 64], ["join", "leave"], seed=3
     )
     put("sweep", rows_to_csv(rows, ["keygen_dedup"]), notes)
+    _put_analyzer(put, analyzer_seeds, audit_trials)
     return digest.hexdigest()
+
+
+def _put_analyzer(put, seeds: int, audit_trials: int) -> None:
+    """Every single-adversary closure of small tracked traces, and the
+    codes-public audit's text."""
+    from gkms import analyzer, harness
+    from gkms.tree import CodeSpaceError
+
+    for seed in range(seeds):
+        for protocol in PROTOCOLS:
+            scenario = harness.generate_random_scenario(seed, protocol, max_n=32, max_events=6)
+            put("closures", seed, protocol)
+            try:
+                trace = harness.run(scenario)
+            except CodeSpaceError as exc:
+                put("stop", str(exc))
+                continue
+            for kind, member in analyzer._audit_adversaries(trace, "all"):
+                closed = analyzer.closure(analyzer.adversary_knowledge(trace, (member,)))
+                put(kind, member, list(closed.codes.items()))
+                for fact in closed.facts.values():
+                    ciphertext = fact.wrapped.ciphertext if fact.wrapped is not None else None
+                    put(fact.value, fact.rule, fact.inputs, fact.code, fact.hops, ciphertext)
+
+    report = analyzer.audit(trials=audit_trials, seed=7, max_n=32, codes_public=True)
+    put("audit", report.summary().rsplit(", ", 1)[0])
+    for seed, verdict in report.breaches:
+        put(seed, str(verdict))
 
 
 def _put_tracked(put, trace) -> None:
