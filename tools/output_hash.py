@@ -26,7 +26,7 @@ print the same hash produced the same outputs.  The hash covers:
 
 Every set is sorted before it is hashed, so the result does not depend on
 ``PYTHONHASHSEED``.  With more than one checkout the exit status is 1 when
-the hashes differ.  About 60 s per checkout on one core.
+the hashes differ.  About 45 s per checkout on one core.
 """
 
 from __future__ import annotations
