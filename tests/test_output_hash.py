@@ -56,7 +56,9 @@ def test_a_swapped_attach_changes_the_hash(monkeypatch):
 
 def test_a_change_to_the_closure_changes_the_hash(monkeypatch):
     tool = _tool()
-    before = tool.output_hash(seeds=0, analyzer_seeds=3, audit_trials=1)
-    # unwrapped keys no longer start a refresh chain: okd closures shrink
-    monkeypatch.setattr(analyzer, "_CHAINABLE", analyzer._CHAINABLE - {"unwrap-from-transcript"})
-    assert tool.output_hash(seeds=0, analyzer_seeds=3, audit_trials=1) != before
+    before = tool.output_hash(seeds=0, analyzer_seeds=3, audit_trials=2)
+    # seeds no longer start a refresh or code derivation: the codes-public
+    # breach of the second audit trace, which code-derives a middle key from
+    # a held group key, goes away
+    monkeypatch.setattr(analyzer, "_CHAINABLE", analyzer._CHAINABLE - {None})
+    assert tool.output_hash(seeds=0, analyzer_seeds=3, audit_trials=2) != before

@@ -18,9 +18,13 @@ print the same hash produced the same outputs.  The hash covers:
   leave, seed 3) as CSV without ``wall_ms``, and its notes;
 - the secrecy analyzer: for ``generate_random_scenario`` seeds 0-39 and each
   protocol (max_n 32, max_events 6), run tracked, the closure of every
-  adversary ``_audit_adversaries(trace, "all")`` names, as its facts in
-  order (value, rule, inputs, code, hops, wrapped ciphertext) and its codes
-  in order with the value each was decoded from;
+  adversary ``_audit_adversaries(trace, "all")`` names, as its codes in
+  order with the value each was decoded from and its facts in order as
+  (value, rule, inputs, code, wrapped ciphertext).  Only seeds, unwrapped
+  keys and facts whose value lies in the trace's universe are hashed: the
+  logged node keys, the keys the wrap log names and, for oft, the blind of
+  every logged node key.  Values outside it are on no chain that ends at a
+  protocol key, so whether a closure lists them changes no verdict;
 - the text of ``audit(trials=60, seed=7, max_n=32, codes_public=True)``:
   the summary without the elapsed time, and every breach's seed and text.
 
@@ -85,6 +89,7 @@ def _put_analyzer(put, seeds: int, audit_trials: int) -> None:
     """Every single-adversary closure of small tracked traces, and the
     codes-public audit's text."""
     from gkms import analyzer, harness
+    from gkms.crypto import SymKey, blind
     from gkms.tree import CodeSpaceError
 
     for seed in range(seeds):
@@ -96,12 +101,19 @@ def _put_analyzer(put, seeds: int, audit_trials: int) -> None:
             except CodeSpaceError as exc:
                 put("stop", str(exc))
                 continue
+            universe = set(trace.node_key_log) | set(trace.wrap_log.values())
+            if protocol == "oft":
+                universe.update(blind(SymKey(key)).data for key in trace.node_key_log)
             for kind, member in analyzer._audit_adversaries(trace, "all"):
                 closed = analyzer.closure(analyzer.adversary_knowledge(trace, (member,)))
                 put(kind, member, list(closed.codes.items()))
                 for fact in closed.facts.values():
+                    if fact.rule not in (None, "unwrap-from-transcript") and (
+                        fact.value not in universe
+                    ):
+                        continue
                     ciphertext = fact.wrapped.ciphertext if fact.wrapped is not None else None
-                    put(fact.value, fact.rule, fact.inputs, fact.code, fact.hops, ciphertext)
+                    put(fact.value, fact.rule, fact.inputs, fact.code, ciphertext)
 
     report = analyzer.audit(trials=audit_trials, seed=7, max_n=32, codes_public=True)
     put("audit", report.summary().rsplit(", ", 1)[0])
