@@ -10,8 +10,7 @@ every derived fact is backed by an executable witness chain.
 Rules (per protocol):
 
 - ``hash-forward`` / ``okd-derive`` — step a key with the one-way refresh
-  function; chains are capped at the trace's event count, the only epochs
-  that exist.
+  function.
 - ``code-derive`` — combine a key with a known node code.
 - ``unwrap-from-transcript`` — open an observed ciphertext with a known key.
 - ``oft-blind`` / ``oft-mix`` — blind a known node key, or fold two known
@@ -23,6 +22,15 @@ Every rule but the unwrap applies one one-way function, named once in
 ``DERIVATIONS``; the closure's shared cache and the witness check both read
 that table.  Only seeds and the outputs of ``_CHAINABLE`` rules (refresh
 steps and unwrapped keys) start a further refresh or code derivation.
+
+Every closure stays inside its trace's universe: the values the protocols
+computed (every logged node key, which includes every group key, every key
+the wrap log names and, for OFT, the blind of every node key).  A derivation
+output outside it is dropped; seeds and unwrapped keys are always kept.
+Dropping it loses nothing: an output is a one-way image of its inputs, so a
+chain from a value outside the universe to a protocol key would need a
+second preimage, and an authenticated unwrap succeeds only under the real
+wrapping key, which the universe holds.
 
 There is deliberately no inverse rule for any one-way function: backward
 secrecy rests exactly on that absence.
@@ -96,7 +104,6 @@ class Fact:
     inputs: tuple[bytes, ...] = ()
     code: str | None = None
     wrapped: WrappedKey | None = None
-    hops: int = 0  # consecutive one-way refresh steps
 
     def line(self) -> str:
         parts = [fingerprint(v) for v in self.inputs]
@@ -112,10 +119,11 @@ class KnowledgeSet:
     grow in.
 
     The index holds the whole closure context: the public transcript, the
-    active rule set, the one-way chain cap, and the public structural
-    metadata (which node each observed key slot belonged to, which sibling
-    pairs existed).  :func:`adversary_knowledge` hands every set of a trace
-    the trace's one index, and :func:`closure` grows a set inside its own.
+    active rule set, and the public structural metadata (which node each
+    observed key slot belonged to, which sibling pairs existed), from which
+    it reads the trace's universe.  :func:`adversary_knowledge` hands every
+    set of a trace the trace's one index, and :func:`closure` grows a set
+    inside its own.
     """
 
     def __init__(
@@ -177,11 +185,11 @@ class ClosureIndex:
     """One trace's closure context, built once and shared by every
     adversary's closure over that trace.
 
-    It holds the public transcript, the active rule set, the one-way chain
-    cap, the node tags and sibling pairs, and the wrap log, which names the
-    key that wrapped each ciphertext; from them it builds the transcript's
-    payloads grouped by wrapping key, the OFT blind oracle and the
-    sibling-pair maps.  It also keeps the finished facts the rules have
+    It holds the public transcript, the active rule set, the node tags and
+    sibling pairs, and the wrap log, which names the key that wrapped each
+    ciphertext; from them it builds the transcript's payloads grouped by
+    wrapping key, the OFT blind oracle, the sibling-pair maps and the
+    trace's ``universe``.  It also keeps the finished facts the rules have
     produced: each output is computed with real crypto the first time any
     adversary needs it, and later adversaries look it up.
     Facts are frozen and compare by value, so sharing them changes no
@@ -193,7 +201,6 @@ class ClosureIndex:
         self,
         transcript: Iterable[RekeyMessage] = (),
         rules: Iterable[str] = (),
-        derive_cap: int = 8,
         node_tags: dict[bytes, set[int]] | None = None,
         sibling_pairs: Iterable[tuple[int, int, int]] = (),
         wrap_log: dict[bytes, bytes] | None = None,
@@ -201,7 +208,6 @@ class ClosureIndex:
         self.transcript: tuple[RekeyMessage, ...] = tuple(transcript)
         self.rules: tuple[str, ...] = tuple(rules)
         self.derive_rule = next((r for r in ("hash-forward", "okd-derive") if r in self.rules), None)
-        self.derive_cap = derive_cap
         self.node_tags = node_tags if node_tags is not None else {}
         self.sibling_pairs = tuple(sibling_pairs)
         self.wrap_log = wrap_log if wrap_log is not None else {}
@@ -217,18 +223,25 @@ class ClosureIndex:
             if ct in cts:
                 self.cts_by_kek.setdefault(kek, []).append(cts[ct])
 
+        # node key -> its blind, for the mix rule's oracle below
+        blinds: dict[bytes, bytes] = {}
+        if "oft-mix" in self.rules:
+            blinds = {key: _apply("oft-blind", (key,), None) for key in self.node_tags}
+        # every value a protocol computed; no derivation output outside it
+        # becomes a fact
+        self.universe = frozenset((*self.node_tags, *self.wrap_log.values(), *blinds.values()))
+
         # rule outputs: unwrap by key value (a tuple of (fact, decoded code or
         # None) for the payloads it opens), every other rule in one cache
         self.unwrapped: dict[bytes, tuple[tuple[Fact, str | None], ...]] = {}
-        self.outputs = _Derivations()
+        self.outputs = _Derivations(self.universe)
 
         # blind(real node key) -> node ids; lets the mix rule recognise which
         # known values are blinds of which tree slots (public placement metadata)
         oracle: dict[bytes, set[int]] = {}
-        if "oft-mix" in self.rules:
-            for key_bytes, nodes in self.node_tags.items():
-                blinded = self.outputs["oft-blind", (key_bytes,), None, 0].value
-                oracle.setdefault(blinded, set()).update(nodes)
+        for key_bytes, blinded in blinds.items():
+            self.outputs["oft-blind", (key_bytes,), None] = Fact(blinded, "oft-blind", (key_bytes,))
+            oracle.setdefault(blinded, set()).update(self.node_tags[key_bytes])
         self.blind_oracle: dict[bytes, tuple[int, ...]] = {
             value: tuple(nodes) for value, nodes in oracle.items()
         }
@@ -263,14 +276,18 @@ class ClosureIndex:
 
 
 class _Derivations(dict):
-    """Derivation outputs by what determines their fact: (rule, inputs, code,
-    hops), hops being the output's one-way chain length.  Looking up a
-    missing output computes it with real crypto and keeps it; a hit stays a
-    plain dict lookup."""
+    """Derivation outputs by what determines them: (rule, inputs, code).
+    Looking up a missing output computes it with real crypto and keeps its
+    fact, or None when the value lies outside the trace's universe; a hit
+    stays a plain dict lookup."""
 
-    def __missing__(self, key: tuple[str, tuple[bytes, ...], str | None, int]) -> Fact:
-        rule, inputs, code, hops = key
-        fact = self[key] = Fact(_apply(rule, inputs, code), rule, inputs, code, hops=hops)
+    def __init__(self, universe: frozenset[bytes]) -> None:
+        super().__init__()
+        self.universe = universe
+
+    def __missing__(self, key: tuple[str, tuple[bytes, ...], str | None]) -> Fact | None:
+        value = _apply(*key)
+        fact = self[key] = Fact(value, *key) if value in self.universe else None
         return fact
 
 
@@ -282,11 +299,12 @@ def _apply(rule: str, inputs: tuple[bytes, ...], code: str | None) -> bytes:
 def closure(initial: KnowledgeSet) -> KnowledgeSet:
     """Least fixed point of the knowledge set under its index's rule set.
 
-    Terminates because every rule draws on finite material: transcript
-    payloads, known codes, structural sibling pairs, and one-way chains
-    capped at the index's ``derive_cap``.  Rules fire in a fixed FIFO order,
-    so the facts, their order and every witness depend only on the set and
-    its index's context, not on what rule outputs the index already holds.
+    Terminates because facts are deduplicated by value and every new one is
+    either an unwrap of one of the transcript's finitely many payloads or a
+    derivation output inside the index's finite ``universe``.  Rules fire in
+    a fixed FIFO order, so the facts, their order and every witness depend
+    only on the set and its index's context, not on what rule outputs the
+    index already holds.
     """
     index = initial.index
     out = KnowledgeSet(index)
@@ -298,7 +316,6 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
     rules = index.rules
     unwrap_rule = "unwrap-from-transcript" in rules
     derive_rule = index.derive_rule
-    derive_cap = index.derive_cap
     code_rule = "code-derive" in rules
     blind_rule = "oft-blind" in rules
     mix_rule = "oft-mix" in rules
@@ -310,8 +327,8 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
 
     queue: deque[bytes] = deque(facts)
 
-    def add(fact: Fact) -> None:
-        if fact.value in facts:
+    def add(fact: Fact | None) -> None:
+        if fact is None or fact.value in facts:
             return
         facts[fact.value] = fact
         queue.append(fact.value)
@@ -323,7 +340,7 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
         if code_rule:
             for value, fact in list(facts.items()):
                 if fact.rule in _CHAINABLE:
-                    add(outputs["code-derive", (value,), code, 0])
+                    add(outputs["code-derive", (value,), code])
 
     def register_blind(value: bytes) -> None:
         for node in blind_oracle.get(value, ()):
@@ -333,10 +350,10 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
             per_node[value] = None
             for right in right_of.get(node, ()):
                 for partner in list(blinds_by_node.get(right, ())):
-                    add(outputs["oft-mix", (value, partner), None, 0])
+                    add(outputs["oft-mix", (value, partner), None])
             for left in left_of.get(node, ()):
                 for partner in list(blinds_by_node.get(left, ())):
-                    add(outputs["oft-mix", (partner, value), None, 0])
+                    add(outputs["oft-mix", (partner, value), None])
 
     while queue:
         value = queue.popleft()
@@ -349,16 +366,16 @@ def closure(initial: KnowledgeSet) -> KnowledgeSet:
                 if code is not None:
                     add_code(code, opened.value)
 
-        if derive_rule and chainable and fact.hops < derive_cap:
-            add(outputs[derive_rule, (value,), None, fact.hops + 1])
+        if derive_rule and chainable:
+            add(outputs[derive_rule, (value,), None])
 
         if code_rule and chainable:
             inputs = (value,)
             for code in list(codes):
-                add(outputs["code-derive", inputs, code, 0])
+                add(outputs["code-derive", inputs, code])
 
         if blind_rule and value in node_tags:
-            add(outputs["oft-blind", (value,), None, 0])
+            add(outputs["oft-blind", (value,), None])
 
         if mix_rule:
             register_blind(value)
@@ -439,7 +456,6 @@ def _trace_index(trace: TraceRecord) -> ClosureIndex:
         index = ClosureIndex(
             transcript=[d for d in trace.deliveries if isinstance(d, RekeyMessage)],
             rules=RULESETS[trace.scenario.protocol],
-            derive_cap=len(trace.events),
             node_tags=trace.node_key_log,
             sibling_pairs=trace.sibling_pairs,
             wrap_log=trace.wrap_log,
@@ -448,16 +464,28 @@ def _trace_index(trace: TraceRecord) -> ClosureIndex:
     return index
 
 
-def _check(
+def _target_epochs(trace: TraceRecord, kind: str, member: str) -> range:
+    """The epochs whose group keys a ``kind`` ("forward" or "backward")
+    check of ``member`` targets."""
+    if kind == "forward":
+        if member not in trace.leave_epoch:
+            raise ValueError(f"{member!r} never leaves in this trace")
+        return range(trace.leave_epoch[member], len(trace.group_key_history))
+    if member not in trace.join_epoch:
+        raise ValueError(f"{member!r} never appears in this trace")
+    return range(0, trace.join_epoch[member])
+
+
+def _verdict(
     trace: TraceRecord,
-    member: str,
-    check: str,
+    closed: KnowledgeSet,
+    kind: str,
+    adversaries: tuple[str, ...],
     target_epochs: range,
-    codes_public: bool,
-    colluders: tuple[str, ...],
 ) -> Verdict:
-    adversaries = (member, *colluders)
-    closed = closure(adversary_knowledge(trace, adversaries, codes_public))
+    """The verdict on the target epochs' group keys of the adversaries'
+    closed knowledge."""
+    check = f"{kind}-secrecy"
     targets = [trace.group_key_history[e] for e in target_epochs]
     for epoch, target in zip(target_epochs, targets):
         if closed.knows(target):
@@ -468,6 +496,17 @@ def _check(
     return Verdict(True, check, adversaries, len(targets))
 
 
+def _check(
+    trace: TraceRecord,
+    kind: str,
+    adversaries: tuple[str, ...],
+    codes_public: bool,
+) -> Verdict:
+    target_epochs = _target_epochs(trace, kind, adversaries[0])
+    closed = closure(adversary_knowledge(trace, adversaries, codes_public))
+    return _verdict(trace, closed, kind, adversaries, target_epochs)
+
+
 def check_forward_secrecy(
     trace: TraceRecord,
     leaver: str,
@@ -476,17 +515,7 @@ def check_forward_secrecy(
     colluders: tuple[str, ...] = (),
 ) -> Verdict:
     """Can the departed member reach any group key from its leave onward?"""
-    if leaver not in trace.leave_epoch:
-        raise ValueError(f"{leaver!r} never leaves in this trace")
-    epoch = trace.leave_epoch[leaver]
-    return _check(
-        trace,
-        leaver,
-        "forward-secrecy",
-        range(epoch, len(trace.group_key_history)),
-        codes_public,
-        colluders,
-    )
+    return _check(trace, "forward", (leaver, *colluders), codes_public)
 
 
 def check_backward_secrecy(
@@ -500,17 +529,7 @@ def check_backward_secrecy(
 
     Founding members have no earlier epochs, so they are vacuously secure.
     """
-    if joiner not in trace.join_epoch:
-        raise ValueError(f"{joiner!r} never appears in this trace")
-    epoch = trace.join_epoch[joiner]
-    return _check(
-        trace,
-        joiner,
-        "backward-secrecy",
-        range(0, epoch),
-        codes_public,
-        colluders,
-    )
+    return _check(trace, "backward", (joiner, *colluders), codes_public)
 
 
 # -- corpus audit ------------------------------------------------------------
@@ -559,6 +578,23 @@ def _audit_adversaries(trace: TraceRecord, sample: str) -> list[tuple[str, str]]
     return unique
 
 
+def _audit_trace(trace: TraceRecord, sample: str, codes_public: bool) -> list[Verdict]:
+    """One verdict per :func:`_audit_adversaries` pick, in pick order.  A
+    member that both joins and leaves is closed once, and both its checks
+    read that one closure."""
+    picks = _audit_adversaries(trace, sample)
+    kinds_of: dict[str, list[str]] = {}
+    for kind, member in picks:
+        kinds_of.setdefault(member, []).append(kind)
+    verdicts: dict[tuple[str, str], Verdict] = {}
+    for member, kinds in kinds_of.items():
+        closed = closure(adversary_knowledge(trace, (member,), codes_public))
+        for kind in kinds:
+            epochs = _target_epochs(trace, kind, member)
+            verdicts[kind, member] = _verdict(trace, closed, kind, (member,), epochs)
+    return [verdicts[pick] for pick in picks]
+
+
 def audit(
     trials: int = 1000,
     max_n: int = 64,
@@ -588,11 +624,7 @@ def audit(
             trace = run(scenario)
         except CodeSpaceError as exc:
             raise CodeSpaceError(f"scenario seed {scenario.seed}: {exc}") from exc
-        for kind, member in _audit_adversaries(trace, sample):
-            if kind == "forward":
-                verdict = check_forward_secrecy(trace, member, codes_public=codes_public)
-            else:
-                verdict = check_backward_secrecy(trace, member, codes_public=codes_public)
+        for verdict in _audit_trace(trace, sample, codes_public):
             report.checks += 1
             if not verdict.secure:
                 report.breaches.append((scenario.seed, verdict))

@@ -1,10 +1,11 @@
 """The secrecy closure as it was before the per-trace closure index: every
-call rebuilds its payload maps, blind oracle and sibling maps and redoes every
-rule's crypto.  Kept as an oracle: the indexed ``closure`` must reach the same
-facts, in the same order, with the same witness text.  It reads only the raw
-context from the set's index (transcript, rules, chain cap, node tags, sibling
-pairs and wrap log), never the index's own tables.  With ``brute_force`` it
-ignores the wrap log and tries every transcript payload with every key.
+call rebuilds its payload maps, blind oracle, sibling maps and universe and
+redoes every rule's crypto.  Kept as an oracle: the indexed ``closure`` must
+reach the same facts, in the same order, with the same witness text.  It
+reads only the raw context from the set's index (transcript, rules, node
+tags, sibling pairs and wrap log), never the index's own tables.  With
+``brute_force`` it ignores the wrap log and tries every transcript payload
+with every key.
 """
 
 from __future__ import annotations
@@ -25,12 +26,22 @@ from gkms.crypto import (
 )
 
 
-def reference_closure(initial: KnowledgeSet, brute_force: bool = False) -> KnowledgeSet:
-    """Least fixed point of the knowledge set under its rule set.
+def reference_universe(context) -> set[bytes]:
+    """The values the protocols computed, from an index's raw context: every
+    node key, every key the wrap log names and, where the mix rule is on,
+    the blind of every node key."""
+    universe = set(context.node_tags) | set(context.wrap_log.values())
+    if "oft-mix" in context.rules:
+        universe.update(blind(SymKey(key)).data for key in context.node_tags)
+    return universe
 
-    Terminates because every rule draws on finite material: transcript
-    payloads, known codes, structural sibling pairs, and one-way chains
-    capped at ``derive_cap``.
+
+def reference_closure(initial: KnowledgeSet, brute_force: bool = False) -> KnowledgeSet:
+    """Least fixed point of the knowledge set under its rule set, with every
+    derivation output outside the reference universe dropped.
+
+    Terminates because facts are deduplicated by value, and each new one is
+    an unwrap of a transcript payload or a value of the finite universe.
     """
     context = initial.index
     out = KnowledgeSet(context)
@@ -40,6 +51,7 @@ def reference_closure(initial: KnowledgeSet, brute_force: bool = False) -> Knowl
 
     rules = set(context.rules)
     derive_rule = next((r for r in ("hash-forward", "okd-derive") if r in rules), None)
+    universe = reference_universe(context)
 
     # transcript payloads, deduplicated by ciphertext
     cts: dict[bytes, WrappedKey] = {}
@@ -74,6 +86,10 @@ def reference_closure(initial: KnowledgeSet, brute_force: bool = False) -> Knowl
         facts[fact.value] = fact
         queue.append(fact.value)
 
+    def add_derived(fact: Fact) -> None:
+        if fact.value in universe:
+            add(fact)
+
     def add_code(code: str, origin: bytes | None) -> None:
         if code in out.codes:
             return
@@ -81,7 +97,7 @@ def reference_closure(initial: KnowledgeSet, brute_force: bool = False) -> Knowl
         if "code-derive" in rules:
             for value, fact in list(facts.items()):
                 if fact.rule in _CHAINABLE:
-                    add(_code_derived(value, code))
+                    add_derived(_code_derived(value, code))
 
     def _code_derived(value: bytes, code: str) -> Fact:
         derived = derive_with_code(SymKey(value), code)
@@ -107,11 +123,11 @@ def reference_closure(initial: KnowledgeSet, brute_force: bool = False) -> Knowl
             for left, right, parent in pairs_left.get(node, ()):
                 for partner in list(blinds_by_node.get(right, ())):
                     mixed = mix(SymKey(value), SymKey(partner))
-                    add(Fact(mixed.data, "oft-mix", (value, partner)))
+                    add_derived(Fact(mixed.data, "oft-mix", (value, partner)))
             for left, right, parent in pairs_right.get(node, ()):
                 for partner in list(blinds_by_node.get(left, ())):
                     mixed = mix(SymKey(partner), SymKey(value))
-                    add(Fact(mixed.data, "oft-mix", (partner, value)))
+                    add_derived(Fact(mixed.data, "oft-mix", (partner, value)))
 
     while queue:
         value = queue.popleft()
@@ -125,17 +141,17 @@ def reference_closure(initial: KnowledgeSet, brute_force: bool = False) -> Knowl
                 for wrapped in cts.values():
                     try_unwrap(value, wrapped)
 
-        if derive_rule and fact.rule in _CHAINABLE and fact.hops < context.derive_cap:
+        if derive_rule and fact.rule in _CHAINABLE:
             stepped = derive(SymKey(value))
-            add(Fact(stepped.data, derive_rule, (value,), hops=fact.hops + 1))
+            add_derived(Fact(stepped.data, derive_rule, (value,)))
 
         if "code-derive" in rules and fact.rule in _CHAINABLE:
             for code in list(out.codes):
-                add(_code_derived(value, code))
+                add_derived(_code_derived(value, code))
 
         if "oft-blind" in rules and value in context.node_tags:
             blinded = blind(SymKey(value))
-            add(Fact(blinded.data, "oft-blind", (value,)))
+            add_derived(Fact(blinded.data, "oft-blind", (value,)))
 
         if "oft-mix" in rules:
             register_blind(value)

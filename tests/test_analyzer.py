@@ -2,6 +2,8 @@
 verdicts, the codes-public leak demonstration, and agreement with the
 independent reachability oracle."""
 
+from random import Random
+
 import pytest
 
 from analyzer_reference import ReferenceProver
@@ -23,7 +25,7 @@ from gkms.analyzer import (
 )
 from gkms.core import CostMeter
 from gkms.crypto import SymKey, derive, derive_with_code, encode_code, wrap
-from gkms.harness import parse_scenario, run
+from gkms.harness import Scenario, Step, parse_scenario, run
 
 K = SymKey(bytes([5]) * 32)
 K2 = SymKey(bytes([6]) * 32)
@@ -56,28 +58,39 @@ def test_seed_keys_have_trivial_witness():
         ks.witness(K2)
 
 
-def test_derive_chain_respects_cap():
-    closed = closure(KnowledgeSet(ClosureIndex(rules=RULESETS["ckcs"], derive_cap=3), keys=[K]))
-    stepped = K
-    for _ in range(3):
-        stepped = derive(stepped)
+def test_derive_chain_stays_inside_the_universe():
+    chain = [derive(K)]
+    for _ in range(2):
+        chain.append(derive(chain[-1]))
+    node_tags = {key.data: {node} for node, key in enumerate(chain)}
+    closed = closure(
+        KnowledgeSet(ClosureIndex(rules=RULESETS["ckcs"], node_tags=node_tags), keys=[K])
+    )
+    for stepped in chain:
         assert closed.knows(stepped)
-    assert not closed.knows(derive(stepped))  # hop 4 is beyond the cap
-    assert verify_witness(closed, stepped)
+    assert not closed.knows(derive(chain[-1]))  # step 4 is no value of the trace
+    assert verify_witness(closed, chain[-1])
 
 
 def test_code_derivation_from_known_codes():
+    # code-derived values are leaves of the search: the protocol never chains
+    # a refresh or another code step off them, even onto a value of the trace
+    leaves = [derive_with_code(derive_with_code(K, "41"), "7"), derive(derive_with_code(K, "41"))]
+    node_tags = {
+        key.data: {node}
+        for node, key in enumerate(
+            [derive(K), derive_with_code(K, "41"), derive_with_code(derive(K), "7"), *leaves]
+        )
+    }
     closed = closure(
         KnowledgeSet(
-            ClosureIndex(rules=RULESETS["ckcs"], derive_cap=1), keys=[K], codes=["41", "7"]
+            ClosureIndex(rules=RULESETS["ckcs"], node_tags=node_tags), keys=[K], codes=["41", "7"]
         )
     )
     assert closed.knows(derive_with_code(K, "41"))
     assert closed.knows(derive_with_code(derive(K), "7"))
-    # code-derived values are leaves of the search: the protocol never chains
-    # a refresh or another code step off them
-    assert not closed.knows(derive_with_code(derive_with_code(K, "41"), "7"))
-    assert not closed.knows(derive(derive_with_code(K, "41")))
+    for leaf in leaves:
+        assert not closed.knows(leaf)
 
 
 def test_unwrap_from_transcript_and_code_learning():
@@ -92,7 +105,7 @@ def test_unwrap_from_transcript_and_code_learning():
         RekeyMessage("multicast", ("x",), (ct_code, ct_key), {}),
     ]
     index = ClosureIndex(
-        transcript=transcript, rules=RULESETS["ckcs"], derive_cap=1, wrap_log=meter.wrap_log
+        transcript=transcript, rules=RULESETS["ckcs"], wrap_log=meter.wrap_log
     )
     closed = closure(KnowledgeSet(index, keys=[K, K2]))
     assert "2734" in closed.codes  # learned by decoding an unwrapped payload
@@ -117,9 +130,9 @@ def test_verify_witness_rejects_fabricated_facts():
 def test_verify_witness_rejects_a_rule_that_names_no_derivation():
     ks = KnowledgeSet(ClosureIndex(), keys=[K])
     stepped = derive(K).data
-    ks.facts[stepped] = Fact(value=stepped, rule="hash-backward", inputs=(K.data,), hops=1)
+    ks.facts[stepped] = Fact(value=stepped, rule="hash-backward", inputs=(K.data,))
     assert not verify_witness(ks, stepped)
-    ks.facts[stepped] = Fact(value=stepped, rule="hash-forward", inputs=(K.data,), hops=1)
+    ks.facts[stepped] = Fact(value=stepped, rule="hash-forward", inputs=(K.data,))
     assert verify_witness(ks, stepped)
 
 
@@ -151,11 +164,13 @@ def test_derivations_call_the_one_way_function_bound_at_call_time(monkeypatch):
 
     for name in ("derive", "derive_with_code"):
         monkeypatch.setattr(analyzer, name, counting(name, getattr(analyzer, name)))
-    closed = closure(
-        KnowledgeSet(ClosureIndex(rules=RULESETS["ckcs"], derive_cap=1), keys=[K], codes=["41"])
-    )
-    assert sorted(calls) == ["derive", "derive_with_code", "derive_with_code"]
     target = derive_with_code(derive(K), "41")
+    index = ClosureIndex(rules=RULESETS["ckcs"], node_tags={derive(K).data: {1}, target.data: {2}})
+    closed = closure(KnowledgeSet(index, keys=[K], codes=["41"]))
+    # K and derive(K) each step once and code-derive once; only the outputs
+    # in the trace's universe become facts
+    assert sorted(calls) == ["derive", "derive", "derive_with_code", "derive_with_code"]
+    assert closed.keys == {K.data, derive(K).data, target.data}
     calls.clear()
     assert verify_witness(closed, target)
     assert calls == ["derive", "derive_with_code"]
@@ -178,6 +193,30 @@ def test_current_member_reaches_the_current_group_key():
         stayer = sorted(trace.members)[0]
         closed = closure(adversary_knowledge(trace, (stayer,)))
         assert closed.knows(trace.server.group_key), protocol
+
+
+def test_a_long_ckcs_churn_closure_stays_within_the_trace():
+    # 40 alternating join/leave batches from n=64, sizes drawn from
+    # {1, 1, 2, 4, 8}, leave layouts drawn at random.  A closure capped only
+    # by the event count held 619,306 facts for the last leaver here; bounded
+    # by the universe it holds at most its seeds, one fact per transcript
+    # payload and one per universe value.
+    rng = Random(5)
+    steps = []
+    for i in range(40):
+        count = rng.choice((1, 1, 2, 4, 8))
+        if i % 2 == 0:
+            steps.append(Step(op="join", count=count))
+        else:
+            layout = rng.choice(("random", "best-half", "worst-spread"))
+            steps.append(Step(op="leave", count=count, layout=layout))
+    trace = run(Scenario(protocol="ckcs", n=64, seed=5, steps=tuple(steps)))
+    last_leaver = list(trace.leave_epoch)[-1]
+    ks = adversary_knowledge(trace, (last_leaver,))
+    payloads = {p.ciphertext for message in ks.index.transcript for p in message.payloads}
+    closed = closure(ks)
+    assert len(closed.facts) <= len(ks.facts) + len(payloads) + len(ks.index.universe)
+    assert check_forward_secrecy(trace, last_leaver).secure
 
 
 # -- secrecy verdicts -------------------------------------------------------------------
@@ -364,6 +403,23 @@ def test_audit_codes_public_finds_breaches_with_witnesses():
         assert verdict.check == "forward-secrecy"
         assert verdict.witness
         assert "BREACH" in str(verdict)
+
+
+def test_audit_closes_a_member_that_joins_and_leaves_once(monkeypatch):
+    trace = trace_of("init n=4 protocol=okd seed=1\njoin 2\nleave ids=u5,u2\n")
+    picks = analyzer._audit_adversaries(trace, "all")
+    assert picks == [("forward", "u5"), ("forward", "u2"), ("backward", "u5"), ("backward", "u6")]
+    check = {"forward": check_forward_secrecy, "backward": check_backward_secrecy}
+    separate = [check[kind](trace, member) for kind, member in picks]
+    closed = []
+
+    def counting(ks):
+        closed.append(ks.keys)
+        return closure(ks)
+
+    monkeypatch.setattr(analyzer, "closure", counting)
+    assert analyzer._audit_trace(trace, "all", codes_public=False) == separate
+    assert len(closed) == 3  # u5, u2 and u6, once each
 
 
 def test_audit_rejects_an_unknown_sample():

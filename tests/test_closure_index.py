@@ -1,7 +1,7 @@
 """The per-trace closure index changes no closure output.
 
 Every check of a trace shares one ClosureIndex (payload maps, blind oracle,
-sibling maps, rule-output tables).  The indexed closure must reach exactly
+sibling maps, universe, rule-output tables).  The indexed closure must reach exactly
 what the pre-index closure in closure_reference reaches, in the same order,
 with the same witness text, and nothing may carry over from one trace's
 index to another trace.
@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 
-from closure_reference import reference_closure
+from closure_reference import reference_closure, reference_universe
 from gkms.analyzer import (
     ClosureIndex,
     KnowledgeSet,
@@ -49,6 +49,28 @@ def test_indexed_closure_matches_reference(protocol, codes_public):
     assert checked > len(SEEDS)
 
 
+@pytest.mark.parametrize("protocol,codes_public", MODES)
+def test_every_derived_fact_lies_in_the_trace_universe(protocol, codes_public):
+    # each member's knowledge is closed as held and without its group keys,
+    # which its closure then has to re-derive where the rules allow
+    derived = 0
+    for seed in (11, 204, 3907):
+        trace = run(generate_random_scenario(seed, protocol=protocol, max_n=32, max_events=8))
+        group_keys = {key.data for key in trace.group_key_history}
+        universe = reference_universe(adversary_knowledge(trace, ()).index)
+        assert group_keys <= universe
+        for _kind, member in _audit_adversaries(trace, "all"):
+            held = adversary_knowledge(trace, (member,), codes_public=codes_public)
+            seeds = [key for key in held.facts if key not in group_keys]
+            without = KnowledgeSet(held.index, seeds, held.codes)
+            for ks in (held, without):
+                for fact in closure(ks).facts.values():
+                    if fact.rule not in (None, "unwrap-from-transcript"):
+                        assert fact.value in universe, (seed, member, fact.line())
+                        derived += 1
+    assert bool(derived) == (protocol != "lkh")  # lkh has no derivation rule
+
+
 def test_checks_of_a_trace_share_one_index_freed_with_the_trace():
     trace = _trace(58, "oft")
     first, second = sorted(trace.members)[:2]
@@ -61,7 +83,7 @@ def test_checks_of_a_trace_share_one_index_freed_with_the_trace():
     assert freed() is None
 
 
-CONTEXT = ("transcript", "rules", "derive_cap", "node_tags", "sibling_pairs", "wrap_log")
+CONTEXT = ("transcript", "rules", "node_tags", "sibling_pairs", "wrap_log")
 
 
 @pytest.mark.parametrize(
@@ -69,18 +91,23 @@ CONTEXT = ("transcript", "rules", "derive_cap", "node_tags", "sibling_pairs", "w
 )
 def test_closure_follows_its_own_context(field, value):
     # a set closed inside an index built with one input replaced must reach
-    # what the reference reaches from that same context, not the trace's
+    # what the reference reaches from that same context, not the trace's.
+    # Each set leaves out the group keys its member held, so its closure has
+    # to re-derive them, and every part of the context can change that.
     changed = 0
     for protocol in ("lkh", "oft", "okd"):
         trace = _trace(58, protocol)
+        group_keys = {key.data for key in trace.group_key_history}
         for _kind, member in _audit_adversaries(trace, "all"):
             full = adversary_knowledge(trace, (member,))
+            seeds = [key for key in full.facts if key not in group_keys]
             context = {name: getattr(full.index, name) for name in CONTEXT}
             index = ClosureIndex(**{**context, field: value})
-            ks = KnowledgeSet(index, keys=full.facts, codes=full.codes)
+            ks = KnowledgeSet(index, keys=seeds, codes=full.codes)
             after, reference = closure(ks), reference_closure(ks)
             assert list(after.facts.items()) == list(reference.facts.items()), (protocol, member)
-            changed += list(after.facts) != list(closure(full).facts)
+            unchanged = closure(KnowledgeSet(full.index, keys=seeds, codes=full.codes))
+            changed += list(after.facts) != list(unchanged.facts)
     assert changed
 
 
