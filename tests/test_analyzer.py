@@ -414,7 +414,7 @@ def test_audit_closes_a_member_that_joins_and_leaves_once(monkeypatch):
     closed = []
 
     def counting(ks):
-        closed.append(ks.keys)
+        closed.append(ks)
         return closure(ks)
 
     monkeypatch.setattr(analyzer, "closure", counting)

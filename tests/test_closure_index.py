@@ -1,10 +1,10 @@
 """The per-trace closure index changes no closure output.
 
 Every check of a trace shares one ClosureIndex (payload maps, blind oracle,
-sibling maps, universe, rule-output tables).  The indexed closure must reach exactly
-what the pre-index closure in closure_reference reaches, in the same order,
-with the same witness text, and nothing may carry over from one trace's
-index to another trace.
+sibling maps, universe, rule-output tables).  The indexed closure must reach
+exactly what the pre-index closure in closure_reference reaches, in the same
+order, with the same witness text, and nothing may carry over from one
+trace's index to another trace.
 """
 
 import gc
