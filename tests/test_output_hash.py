@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gkms import analyzer
 from gkms import tree as kt
 
@@ -62,3 +64,14 @@ def test_a_change_to_the_closure_changes_the_hash(monkeypatch):
     # a held group key, goes away
     monkeypatch.setattr(analyzer, "_CHAINABLE", analyzer._CHAINABLE - {None})
     assert tool.output_hash(seeds=0, analyzer_seeds=3, audit_trials=2) != before
+
+
+@pytest.mark.parametrize("rule", ["unwrap-from-transcript", "hash-forward"])
+def test_a_closure_that_stops_chaining_a_rule_changes_the_hash(monkeypatch, rule):
+    # a single adversary's closure rarely chains past its seeds; colluding
+    # leaver pairs do: on analyzer seed 8 a ckcs pair refreshes a key it
+    # unwrapped, on seed 21 it also refreshes a refreshed key
+    tool = _tool()
+    before = tool.output_hash(seeds=0, analyzer_seeds=22, audit_trials=0)
+    monkeypatch.setattr(analyzer, "_CHAINABLE", analyzer._CHAINABLE - {rule})
+    assert tool.output_hash(seeds=0, analyzer_seeds=22, audit_trials=0) != before

@@ -17,26 +17,32 @@ print the same hash produced the same outputs.  The hash covers:
 - one ``harness.sweep`` (4 protocols x n 1,8,64,256 x m 1,4,8,16,64 x join,
   leave, seed 3) as CSV without ``wall_ms``, and its notes;
 - the secrecy analyzer: for ``generate_random_scenario`` seeds 0-39 and each
-  protocol (max_n 32, max_events 6), run tracked, the closure of every
-  adversary ``_audit_adversaries(trace, "all")`` names, as its codes in
-  order with the value each was decoded from and its facts in order as
-  (value, rule, inputs, code, wrapped ciphertext).  Only seeds, unwrapped
-  keys and facts whose value lies in the trace's universe are hashed: the
-  logged node keys, the keys the wrap log names and, for oft, the blind of
-  every logged node key.  Values outside it are on no chain that ends at a
-  protocol key, so whether a closure lists them changes no verdict;
+  protocol (max_n 32, max_events 8), run tracked, the closure of every
+  adversary ``_audit_adversaries(trace, "all")`` names, and of the first
+  ``PAIRS_PER_TRACE`` colluding pairs of leavers from different leave
+  events (earlier event first, in event and batch order).  A closure is
+  hashed as its codes in order with the value each was decoded from and its
+  facts in order as (value, rule, inputs, code, wrapped ciphertext).  Only
+  seeds, unwrapped keys and facts whose value lies in the trace's universe
+  are hashed: the logged node keys, the keys the wrap log names and, for
+  oft, the blind of every logged node key.  Values outside it are on no
+  chain that ends at a protocol key, so whether a closure lists them
+  changes no verdict.  A single adversary's closure rarely chains past its
+  seeds; a pair's does, because one leaver's codes or keys open what the
+  other could not, so the pairs are what exercise the chaining rules;
 - the text of ``audit(trials=60, seed=7, max_n=32, codes_public=True)``:
   the summary without the elapsed time, and every breach's seed and text.
 
 Every set is sorted before it is hashed, so the result does not depend on
 ``PYTHONHASHSEED``.  With more than one checkout the exit status is 1 when
-the hashes differ.  About 45 s per checkout on one core.
+the hashes differ.  About 40 s per checkout on one core.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -47,6 +53,7 @@ PROTOCOLS = ("ckcs", "lkh", "oft", "okd")
 COSTS = (
     "keygen", "encrypt", "unicast", "multicast", "payload_keys", "member_derivations", "notices",
 )
+PAIRS_PER_TRACE = 8
 
 
 def output_hash(seeds: int = 300, analyzer_seeds: int = 40, audit_trials: int = 60) -> str:
@@ -86,15 +93,15 @@ def output_hash(seeds: int = 300, analyzer_seeds: int = 40, audit_trials: int = 
 
 
 def _put_analyzer(put, seeds: int, audit_trials: int) -> None:
-    """Every single-adversary closure of small tracked traces, and the
-    codes-public audit's text."""
+    """Every single-adversary closure and some colluding-pair closures of
+    small tracked traces, and the codes-public audit's text."""
     from gkms import analyzer, harness
     from gkms.crypto import SymKey, blind
     from gkms.tree import CodeSpaceError
 
     for seed in range(seeds):
         for protocol in PROTOCOLS:
-            scenario = harness.generate_random_scenario(seed, protocol, max_n=32, max_events=6)
+            scenario = harness.generate_random_scenario(seed, protocol, max_n=32, max_events=8)
             put("closures", seed, protocol)
             try:
                 trace = harness.run(scenario)
@@ -104,9 +111,13 @@ def _put_analyzer(put, seeds: int, audit_trials: int) -> None:
             universe = set(trace.node_key_log) | set(trace.wrap_log.values())
             if protocol == "oft":
                 universe.update(blind(SymKey(key)).data for key in trace.node_key_log)
-            for kind, member in analyzer._audit_adversaries(trace, "all"):
-                closed = analyzer.closure(analyzer.adversary_knowledge(trace, (member,)))
-                put(kind, member, list(closed.codes.items()))
+            adversaries = [
+                (kind, (member,)) for kind, member in analyzer._audit_adversaries(trace, "all")
+            ]
+            adversaries += [("pair", pair) for pair in _leaver_pairs(trace)]
+            for kind, members in adversaries:
+                closed = analyzer.closure(analyzer.adversary_knowledge(trace, members))
+                put(kind, members, list(closed.codes.items()))
                 for fact in closed.facts.values():
                     if fact.rule not in (None, "unwrap-from-transcript") and (
                         fact.value not in universe
@@ -119,6 +130,18 @@ def _put_analyzer(put, seeds: int, audit_trials: int) -> None:
     put("audit", report.summary().rsplit(", ", 1)[0])
     for seed, verdict in report.breaches:
         put(seed, str(verdict))
+
+
+def _leaver_pairs(trace) -> list[tuple[str, str]]:
+    """The first ``PAIRS_PER_TRACE`` pairs of leavers from different leave
+    events, earlier leaver first."""
+    leaves = [record.member_ids for record in trace.events if record.op == "leave"]
+    pairs = (
+        pair
+        for earlier, later in itertools.combinations(leaves, 2)
+        for pair in itertools.product(earlier, later)
+    )
+    return list(itertools.islice(pairs, PAIRS_PER_TRACE))
 
 
 def _put_tracked(put, trace) -> None:
