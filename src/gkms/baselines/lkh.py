@@ -19,6 +19,7 @@ from gkms.core import (
     CostMeter,
     EventError,
     EventOutput,
+    KeyTable,
     MemberView,
     MembershipEvent,
     RekeyMessage,
@@ -158,17 +159,18 @@ class LkhServer(ServerProtocol):
             out.append(boot)
         return out
 
-    def build_member(self, bootstrap: Bootstrap) -> "LkhMember":
-        return LkhMember(bootstrap)
+    def build_member(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> "LkhMember":
+        return LkhMember(bootstrap, table)
 
 
 class LkhMember(MemberView):
     """Member state for the key-hierarchy baseline: path node ids plus keys."""
 
-    def __init__(self, bootstrap: Bootstrap) -> None:
-        super().__init__(bootstrap.member_id, bootstrap.individual_key)
+    def __init__(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> None:
+        super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
         self.leaf_id: int = bootstrap.leaf_id
         self.chain: list[int] = list(bootstrap.extra["chain"])
+        self.chain_set: set[int] = set(self.chain)
         self.keys: dict[int, SymKey] = {self.leaf_id: bootstrap.individual_key}
         for node_id, key in bootstrap.extra.get("path_keys", []):
             self.keys[node_id] = key
@@ -184,9 +186,12 @@ class LkhMember(MemberView):
         split = aux.get("split")
         if split and split["member"] == self.member_id:
             self.chain.insert(1, split["new_node"])
-        deleted = set(aux.get("deleted", ()))
-        if deleted:
+            self.chain_set.add(split["new_node"])
+        deleted = aux.get("deleted")
+        if deleted and not self.chain_set.isdisjoint(deleted):
+            # only chain nodes have keys here, so nothing else needs a pop
             self.chain = [n for n in self.chain if n not in deleted]
+            self.chain_set = set(self.chain)
             for node_id in deleted:
                 self.keys.pop(node_id, None)
 
@@ -195,9 +200,10 @@ class LkhMember(MemberView):
         self._apply_structure(message.aux)
         targets = message.aux["targets"]
         matched = False
+        # in message order: a key learned from one payload may wrap a later one
         for payload, target in zip(message.payloads, targets):
             kek = self.keys.get(payload.kek_id)
-            if kek is None or target not in self.chain:
+            if kek is None or target not in self.chain_set:
                 continue
             new_key = unwrap(kek, payload)
             self.keys[target] = new_key

@@ -27,6 +27,7 @@ from gkms.core import (
     CostMeter,
     EventError,
     EventOutput,
+    KeyTable,
     MemberView,
     MembershipEvent,
     RekeyMessage,
@@ -263,15 +264,15 @@ class OftServer(ServerProtocol):
             for m in self.member_ids
         ]
 
-    def build_member(self, bootstrap: Bootstrap) -> "OftMember":
-        return OftMember(bootstrap)
+    def build_member(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> "OftMember":
+        return OftMember(bootstrap, table)
 
 
 class OftMember(MemberView):
     """Member state for the folding baseline: path ids plus sibling blinds."""
 
-    def __init__(self, bootstrap: Bootstrap) -> None:
-        super().__init__(bootstrap.member_id, bootstrap.individual_key)
+    def __init__(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> None:
+        super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
         self.leaf_id: int = bootstrap.leaf_id
         self.chain: list[int] = list(bootstrap.extra["chain"])
         self.levels: list[Level] = [

@@ -25,6 +25,7 @@ from gkms.core import (
     Bootstrap,
     CostMeter,
     EventOutput,
+    KeyTable,
     Notice,
     RekeyMessage,
 )
@@ -103,8 +104,8 @@ class OkdServer(LkhServer):
         output.bootstraps.append(self._bootstrap_for(member, individual))
         return chain
 
-    def build_member(self, bootstrap: Bootstrap) -> "OkdMember":
-        return OkdMember(bootstrap)
+    def build_member(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> "OkdMember":
+        return OkdMember(bootstrap, table)
 
 
 class OkdMember(LkhMember):

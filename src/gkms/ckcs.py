@@ -27,6 +27,7 @@ from gkms.core import (
     CostMeter,
     EventError,
     EventOutput,
+    KeyTable,
     MembershipEvent,
     MemberView,
     Notice,
@@ -263,16 +264,16 @@ class CkcsServer(ServerProtocol):
             out.append(self._bootstrap_for(member, leaf.key, include_group_key=True))
         return out
 
-    def build_member(self, bootstrap: Bootstrap) -> "CkcsMember":
-        return CkcsMember(bootstrap)
+    def build_member(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> "CkcsMember":
+        return CkcsMember(bootstrap, table)
 
 
 class CkcsMember(MemberView):
     """Client view: individual key, path codes, code-derived middle keys."""
 
-    def __init__(self, bootstrap: Bootstrap) -> None:
+    def __init__(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> None:
         assert bootstrap.individual_key is not None and bootstrap.leaf_id is not None
-        super().__init__(bootstrap.member_id, bootstrap.individual_key)
+        super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
         self.leaf_id = bootstrap.leaf_id
         self.path: list[kt.PathEntry] = list(bootstrap.extra["path"])
         for entry in self.path:

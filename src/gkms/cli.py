@@ -128,8 +128,9 @@ def _cover_line(trace: harness.TraceRecord, record: harness.EventRecord) -> str 
     for member in message.recipients:
         view = trace.members.get(member) or trace.departed.get(member)
         if view is not None:
-            for kek in under.keys() & view.knowledge.key_bytes:
-                under[kek].append(member)
+            for kek, holders in under.items():
+                if view.knowledge.holds_key(kek):
+                    holders.append(member)
     parts = []
     for node_id, kek in zip(message.aux["cover"], keks):
         members = under.get(kek)

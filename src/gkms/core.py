@@ -61,6 +61,11 @@ class _Addressed:
         """The recipients as a set, built once for every member's check."""
         return frozenset(self.recipients)
 
+    def drop_recipient_set(self) -> None:
+        """Forget the recipient set: once every recipient has the delivery,
+        it only costs memory.  A later check builds it again."""
+        vars(self).pop("recipient_set", None)
+
 
 @dataclass(frozen=True)
 class RekeyMessage(_Addressed):
@@ -196,18 +201,86 @@ def rows_to_csv(rows: list[dict], extra_columns: list[str] | None = None) -> str
     return out.getvalue()
 
 
+class KeyTable:
+    """Every distinct key value of one trace, each held once.
+
+    ``intern`` gives a value its index, adding it on first sight, and
+    ``values[index]`` is the one ``bytes`` object that stands for it.
+    Storing indices instead of values is hash-consing (Filliâtre and
+    Conchon, "Type-safe modular hash-consing", ML Workshop 2006): a value
+    that many members held costs one object, not one per member.
+    """
+
+    def __init__(self) -> None:
+        self.index: dict[bytes, int] = {}
+        self.values: list[bytes] = []
+
+    def intern(self, data: bytes) -> int:
+        index = self.index.get(data)
+        if index is None:
+            index = self.index[data] = len(self.values)
+            self.values.append(data)
+        return index
+
+
+# the set bit positions of each byte value, for decoding a bitmap a byte at
+# a time rather than a bit at a time
+_BIT_POSITIONS = tuple(tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256))
+
+
 class Knowledge:
-    """Everything a principal has ever held: key bytes and node codes.
+    """Everything a principal has ever held: key values and node codes.
+
+    Keys are a bitmap over a :class:`KeyTable`: bit ``i`` is set once the
+    principal has held ``table.values[i]``.  The members of a tracked trace
+    share the trace's table, so each value is stored once however many of
+    them held it; a ``Knowledge`` built without a table gets a private one.
+    ``learn_key`` costs O(1) amortised (the bitmap is a ``bytearray`` set in
+    place), ``holds_key`` tests one value, and ``key_bytes`` decodes the set
+    of every value held.
 
     Monotone by construction; the secrecy analyzer seeds adversaries from it.
     """
 
-    def __init__(self) -> None:
-        self.key_bytes: set[bytes] = set()
+    def __init__(self, table: KeyTable | None = None) -> None:
+        self.table = table if table is not None else KeyTable()
         self.codes: set[str] = set()
+        self._index = self.table.index
+        # room for every value interned so far and the next 128: a new
+        # member's first keys (its individual key, say) are often new ones
+        self._bits = bytearray((len(self.table.values) >> 3) + 16)
 
     def learn_key(self, key: SymKey) -> None:
-        self.key_bytes.add(key.data)
+        index = self._index.get(key.data)
+        if index is None:
+            index = self.table.intern(key.data)
+        try:
+            self._bits[index >> 3] |= 1 << (index & 7)
+        except IndexError:
+            # grow by a quarter at least, so that a member that keeps
+            # learning new values grows its bitmap O(log) times, not once
+            # per value
+            bits = self._bits
+            bits.extend(bytes(max((index >> 3) + 1 - len(bits), (len(bits) >> 2) + 16)))
+            bits[index >> 3] |= 1 << (index & 7)
+
+    def holds_key(self, data: bytes) -> bool:
+        """Whether this principal has ever held the key value ``data``."""
+        index = self._index.get(data)
+        if index is None or index >> 3 >= len(self._bits):
+            return False
+        return bool(self._bits[index >> 3] >> (index & 7) & 1)
+
+    @property
+    def key_bytes(self) -> set[bytes]:
+        """Every key value held, as a new set."""
+        values = self.table.values
+        return {
+            values[(byte_index << 3) + bit]
+            for byte_index, byte in enumerate(self._bits.rstrip(b"\0"))
+            if byte
+            for bit in _BIT_POSITIONS[byte]
+        }
 
     def learn_code(self, code: str) -> None:
         self.codes.add(code)
@@ -220,11 +293,11 @@ class MemberView(ABC):
     expose the current group key and accumulate a knowledge log.
     """
 
-    def __init__(self, member_id: str, individual_key: SymKey) -> None:
+    def __init__(self, member_id: str, individual_key: SymKey, table: KeyTable | None = None) -> None:
         self.member_id = member_id
         self.individual_key = individual_key
         self.group_key: SymKey | None = None
-        self.knowledge = Knowledge()
+        self.knowledge = Knowledge(table)
         self.unwrap_misses = 0
         self.knowledge.learn_key(individual_key)
 
@@ -273,8 +346,9 @@ class ServerProtocol(ABC):
     def handle_event(self, event: MembershipEvent, rng: Random, meter: CostMeter) -> EventOutput: ...
 
     @abstractmethod
-    def build_member(self, bootstrap: Bootstrap) -> MemberView:
-        """Construct the client view a bootstrap delivery creates."""
+    def build_member(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> MemberView:
+        """Construct the client view a bootstrap delivery creates; its
+        knowledge interns keys in ``table``, or in a private table."""
 
     def _validate(self, event: MembershipEvent) -> None:
         """The one membership check: raise EventError unless the event may

@@ -30,6 +30,7 @@ from gkms.ckcs import CkcsServer
 from gkms.core import (
     CostMeter,
     EventOutput,
+    KeyTable,
     MembershipEvent,
     MemberView,
     Notice,
@@ -357,6 +358,9 @@ class TraceRecord:
     node_key_log: dict[bytes, set[int]] = field(default_factory=dict)
     sibling_pairs: set[tuple[int, int, int]] = field(default_factory=set)
     wrap_log: dict[bytes, bytes] = field(default_factory=dict)
+    # the key values the tracked members held, each once: every member's
+    # knowledge is a bitmap over this one table
+    key_table: KeyTable = field(default_factory=KeyTable)
 
     @property
     def rows(self) -> list[dict]:
@@ -394,7 +398,7 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
     if track_members:
         _log_tree(trace)
         for boot in server.initial_bootstraps():
-            trace.members[boot.member_id] = server.build_member(boot)
+            trace.members[boot.member_id] = server.build_member(boot, trace.key_table)
             trace.join_epoch[boot.member_id] = 0
         _run_probe(trace, probe_rng, seq=0)
 
@@ -465,10 +469,12 @@ def _deliver(trace: TraceRecord, event: MembershipEvent, output: EventOutput, me
     """Hand the event's output to the tracked members, in emission order.
 
     Members count their derivations on ``meter``, the event's own meter.
+    Each delivery's recipient set is dropped once its recipients have it;
+    the trace keeps only the delivery.
     """
     seq = event.seq
     for boot in output.bootstraps:
-        trace.members[boot.member_id] = trace.server.build_member(boot)
+        trace.members[boot.member_id] = trace.server.build_member(boot, trace.key_table)
         trace.join_epoch[boot.member_id] = seq
     if event.op == "leave":
         for member in event.member_ids:
@@ -483,6 +489,7 @@ def _deliver(trace: TraceRecord, event: MembershipEvent, output: EventOutput, me
                 view.apply_notice(delivery, meter)
             else:
                 view.apply_message(delivery, meter)
+        delivery.drop_recipient_set()
 
 
 def _run_probe(trace: TraceRecord, probe_rng: Random, seq: int) -> None:

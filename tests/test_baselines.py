@@ -7,8 +7,9 @@ import pytest
 
 from gkms import core as core_module
 from gkms.baselines import LkhServer, OftServer, OkdServer
-from gkms.core import CostMeter, EventError, MembershipEvent, Notice
-from gkms.crypto import blind, derive, mix, unwrap
+from gkms.baselines.lkh import LkhMember
+from gkms.core import Bootstrap, CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
+from gkms.crypto import SymKey, blind, derive, mix, unwrap, wrap
 from tree_reference import assert_insert_matches_reference
 
 
@@ -125,6 +126,35 @@ def test_lkh_leave_keeps_slot_and_redraws_surviving_path():
         views[boot.member_id] = server.build_member(boot)
     deliver(views, output)
     assert_agreement(server, views)
+
+
+def test_lkh_member_takes_payloads_in_message_order():
+    # chain 10 -> 5 -> 1: the key of node 5 arrives under the leaf and then
+    # wraps the root key, so the scan must see the two payloads in order
+    leaf, mid, root, stranger = (SymKey(bytes([i]) * 32) for i in (10, 5, 1, 9))
+    meter = CostMeter()
+
+    def member():
+        boot = Bootstrap(member_id="u1", individual_key=leaf, leaf_id=10, extra={"chain": [10, 5, 1]})
+        return LkhMember(boot)
+
+    def message(*payloads):
+        wrapped = tuple(wrap(kek, key, meter, kek_id=kek_id) for kek, key, kek_id, _ in payloads)
+        targets = [target for *_, target in payloads]
+        return RekeyMessage("multicast", ("u1",), wrapped, {"targets": targets, "deleted": [7]})
+
+    in_order = member()
+    in_order.apply_message(
+        message((stranger, root, 9, 1), (leaf, mid, 10, 5), (mid, root, 5, 1)), meter
+    )
+    assert in_order.keys == {10: leaf, 5: mid, 1: root} and in_order.group_key == root
+    assert in_order.chain == [10, 5, 1] and in_order.chain_set == {10, 5, 1}
+    assert in_order.knowledge.key_bytes == {leaf.data, mid.data, root.data}
+
+    reversed_order = member()
+    reversed_order.apply_message(message((mid, root, 5, 1), (leaf, mid, 10, 5)), meter)
+    assert reversed_order.keys == {10: leaf, 5: mid}  # the root payload came too early
+    assert reversed_order.group_key is None
 
 
 def test_lkh_batch_equals_singles():

@@ -9,6 +9,8 @@ from gkms.core import (
     CostMeter,
     EventError,
     EventOutput,
+    KeyTable,
+    Knowledge,
     MembershipEvent,
     MemberView,
     Notice,
@@ -158,6 +160,51 @@ def test_recipient_check_against_the_delivery_set():
     assert notice.recipient_set == frozenset(("bob",))
     with pytest.raises(EventError):
         view._check_addressed(notice)
+
+
+def test_dropped_recipient_set_is_built_again_on_demand():
+    message = msg(recipients=("a", "b"))
+    assert message.recipient_set == frozenset(("a", "b"))
+    message.drop_recipient_set()
+    assert "recipient_set" not in vars(message)
+    assert message.recipient_set == frozenset(("a", "b"))
+    Notice(kind="join", recipients=("a",), aux={}).drop_recipient_set()  # none built yet
+
+
+def _keys(count, salt):
+    return [SymKey(bytes([salt, i]) * 16) for i in range(count)]
+
+
+def test_private_and_shared_knowledge_agree():
+    shared_table = KeyTable()
+    crowd = Knowledge(shared_table)  # another principal fills the shared table first
+    for key in _keys(21, salt=1):
+        crowd.learn_key(key)
+    learned = _keys(13, salt=2) + _keys(21, salt=1)[3:9]
+    private, shared = Knowledge(), Knowledge(shared_table)
+    for key in learned + learned[:4]:  # learning twice changes nothing
+        private.learn_key(key)
+        shared.learn_key(key)
+    assert private.table is not shared_table
+    assert private.key_bytes == shared.key_bytes == {key.data for key in learned}
+    unknown = _keys(21, salt=1)[:3] + _keys(5, salt=3)  # in the shared table, or in none
+    for key in learned + unknown:
+        assert private.holds_key(key.data) == shared.holds_key(key.data) == (key in learned)
+
+
+def test_knowledge_interns_each_value_once():
+    table = KeyTable()
+    first, second = Knowledge(table), Knowledge(table)
+    a, b = _keys(2, salt=4)
+    first.learn_key(a)
+    second.learn_key(SymKey(bytes(a.data)))  # an equal value in another object
+    second.learn_key(b)
+    assert table.values == [a.data, b.data]
+    assert table.index == {a.data: 0, b.data: 1}
+    (held,) = first.key_bytes
+    assert held is a.data and held in second.key_bytes
+    assert [v is a.data for v in second.key_bytes].count(True) == 1
+    assert not first.holds_key(b.data) and second.holds_key(b.data)
 
 
 class _StubServer(ServerProtocol):

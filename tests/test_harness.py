@@ -571,6 +571,29 @@ def test_member_outputs_match_frozen_hash(protocol):
     assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_MEMBER_OUTPUTS[protocol]
 
 
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_tracked_knowledge_holds_each_value_once(protocol):
+    trace = run(_churn_scenario(protocol))
+    table = trace.key_table
+    views = [*trace.members.values(), *trace.departed.values()]
+    assert all(view.knowledge.table is table for view in views)
+    held = [value for view in views for value in view.knowledge.key_bytes]
+    distinct = set(held)
+    # one object per distinct value across every member and departed member
+    assert len({id(value) for value in held}) == len(distinct)
+    assert all(table.values[table.index[value]] is value for value in held)
+    assert len(table.values) == len(distinct) == len(table.index)
+    assert set(table.values) == distinct
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_finished_trace_keeps_no_recipient_sets(protocol):
+    trace = run(_churn_scenario(protocol))
+    assert trace.deliveries
+    for delivery in trace.deliveries:
+        assert "recipient_set" not in vars(delivery)
+
+
 def _server_state(server, rng):
     """Every node's place, key and code, the group key and the generator."""
     nodes = [
