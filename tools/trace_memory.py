@@ -6,14 +6,13 @@
 The churn starts from n=256 members with seed 5 and runs 2,000 events that
 alternate join and leave.  Batch sizes are drawn by ``Random(5).choice``
 from (1, 1, 2, 4, 8), one draw per event, and leave layouts rotate random,
-best-half, worst-spread.  Members are tracked, so every key each member
-ever held stays in the trace.  ckcs is not offered: it runs out of root
-codes on this churn (``CodeSpaceError`` at event 159).
+best-half, worst-spread.  The protocol is lkh.  Members are tracked, so
+every key each member ever held stays in the trace.
 
 Each checkout's own ``src/`` runs in a fresh interpreter, which prints one
-line: the protocol, the wall time of ``harness.run``, the peak RSS of the
-process read right after it (before any hashing), the trace digest and a
-knowledge hash.  The knowledge hash is SHA-256 over every member's and
+line: the protocol, the event count, the wall time of ``harness.run``, the
+peak RSS of the process read right after it (before any hashing), the trace
+digest and a knowledge hash.  The knowledge hash is SHA-256 over every member's and
 departed member's id, sorted key values and sorted codes, in id order, so
 two checkouts that print the same hashes built the same trace and the same
 member knowledge.  With more than one checkout the exit status is 1 when
@@ -83,12 +82,9 @@ def measure(protocol: str, events: int) -> str:
     )
 
 
-def _run_checkout(checkout: Path, protocol: str, events: int) -> str:
+def _run_checkout(checkout: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    cmd = [
-        sys.executable, str(Path(__file__).resolve()), "--worker",
-        "--protocol", protocol, "--events", str(events),
-    ]
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker"]
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: run failed\n{done.stderr}")
@@ -101,23 +97,19 @@ def main(argv=None) -> int:
         "--checkout", action="append", type=Path,
         help="a checkout to run (repeatable; default: this repository)",
     )
-    parser.add_argument("--protocol", default="lkh", choices=("lkh", "oft", "okd"))
-    parser.add_argument("--events", type=int, default=EVENTS, help="cut the churn short")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.events < 1:
-        parser.error("--events must be at least 1")
     if args.worker:
         import gkms
 
         src = (Path.cwd() / "src").resolve()
         if not Path(gkms.__file__).resolve().is_relative_to(src):
             raise SystemExit(f"imported {gkms.__file__}, not the checkout's {src}")
-        print(measure(args.protocol, args.events))
+        print(measure("lkh", EVENTS))
         return 0
     hashes = set()
     for checkout in (c.resolve() for c in (args.checkout or [REPO])):
-        line = _run_checkout(checkout, args.protocol, args.events)
+        line = _run_checkout(checkout)
         print(f"{line}  {checkout}", flush=True)
         hashes.add(tuple(line.split()[-2:]))
     return 0 if len(hashes) == 1 else 1
