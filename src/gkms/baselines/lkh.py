@@ -19,7 +19,6 @@ from gkms.core import (
     CostMeter,
     EventError,
     EventOutput,
-    KeyTable,
     MemberView,
     MembershipEvent,
     RekeyMessage,
@@ -159,14 +158,14 @@ class LkhServer(ServerProtocol):
             out.append(boot)
         return out
 
-    def build_member(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> "LkhMember":
+    def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "LkhMember":
         return LkhMember(bootstrap, table)
 
 
 class LkhMember(MemberView):
     """Member state for the key-hierarchy baseline: path node ids plus keys."""
 
-    def __init__(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> None:
+    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> None:
         super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
         self.leaf_id: int = bootstrap.leaf_id
         self.chain: list[int] = list(bootstrap.extra["chain"])
@@ -180,7 +179,7 @@ class LkhMember(MemberView):
     def _refresh_group_key(self) -> None:
         root_key = self.keys.get(self.chain[-1])
         if root_key is not None:
-            self._learn_group_key(root_key)
+            self.group_key = root_key  # learned when it came into self.keys
 
     def _apply_structure(self, aux: dict) -> None:
         split = aux.get("split")

@@ -27,7 +27,6 @@ from gkms.core import (
     CostMeter,
     EventError,
     EventOutput,
-    KeyTable,
     MemberView,
     MembershipEvent,
     RekeyMessage,
@@ -264,14 +263,14 @@ class OftServer(ServerProtocol):
             for m in self.member_ids
         ]
 
-    def build_member(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> "OftMember":
+    def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "OftMember":
         return OftMember(bootstrap, table)
 
 
 class OftMember(MemberView):
     """Member state for the folding baseline: path ids plus sibling blinds."""
 
-    def __init__(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> None:
+    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> None:
         super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
         self.leaf_id: int = bootstrap.leaf_id
         self.chain: list[int] = list(bootstrap.extra["chain"])
@@ -309,7 +308,7 @@ class OftMember(MemberView):
                 self.knowledge.learn_key(key)
             self.computed[parent_id] = key
         meter.member_derivations += 2 * len(self.computed)
-        self._learn_group_key(key)
+        self.group_key = key  # learned by the fold that computed it
 
     def _apply_structure(self, aux: dict) -> bool:
         changed = False
@@ -366,8 +365,9 @@ class OftMember(MemberView):
             if kek is None:
                 continue
             if target == self.chain[-1] and payload.kek_id == self.leaf_id:
-                # group key shipped directly (joiner bundle); folding confirms it
-                self._learn_group_key(unwrap(kek, payload))
+                # group key shipped directly (joiner bundle); the fold that
+                # follows confirms it, and learns it
+                self.group_key = unwrap(kek, payload)
                 matched = True
                 continue
             if by_sibling is None:

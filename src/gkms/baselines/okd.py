@@ -25,7 +25,6 @@ from gkms.core import (
     Bootstrap,
     CostMeter,
     EventOutput,
-    KeyTable,
     Notice,
     RekeyMessage,
 )
@@ -104,7 +103,7 @@ class OkdServer(LkhServer):
         output.bootstraps.append(self._bootstrap_for(member, individual))
         return chain
 
-    def build_member(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> "OkdMember":
+    def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "OkdMember":
         return OkdMember(bootstrap, table)
 
 

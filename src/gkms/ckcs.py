@@ -27,7 +27,6 @@ from gkms.core import (
     CostMeter,
     EventError,
     EventOutput,
-    KeyTable,
     MembershipEvent,
     MemberView,
     Notice,
@@ -264,14 +263,14 @@ class CkcsServer(ServerProtocol):
             out.append(self._bootstrap_for(member, leaf.key, include_group_key=True))
         return out
 
-    def build_member(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> "CkcsMember":
+    def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "CkcsMember":
         return CkcsMember(bootstrap, table)
 
 
 class CkcsMember(MemberView):
     """Client view: individual key, path codes, code-derived middle keys."""
 
-    def __init__(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> None:
+    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> None:
         assert bootstrap.individual_key is not None and bootstrap.leaf_id is not None
         super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
         self.leaf_id = bootstrap.leaf_id

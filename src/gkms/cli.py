@@ -128,8 +128,9 @@ def _cover_line(trace: harness.TraceRecord, record: harness.EventRecord) -> str 
     for member in message.recipients:
         view = trace.members.get(member) or trace.departed.get(member)
         if view is not None:
+            held = view.knowledge.key_bytes
             for kek, holders in under.items():
-                if view.knowledge.holds_key(kek):
+                if kek in held:
                     holders.append(member)
     parts = []
     for node_id, kek in zip(message.aux["cover"], keks):

@@ -201,86 +201,34 @@ def rows_to_csv(rows: list[dict], extra_columns: list[str] | None = None) -> str
     return out.getvalue()
 
 
-class KeyTable:
-    """Every distinct key value of one trace, each held once.
-
-    ``intern`` gives a value its index, adding it on first sight, and
-    ``values[index]`` is the one ``bytes`` object that stands for it.
-    Storing indices instead of values is hash-consing (Filliâtre and
-    Conchon, "Type-safe modular hash-consing", ML Workshop 2006): a value
-    that many members held costs one object, not one per member.
-    """
-
-    def __init__(self) -> None:
-        self.index: dict[bytes, int] = {}
-        self.values: list[bytes] = []
-
-    def intern(self, data: bytes) -> int:
-        index = self.index.get(data)
-        if index is None:
-            index = self.index[data] = len(self.values)
-            self.values.append(data)
-        return index
-
-
-# the set bit positions of each byte value, for decoding a bitmap a byte at
-# a time rather than a bit at a time
-_BIT_POSITIONS = tuple(tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256))
-
-
 class Knowledge:
     """Everything a principal has ever held: key values and node codes.
 
-    Keys are a bitmap over a :class:`KeyTable`: bit ``i`` is set once the
-    principal has held ``table.values[i]``.  The members of a tracked trace
-    share the trace's table, so each value is stored once however many of
-    them held it; a ``Knowledge`` built without a table gets a private one.
-    ``learn_key`` costs O(1) amortised (the bitmap is a ``bytearray`` set in
-    place), ``holds_key`` tests one value, and ``key_bytes`` decodes the set
-    of every value held.
+    ``keys`` lists each key value held, in the order it was learned.  Each
+    value goes in through ``table``, a dict from a value to the one
+    ``bytes`` object that stands for it.  The members of a tracked trace
+    share the trace's ``key_table``, so a value that many of them held costs
+    one object, not one per member: this is hash-consing (Filliâtre and
+    Conchon, "Type-safe modular hash-consing", ML Workshop 2006).
+    ``learn_key`` does not look for the value in ``keys``: every member
+    learns a value once, where it obtains it, so the list holds one slot per
+    distinct value.  ``key_bytes`` is the set of every value held.
 
     Monotone by construction; the secrecy analyzer seeds adversaries from it.
     """
 
-    def __init__(self, table: KeyTable | None = None) -> None:
-        self.table = table if table is not None else KeyTable()
+    def __init__(self, table: dict[bytes, bytes]) -> None:
+        self.table = table
+        self.keys: list[bytes] = []
         self.codes: set[str] = set()
-        self._index = self.table.index
-        # room for every value interned so far and the next 128: a new
-        # member's first keys (its individual key, say) are often new ones
-        self._bits = bytearray((len(self.table.values) >> 3) + 16)
 
     def learn_key(self, key: SymKey) -> None:
-        index = self._index.get(key.data)
-        if index is None:
-            index = self.table.intern(key.data)
-        try:
-            self._bits[index >> 3] |= 1 << (index & 7)
-        except IndexError:
-            # grow by a quarter at least, so that a member that keeps
-            # learning new values grows its bitmap O(log) times, not once
-            # per value
-            bits = self._bits
-            bits.extend(bytes(max((index >> 3) + 1 - len(bits), (len(bits) >> 2) + 16)))
-            bits[index >> 3] |= 1 << (index & 7)
-
-    def holds_key(self, data: bytes) -> bool:
-        """Whether this principal has ever held the key value ``data``."""
-        index = self._index.get(data)
-        if index is None or index >> 3 >= len(self._bits):
-            return False
-        return bool(self._bits[index >> 3] >> (index & 7) & 1)
+        self.keys.append(self.table.setdefault(key.data, key.data))
 
     @property
     def key_bytes(self) -> set[bytes]:
         """Every key value held, as a new set."""
-        values = self.table.values
-        return {
-            values[(byte_index << 3) + bit]
-            for byte_index, byte in enumerate(self._bits.rstrip(b"\0"))
-            if byte
-            for bit in _BIT_POSITIONS[byte]
-        }
+        return set(self.keys)
 
     def learn_code(self, code: str) -> None:
         self.codes.add(code)
@@ -290,10 +238,11 @@ class MemberView(ABC):
     """Client-side state of one member.
 
     Concrete views keep whatever keys their protocol calls for; all of them
-    expose the current group key and accumulate a knowledge log.
+    expose the current group key and accumulate a knowledge log, whose key
+    values are interned in ``table`` (a tracked trace's ``key_table``).
     """
 
-    def __init__(self, member_id: str, individual_key: SymKey, table: KeyTable | None = None) -> None:
+    def __init__(self, member_id: str, individual_key: SymKey, table: dict[bytes, bytes]) -> None:
         self.member_id = member_id
         self.individual_key = individual_key
         self.group_key: SymKey | None = None
@@ -346,9 +295,9 @@ class ServerProtocol(ABC):
     def handle_event(self, event: MembershipEvent, rng: Random, meter: CostMeter) -> EventOutput: ...
 
     @abstractmethod
-    def build_member(self, bootstrap: Bootstrap, table: KeyTable | None = None) -> MemberView:
+    def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> MemberView:
         """Construct the client view a bootstrap delivery creates; its
-        knowledge interns keys in ``table``, or in a private table."""
+        knowledge interns key values in ``table``."""
 
     def _validate(self, event: MembershipEvent) -> None:
         """The one membership check: raise EventError unless the event may

@@ -94,9 +94,11 @@ def _hash(domain: bytes, payload: bytes) -> bytes:
     return hashlib.sha256(domain + payload).digest()
 
 
-def _digest_key(data: bytes) -> SymKey:
-    """A SymKey holding a SHA-256 output, built without the check in
-    ``SymKey.__post_init__``: a digest is always ``KEY_LEN`` bytes."""
+def _own_key(data: bytes) -> SymKey:
+    """A SymKey for bytes this module made itself, built without the check
+    in ``SymKey.__post_init__``.  The caller knows ``data`` is ``KEY_LEN``
+    bytes: a SHA-256 digest, a ``randbytes(KEY_LEN)`` draw, or an unwrap
+    output whose length it has checked."""
     key = object.__new__(SymKey)
     object.__setattr__(key, "data", data)
     return key
@@ -104,17 +106,17 @@ def _digest_key(data: bytes) -> SymKey:
 
 def derive(key: SymKey) -> SymKey:
     """One-way refresh: the holder of ``key`` can step it forward, never back."""
-    return _digest_key(_hash(_DOMAIN_DERIVE, key.data))
+    return _own_key(_hash(_DOMAIN_DERIVE, key.data))
 
 
 def blind(key: SymKey) -> SymKey:
     """One-way image of a key that is safe to show to non-holders."""
-    return _digest_key(_hash(_DOMAIN_BLIND, key.data))
+    return _own_key(_hash(_DOMAIN_BLIND, key.data))
 
 
 def mix(left: SymKey, right: SymKey) -> SymKey:
     """Combine two (blinded) child keys into a parent key; order matters."""
-    return _digest_key(_hash(_DOMAIN_MIX, left.data + right.data))
+    return _own_key(_hash(_DOMAIN_MIX, left.data + right.data))
 
 
 def encode_code(code: str) -> bytes:
@@ -131,7 +133,7 @@ def derive_with_code(group_key: SymKey, code: str) -> SymKey:
     """Key of a coded tree node: hash of the group key XOR its node code."""
     pad = int.from_bytes(encode_code(code), "big")
     mixed = (int.from_bytes(group_key.data, "big") ^ pad).to_bytes(KEY_LEN, "big")
-    return _digest_key(_hash(_DOMAIN_CODE, mixed))
+    return _own_key(_hash(_DOMAIN_CODE, mixed))
 
 
 def decode_code(block: bytes) -> str:
@@ -145,7 +147,7 @@ def decode_code(block: bytes) -> str:
 def random_key(rng: Random, meter: MeterLike) -> SymKey:
     """Fresh key from the seeded generator; metered as one key generation."""
     meter.keygen += 1
-    return SymKey(rng.randbytes(KEY_LEN))
+    return _own_key(rng.randbytes(KEY_LEN))
 
 
 def random_keys(rng: Random, meter: MeterLike, count: int) -> list[SymKey]:
@@ -158,7 +160,7 @@ def random_keys(rng: Random, meter: MeterLike, count: int) -> list[SymKey]:
     """
     meter.keygen += count
     data = rng.randbytes(KEY_LEN * count)
-    return [SymKey(data[i:i + KEY_LEN]) for i in range(0, len(data), KEY_LEN)]
+    return [_own_key(data[i:i + KEY_LEN]) for i in range(0, len(data), KEY_LEN)]
 
 
 @functools.lru_cache(maxsize=CIPHER_CACHE_SIZE)
@@ -184,7 +186,10 @@ def unwrap(kek: SymKey, wrapped: WrappedKey) -> SymKey:
         data = _cipher(kek.data).decrypt(wrapped.ciphertext, None)
     except InvalidTag as exc:
         raise UnwrapError(f"cannot unwrap payload labelled {wrapped.kek_id!r}") from exc
-    return SymKey(data)
+    # AES-SIV authenticates a plaintext of any length, so check it here
+    if len(data) != KEY_LEN:
+        raise ValueError(f"key must be {KEY_LEN} bytes")
+    return _own_key(data)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from gkms.ckcs import CkcsServer
 from gkms.core import (
     CostMeter,
     EventOutput,
-    KeyTable,
     MembershipEvent,
     MemberView,
     Notice,
@@ -358,9 +357,9 @@ class TraceRecord:
     node_key_log: dict[bytes, set[int]] = field(default_factory=dict)
     sibling_pairs: set[tuple[int, int, int]] = field(default_factory=set)
     wrap_log: dict[bytes, bytes] = field(default_factory=dict)
-    # the key values the tracked members held, each once: every member's
-    # knowledge is a bitmap over this one table
-    key_table: KeyTable = field(default_factory=KeyTable)
+    # the key values the tracked members held, each value to its one bytes
+    # object: every member's knowledge lists its values from this table
+    key_table: dict[bytes, bytes] = field(default_factory=dict)
 
     @property
     def rows(self) -> list[dict]:

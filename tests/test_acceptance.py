@@ -388,7 +388,7 @@ def test_c8_oracle_equivalences():
         rng = Random(f"c8-coded/{seed}")
         n = rng.randint(2, 24)
         server = CkcsServer([f"u{i}" for i in range(1, n + 1)], rng)
-        views = {b.member_id: server.build_member(b) for b in server.initial_bootstraps()}
+        views = {b.member_id: server.build_member(b, {}) for b in server.initial_bootstraps()}
         next_id = n + 1
         for seq in range(1, rng.randint(2, 6) + 1):
             if rng.random() < 0.5 or server.member_count < 3:
@@ -402,7 +402,7 @@ def test_c8_oracle_equivalences():
                 op = "leave"
             output = server.handle_event(MembershipEvent(seq, op, ids), rng, CostMeter())
             for bootstrap in output.bootstraps:
-                views[bootstrap.member_id] = server.build_member(bootstrap)
+                views[bootstrap.member_id] = server.build_member(bootstrap, {})
             deliver(views, output)
             if op == "leave":
                 for member in ids:

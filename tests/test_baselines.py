@@ -31,7 +31,7 @@ def deliver(views, output, meter=None):
 
 
 def build_views(server):
-    return {b.member_id: server.build_member(b) for b in server.initial_bootstraps()}
+    return {b.member_id: server.build_member(b, {}) for b in server.initial_bootstraps()}
 
 
 def handle(server, rng, seq, op, ids):
@@ -93,7 +93,7 @@ def test_lkh_join_splits_full_tree_with_chained_unicast():
     assert len(multicast.payloads) == 2 * len(chain) - 1  # joiner leaf served by unicast
 
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot)
+        views[boot.member_id] = server.build_member(boot, {})
     deliver(views, output)
     assert_agreement(server, views)
 
@@ -123,7 +123,7 @@ def test_lkh_leave_keeps_slot_and_redraws_surviving_path():
     assert output.messages[0].aux["split"] is None
     assert cost.keygen == 1 + 3
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot)
+        views[boot.member_id] = server.build_member(boot, {})
     deliver(views, output)
     assert_agreement(server, views)
 
@@ -136,7 +136,7 @@ def test_lkh_member_takes_payloads_in_message_order():
 
     def member():
         boot = Bootstrap(member_id="u1", individual_key=leaf, leaf_id=10, extra={"chain": [10, 5, 1]})
-        return LkhMember(boot)
+        return LkhMember(boot, {})
 
     def message(*payloads):
         wrapped = tuple(wrap(kek, key, meter, kek_id=kek_id) for kek, key, kek_id, _ in payloads)
@@ -226,7 +226,7 @@ def test_oft_join_refreshes_victim_then_adverts():
     assert server.check_fold_invariant()
     assert fold_oracle(server.tree) == server.group_key
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot)
+        views[boot.member_id] = server.build_member(boot, {})
     deliver(views, output)
     assert_agreement(server, views)
 
@@ -262,7 +262,7 @@ def test_oft_fold_invariant_through_churn():
     for seq, (op, ids) in enumerate(plan, start=1):
         output, _ = handle(server, rng, seq, op, ids)
         for boot in output.bootstraps:
-            views[boot.member_id] = server.build_member(boot)
+            views[boot.member_id] = server.build_member(boot, {})
         for gone in ids if op == "leave" else ():
             views.pop(gone)
         deliver(views, output)
@@ -324,7 +324,7 @@ def test_okd_join_steps_path_keys_one_way():
     assert set(notice.recipients) == set(members(9))
 
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot)
+        views[boot.member_id] = server.build_member(boot, {})
     tally = CostMeter()
     deliver(views, output, tally)
     assert tally.member_derivations > 0  # members stepped their own copies
@@ -334,7 +334,7 @@ def test_okd_join_steps_path_keys_one_way():
     output, _ = handle(server, rng, 2, "join", ["u11"])
     assert output.messages[0].aux["split"] is None
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot)
+        views[boot.member_id] = server.build_member(boot, {})
     deliver(views, output)
     assert_agreement(server, views)
 
@@ -355,7 +355,7 @@ def test_okd_resplit_of_same_member_never_repeats_node_keys():
         if split is not None:
             splits.append((split["member"], server.node_key(split["new_node"]).data))
         for boot in output.bootstraps:
-            views[boot.member_id] = server.build_member(boot)
+            views[boot.member_id] = server.build_member(boot, {})
         deliver(views, output)
         assert_agreement(server, views)
     assert [m for m, _ in splits].count("u1") == 2  # u1 really split twice
@@ -369,7 +369,7 @@ def test_okd_join_keeps_joiner_out_of_old_epochs():
     old_group = server.group_key
     output, _ = handle(server, rng, 1, "join", ["u10"])
     (boot,) = output.bootstraps
-    joiner = server.build_member(boot)
+    joiner = server.build_member(boot, {})
     deliver({"u10": joiner}, output)
     assert joiner.group_key == server.group_key == derive(old_group)
     assert old_group.data not in joiner.knowledge.key_bytes

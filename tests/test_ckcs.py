@@ -39,7 +39,7 @@ def deliver(views, output, meter=None):
 
 
 def build_initial_views(server):
-    return {b.member_id: server.build_member(b) for b in server.initial_bootstraps()}
+    return {b.member_id: server.build_member(b, {}) for b in server.initial_bootstraps()}
 
 
 # -- initial state ----------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_join_delivery_brings_everyone_to_the_new_key():
     views = build_initial_views(server)
     output = server.handle_event(MembershipEvent(1, "join", ("u5", "u6")), rng, CostMeter())
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot)
+        views[boot.member_id] = server.build_member(boot, {})
     tally = CostMeter()
     deliver(views, output, tally)
     for member_id, view in views.items():
@@ -151,7 +151,7 @@ def test_repeated_joins_shorten_then_reset_the_root_code():
     # first join: "27" shortens to "2"
     output = server.handle_event(MembershipEvent(1, "join", ("u5",)), rng, CostMeter())
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot)
+        views[boot.member_id] = server.build_member(boot, {})
     deliver(views, output)
     assert server.tree.root.code == "2"
 
@@ -178,7 +178,7 @@ def test_repeated_joins_shorten_then_reset_the_root_code():
         assert decode_code(block.data) == fresh
 
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot)
+        views[boot.member_id] = server.build_member(boot, {})
     deliver(views, output)
     for member_id, view in views.items():
         assert view.group_key == server.group_key, member_id
@@ -196,7 +196,7 @@ def test_first_join_onto_single_member_group_starts_a_lineage():
     assert len(server.tree.root.code) == kt.ROOT_CODE_LEN
     assert output.stats["code_resets"] == 1
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot)
+        views[boot.member_id] = server.build_member(boot, {})
     deliver(views, output)
     assert views["u1"].group_key == server.group_key
     assert views["u2"].group_key == server.group_key

@@ -9,7 +9,6 @@ from gkms.core import (
     CostMeter,
     EventError,
     EventOutput,
-    KeyTable,
     Knowledge,
     MembershipEvent,
     MemberView,
@@ -133,7 +132,7 @@ class _ProbeView(MemberView):
 
 
 def test_member_view_basics():
-    view = _ProbeView("alice", SymKey(bytes([1]) * 32))
+    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {})
     assert view.group_key is None
     assert view.individual_key.data in view.knowledge.key_bytes
     view._check_addressed(msg(recipients=("bob", "alice")))
@@ -148,7 +147,7 @@ def test_member_view_basics():
 
 
 def test_recipient_check_against_the_delivery_set():
-    view = _ProbeView("alice", SymKey(bytes([1]) * 32))
+    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {})
     message = msg(recipients=("carol", "alice", "bob"))
     assert message.recipient_set == frozenset(("alice", "bob", "carol"))
     assert message.recipient_set is message.recipient_set  # built once
@@ -176,35 +175,37 @@ def _keys(count, salt):
 
 
 def test_private_and_shared_knowledge_agree():
-    shared_table = KeyTable()
+    shared_table = {}
     crowd = Knowledge(shared_table)  # another principal fills the shared table first
     for key in _keys(21, salt=1):
         crowd.learn_key(key)
     learned = _keys(13, salt=2) + _keys(21, salt=1)[3:9]
-    private, shared = Knowledge(), Knowledge(shared_table)
-    for key in learned + learned[:4]:  # learning twice changes nothing
+    private, shared = Knowledge({}), Knowledge(shared_table)
+    for key in learned:
         private.learn_key(key)
         shared.learn_key(key)
-    assert private.table is not shared_table
+    assert private.table is not shared.table
     assert private.key_bytes == shared.key_bytes == {key.data for key in learned}
+    for key in learned[:4]:  # learning a value twice changes no key_bytes
+        private.learn_key(key)
+    assert private.key_bytes == shared.key_bytes
     unknown = _keys(21, salt=1)[:3] + _keys(5, salt=3)  # in the shared table, or in none
-    for key in learned + unknown:
-        assert private.holds_key(key.data) == shared.holds_key(key.data) == (key in learned)
+    assert not {key.data for key in unknown} & (private.key_bytes | shared.key_bytes)
 
 
 def test_knowledge_interns_each_value_once():
-    table = KeyTable()
+    table = {}
     first, second = Knowledge(table), Knowledge(table)
     a, b = _keys(2, salt=4)
+    twin = SymKey(bytes(bytearray(a.data)))  # an equal value in another object
+    assert twin.data is not a.data
     first.learn_key(a)
-    second.learn_key(SymKey(bytes(a.data)))  # an equal value in another object
+    second.learn_key(twin)
     second.learn_key(b)
-    assert table.values == [a.data, b.data]
-    assert table.index == {a.data: 0, b.data: 1}
-    (held,) = first.key_bytes
-    assert held is a.data and held in second.key_bytes
-    assert [v is a.data for v in second.key_bytes].count(True) == 1
-    assert not first.holds_key(b.data) and second.holds_key(b.data)
+    assert table == {a.data: a.data, b.data: b.data}
+    assert first.keys == [a.data] and second.keys == [a.data, b.data]
+    assert first.keys[0] is a.data and second.keys[0] is a.data  # the table's object
+    assert b.data not in first.key_bytes and second.key_bytes == {a.data, b.data}
 
 
 class _StubServer(ServerProtocol):
@@ -221,7 +222,7 @@ class _StubServer(ServerProtocol):
     def handle_event(self, event, rng, meter):
         raise NotImplementedError
 
-    def build_member(self, bootstrap):
+    def build_member(self, bootstrap, table):
         raise NotImplementedError
 
 

@@ -25,6 +25,7 @@ from gkms.crypto import (
     iter_golden_vectors,
     mix,
     random_key,
+    random_keys,
     unwrap,
     verify_golden_vectors,
     wrap,
@@ -99,12 +100,23 @@ def test_domain_separation(data):
     assert data not in images
 
 
-@given(KEY_BYTES)
-def test_digest_keys_equal_checked_keys(data):
-    # derivations build their keys without SymKey.__post_init__; the keys
-    # must still be indistinguishable from checked ones
+@given(KEY_BYTES, st.integers(min_value=0, max_value=2**64))
+def test_digest_keys_equal_checked_keys(data, seed):
+    # derivations, unwraps and fresh keys are built without
+    # SymKey.__post_init__; the keys must still be indistinguishable from
+    # checked ones
     key = SymKey(data)
-    for made in (derive(key), blind(key), mix(key, key), derive_with_code(key, "7")):
+    rng = Random(seed)
+    made_keys = [
+        derive(key),
+        blind(key),
+        mix(key, key),
+        derive_with_code(key, "7"),
+        unwrap(SymKey(K1), wrap(SymKey(K1), key, CostMeter(), kek_id=1)),
+        random_key(rng, CostMeter()),
+        *random_keys(rng, CostMeter(), 3),
+    ]
+    for made in made_keys:
         checked = SymKey(made.data)
         assert type(made) is SymKey and len(made.data) == KEY_LEN
         assert made == checked and hash(made) == hash(checked)

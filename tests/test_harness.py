@@ -577,13 +577,25 @@ def test_tracked_knowledge_holds_each_value_once(protocol):
     table = trace.key_table
     views = [*trace.members.values(), *trace.departed.values()]
     assert all(view.knowledge.table is table for view in views)
-    held = [value for view in views for value in view.knowledge.key_bytes]
+    held = [value for view in views for value in view.knowledge.keys]
     distinct = set(held)
     # one object per distinct value across every member and departed member
     assert len({id(value) for value in held}) == len(distinct)
-    assert all(table.values[table.index[value]] is value for value in held)
-    assert len(table.values) == len(distinct) == len(table.index)
-    assert set(table.values) == distinct
+    assert all(table[value] is value for value in held)
+    assert len(table) == len(distinct)
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_members_learn_each_value_once(protocol):
+    # Knowledge.learn_key appends without a lookup: the list holds one slot
+    # per distinct value only because every member learns a value once
+    scenarios = [_churn_scenario(protocol)]
+    scenarios += [generate_random_scenario(7_100 + i, protocol=protocol) for i in range(24)]
+    for scenario in scenarios:
+        trace = run(scenario)
+        for member, view in [*trace.members.items(), *trace.departed.items()]:
+            keys = view.knowledge.keys
+            assert len(keys) == len(set(keys)), (scenario.seed, member)
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
