@@ -20,7 +20,6 @@ already knows.  Batch events run as a sequence of single joins or leaves.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from gkms.core import (
     Bootstrap,
@@ -34,20 +33,6 @@ from gkms.core import (
 )
 from gkms.crypto import SymKey, blind, mix, random_key, random_keys, unwrap, wrap
 from gkms.tree import KeyTree, Node, build_balanced, remove_leaves
-
-
-@dataclass
-class Level:
-    """One path level as a member sees it: who the sibling is and its blind.
-
-    ``folded`` is the last fold through this level: its inputs (the key
-    below, the sibling blind, the side) and the parent key they gave.
-    """
-
-    sibling_id: int | None
-    side: int  # sibling's child index under the shared parent (0 or 1)
-    blinded: SymKey | None
-    folded: tuple[tuple[SymKey, SymKey, int], SymKey] | None = None
 
 
 class OftServer(ServerProtocol):
@@ -268,74 +253,87 @@ class OftServer(ServerProtocol):
 
 
 class OftMember(MemberView):
-    """Member state for the folding baseline: path ids plus sibling blinds."""
+    """Member state for the folding baseline, one list entry per path level.
+
+    Level ``i`` folds ``chain[i]`` (the leaf, at ``i == 0``) into its parent
+    ``chain[i + 1]``: ``siblings[i]`` is the parent's other child, ``sides[i]``
+    that child's index under the parent and ``blinds[i]`` its blinded key
+    (None until an advert delivers it).  ``path[i]`` is the parent key the
+    last fold gave, and ``pos`` maps each chain node to its index.
+    ``_dirty`` is the lowest level whose inputs changed since that fold, so
+    ``path[:_dirty]`` still holds the current keys.
+    """
 
     def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> None:
         super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
         self.leaf_id: int = bootstrap.leaf_id
         self.chain: list[int] = list(bootstrap.extra["chain"])
-        self.levels: list[Level] = [
-            Level(sibling_id, side, blinded)
-            for sibling_id, side, blinded in bootstrap.extra["levels"]
-        ]
-        for level in self.levels:
-            if level.blinded is not None:
-                self.knowledge.learn_key(level.blinded)
-        self.computed: dict[int, SymKey] = {}
-        if all(level.blinded is not None for level in self.levels):
+        self._index_chain()
+        levels = bootstrap.extra["levels"]
+        self.siblings: list[int | None] = [sibling_id for sibling_id, _, _ in levels]
+        self.sides: list[int] = [side for _, side, _ in levels]
+        self.blinds: list[SymKey | None] = [blinded for _, _, blinded in levels]
+        for blinded in self.blinds:
+            if blinded is not None:
+                self.knowledge.learn_key(blinded)
+        self.path: list[SymKey] = []
+        self._dirty = 0
+        if None not in self.blinds:
             self._fold(CostMeter())  # founding members' first fold is set-up
 
-    def _fold(self, meter: CostMeter) -> None:
-        """Fold the path up to the group key.
+    def _index_chain(self) -> None:
+        self.pos = {node_id: index for index, node_id in enumerate(self.chain)}
 
-        A level whose inputs equal those of its last fold reuses that fold's
-        result.  Every level is still metered as its two derivations (one
-        ``blind``, one ``mix``): the meter counts what the protocol makes a
-        member compute, not what the simulator happens to recompute.
+    def _fold(self, meter: CostMeter) -> None:
+        """Fold the path up to the group key, from the lowest changed level.
+
+        The levels below ``_dirty`` keep their keys in ``path``; every level
+        from there up is folded again and its new key learned.  Every level
+        is still metered as its two derivations (one ``blind``, one ``mix``):
+        the meter counts what the protocol makes a member compute, not what
+        the simulator happens to recompute.
         """
-        key = self.individual_key
-        self.computed = {}
-        for level, parent_id in zip(self.levels, self.chain[1:]):
-            if level.blinded is None:
+        dirty = self._dirty
+        path = self.path
+        del path[dirty:]
+        key = path[dirty - 1] if dirty else self.individual_key
+        levels = zip(self.blinds[dirty:], self.sides[dirty:], self.chain[dirty + 1:])
+        for blinded, side, parent_id in levels:
+            if blinded is None:
                 raise EventError(f"cannot fold: missing blinded key below node {parent_id}")
-            inputs = (key, level.blinded, level.side)
-            if level.folded is not None and level.folded[0] == inputs:
-                key = level.folded[1]  # learned when it was folded
-            else:
-                mine = blind(key)
-                key = mix(level.blinded, mine) if level.side == 0 else mix(mine, level.blinded)
-                level.folded = (inputs, key)
-                self.knowledge.learn_key(key)
-            self.computed[parent_id] = key
-        meter.member_derivations += 2 * len(self.computed)
+            mine = blind(key)
+            key = mix(blinded, mine) if side == 0 else mix(mine, blinded)
+            self.knowledge.learn_key(key)
+            path.append(key)
+        self._dirty = len(path)
+        meter.member_derivations += 2 * len(path)
         self.group_key = key  # learned by the fold that computed it
 
-    def _apply_structure(self, aux: dict) -> bool:
-        changed = False
+    def _apply_structure(self, aux: dict) -> None:
         split = aux.get("split")
         if split and split["member"] == self.member_id:
             self.chain.insert(1, split["new_node"])
-            self.levels.insert(0, Level(split["joiner_leaf"], split["joiner_side"], None))
-            changed = True
+            self.siblings.insert(0, split["joiner_leaf"])
+            self.sides.insert(0, split["joiner_side"])
+            self.blinds.insert(0, None)
+            self._dirty = 0
+            self._index_chain()
         deleted = aux.get("deleted")
-        if deleted:
-            deleted = set(deleted)
-            new_chain = [self.chain[0]]
-            new_levels = []
-            for level, parent_id in zip(self.levels, self.chain[1:]):
-                if parent_id in deleted:
-                    changed = True  # my former ancestor was spliced out
-                    continue
-                if level.sibling_id in deleted:
-                    # the sibling slot was refilled by a promotion; the advert
-                    # in this same message carries the replacement
-                    level = Level(None, level.side, None)
-                    changed = True
-                new_levels.append(level)
-                new_chain.append(parent_id)
-            self.chain = new_chain
-            self.levels = new_levels
-        return changed
+        if not deleted or (self.pos.keys().isdisjoint(deleted) and set(deleted).isdisjoint(self.siblings)):
+            return  # the splice is off this member's levels
+        deleted = set(deleted)
+        for i in reversed(range(len(self.siblings))):
+            if self.chain[i + 1] in deleted:
+                # my former ancestor was spliced out
+                del self.chain[i + 1], self.siblings[i], self.sides[i], self.blinds[i]
+            elif self.siblings[i] in deleted:
+                # the sibling slot was refilled by a promotion; the advert
+                # in this same message carries the replacement
+                self.siblings[i] = self.blinds[i] = None
+            else:
+                continue
+            self._dirty = min(self._dirty, i)
+        self._index_chain()
 
     def _apply_refresh(self, message: RekeyMessage, meter: CostMeter) -> None:
         self._apply_structure(message.aux)
@@ -345,51 +343,43 @@ class OftMember(MemberView):
             return
         self.individual_key = unwrap(self.individual_key, payload)
         self.knowledge.learn_key(self.individual_key)
+        self._dirty = 0
         if message.aux.get("fold", False):
             self._fold(meter)
 
     def apply_message(self, message: RekeyMessage, meter: CostMeter) -> None:
         self._check_addressed(message)
-        if message.aux.get("op") == "refresh":
+        aux = message.aux
+        if aux.get("op") == "refresh":
             self._apply_refresh(message, meter)
             return
-        changed = self._apply_structure(message.aux)
-        targets = message.aux["targets"]
-        matched = False
-        by_sibling: dict | None = None  # level by sibling id, built on first use
-        for payload, target in zip(message.payloads, targets):
-            if payload.kek_id == self.leaf_id:
-                kek = self.individual_key
+        self._apply_structure(aux)
+        for payload, target in zip(message.payloads, aux["targets"]):
+            # an advert keyed under a chain node below the root carries the
+            # new blind of that node's sibling, so it fills the node's level
+            index = self.pos.get(payload.kek_id)
+            if index is None or index == len(self.siblings):
+                continue
+            if index:
+                kek = self.path[index - 1]
             else:
-                kek = self.computed.get(payload.kek_id)
-            if kek is None:
-                continue
-            if target == self.chain[-1] and payload.kek_id == self.leaf_id:
-                # group key shipped directly (joiner bundle); the fold that
-                # follows confirms it, and learns it
-                self.group_key = unwrap(kek, payload)
-                matched = True
-                continue
-            if by_sibling is None:
-                by_sibling = {level.sibling_id: level for level in self.levels}
-            level = by_sibling.get(target)
-            if level is None:
-                # a changed node replaced the sibling at the level whose own
-                # node the payload is keyed for
-                if payload.kek_id not in self.chain[:-1]:
+                kek = self.individual_key
+                if target == self.chain[-1]:
+                    # group key shipped directly (joiner bundle); the fold
+                    # that follows confirms it, and learns it
+                    self.group_key = unwrap(kek, payload)
                     continue
-                index = self.chain.index(payload.kek_id)
-                if index >= len(self.levels):
-                    continue
-                level = self.levels[index]
-                level.sibling_id = target
-                by_sibling = None  # a sibling id changed
-            level.blinded = unwrap(kek, payload)
-            self.knowledge.learn_key(level.blinded)
-            matched = True
-        if matched or changed:
+                if target in self.siblings:
+                    # the joiner bundle keys every level under the leaf and
+                    # names it by its sibling
+                    index = self.siblings.index(target)
+            self.siblings[index] = target
+            self.blinds[index] = blinded = unwrap(kek, payload)
+            self.knowledge.learn_key(blinded)
+            self._dirty = min(self._dirty, index)
+        if self._dirty < len(self.siblings):
             self._fold(meter)
-        elif message.aux.get("refresh_leaf") != self.leaf_id:
+        elif aux.get("refresh_leaf") != self.leaf_id:
             # the refreshed member was fully served by its unicast; anyone
             # else should always find at least one decryptable advert
             self.unwrap_misses += 1

@@ -4,12 +4,15 @@
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gkms import core as core_module
 from gkms.baselines import LkhServer, OftServer, OkdServer
 from gkms.baselines.lkh import LkhMember
 from gkms.core import Bootstrap, CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
 from gkms.crypto import SymKey, blind, derive, mix, unwrap, wrap
+from gkms.harness import LAYOUTS, ScenarioError, leaver_layout
 from tree_reference import assert_insert_matches_reference
 
 
@@ -201,7 +204,7 @@ def test_oft_initial_fold():
     views = build_views(server)
     assert_agreement(server, views)
     for view in views.values():
-        for node_id, key in view.computed.items():
+        for node_id, key in zip(view.chain[1:], view.path, strict=True):
             assert key == server.node_key(node_id)
 
 
@@ -278,6 +281,76 @@ def test_oft_rejects_degenerate_groups():
     server = OftServer(members(2), rng)
     with pytest.raises(EventError):
         server.handle_event(MembershipEvent(1, "leave", ("u1", "u2")), rng, CostMeter())
+
+
+def reference_path(individual_key, blinds, sides):
+    """The parent keys of a from-scratch fold of one member's levels."""
+    key, path = individual_key, []
+    for blinded, side in zip(blinds, sides, strict=True):
+        mine = blind(key)
+        key = mix(blinded, mine) if side == 0 else mix(mine, blinded)
+        path.append(key)
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["join", "leave"]), st.integers(1, 6), st.sampled_from(LAYOUTS)),
+        min_size=1,
+        max_size=8,
+    ),
+    seed=st.integers(0, 2**16),
+)
+@example(n=1, steps=[("join", 1, "random"), ("leave", 1, "random")], seed=0)
+@example(n=2, steps=[("join", 6, "random"), ("leave", 6, "worst-spread"), ("join", 2, "random")], seed=1)
+def test_oft_members_fold_from_the_lowest_changed_level(n, steps, seed):
+    # after every message a member's unfolded levels start at or below its
+    # path's end; after every event its path is a whole fresh fold that
+    # holds the server's keys
+    rng = Random(seed)
+    server = OftServer(members(n), rng)
+    views = build_views(server)
+    joined = n
+    for seq, (op, m, layout) in enumerate(steps, start=1):
+        if op == "join":
+            ids = [f"u{joined + k}" for k in range(1, m + 1)]
+            joined += m
+        else:
+            m = min(m, server.member_count - 1)
+            if m < 1:
+                continue
+            try:
+                ids = leaver_layout(server.tree, m, layout, rng)
+            except ScenarioError:  # best-half needs a root subtree of m members
+                ids = leaver_layout(server.tree, m, "random", rng)
+        output, _ = handle(server, rng, seq, op, ids)
+        for boot in output.bootstraps:
+            views[boot.member_id] = server.build_member(boot, {})
+        for gone in ids if op == "leave" else ():
+            views.pop(gone)
+        for delivery in output.deliveries:
+            for view in filter(None, map(views.get, delivery.recipients)):
+                view.apply_message(delivery, CostMeter())
+                assert len(view.path) >= view._dirty
+        assert_agreement(server, views)
+        for member_id, view in views.items():
+            leaf = server.tree.leaf_of(member_id)
+            assert view.chain == [leaf.node_id] + server.tree.ancestors(leaf.node_id)
+            assert view.individual_key == leaf.key
+            assert view.path == reference_path(view.individual_key, view.blinds, view.sides)
+            assert view.path == [server.node_key(i) for i in view.chain[1:]]
+
+
+def test_oft_fold_without_a_blind_names_its_level():
+    rng = Random(8)
+    server = OftServer(members(4), rng)
+    output, _ = handle(server, rng, 1, "join", ["u5"])
+    (boot,) = output.bootstraps
+    joiner = server.build_member(boot, {})  # no blinds until its bundle arrives
+    with pytest.raises(EventError, match=f"missing blinded key below node {joiner.chain[1]}"):
+        joiner._fold(CostMeter())
 
 
 # -- derive-step rekeying (okd) -----------------------------------------------------

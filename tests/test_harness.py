@@ -501,7 +501,7 @@ def _held_path_keys(protocol, view):
     if protocol == "ckcs":
         return {**view.middle_keys, view.leaf_id: view.individual_key}
     if protocol == "oft":
-        return {**view.computed, view.leaf_id: view.individual_key}
+        return {**dict(zip(view.chain[1:], view.path, strict=True)), view.leaf_id: view.individual_key}
     return view.keys
 
 
