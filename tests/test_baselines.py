@@ -304,7 +304,11 @@ def reference_path(individual_key, blinds, sides):
     seed=st.integers(0, 2**16),
 )
 @example(n=1, steps=[("join", 1, "random"), ("leave", 1, "random")], seed=0)
-@example(n=2, steps=[("join", 6, "random"), ("leave", 6, "worst-spread"), ("join", 2, "random")], seed=1)
+@example(
+    n=2,
+    steps=[("join", 6, "random"), ("leave", 6, "worst-spread"), ("leave", 1, "best-half"), ("join", 2, "random")],
+    seed=1,
+)
 def test_oft_members_fold_from_the_lowest_changed_level(n, steps, seed):
     # after every message a member's unfolded levels start at or below its
     # path's end; after every event its path is a whole fresh fold that
