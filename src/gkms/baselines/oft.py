@@ -249,7 +249,7 @@ class OftServer(ServerProtocol):
         ]
 
     def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "OftMember":
-        return OftMember(bootstrap, table)
+        return OftMember(bootstrap, table, self.derivations)
 
 
 class OftMember(MemberView):
@@ -261,11 +261,13 @@ class OftMember(MemberView):
     (None until an advert delivers it).  ``path[i]`` is the parent key the
     last fold gave, and ``pos`` maps each chain node to its index.
     ``_dirty`` is the lowest level whose inputs changed since that fold, so
-    ``path[:_dirty]`` still holds the current keys.
+    ``path[:_dirty]`` still holds the current keys.  ``derivations`` is the
+    server's member derivation table, shared with every member it builds.
     """
 
-    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> None:
+    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes], derivations: dict) -> None:
         super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
+        self.derivations = derivations
         self.leaf_id: int = bootstrap.leaf_id
         self.chain: list[int] = list(bootstrap.extra["chain"])
         self._index_chain()
@@ -288,21 +290,29 @@ class OftMember(MemberView):
         """Fold the path up to the group key, from the lowest changed level.
 
         The levels below ``_dirty`` keep their keys in ``path``; every level
-        from there up is folded again and its new key learned.  Every level
-        is still metered as its two derivations (one ``blind``, one ``mix``):
-        the meter counts what the protocol makes a member compute, not what
-        the simulator happens to recompute.
+        from there up is folded again and its new key learned.  A fold step
+        is looked up in ``derivations`` under its full inputs (key below,
+        blinded sibling, side) before it is hashed, so the members below a
+        node fold it once per event between them.  Every level is still
+        metered as its two derivations (one ``blind``, one ``mix``): the
+        meter counts what the protocol makes a member compute, not what the
+        simulator happens to recompute.
         """
         dirty = self._dirty
         path = self.path
         del path[dirty:]
         key = path[dirty - 1] if dirty else self.individual_key
+        derivations = self.derivations
         levels = zip(self.blinds[dirty:], self.sides[dirty:], self.chain[dirty + 1:])
         for blinded, side, parent_id in levels:
             if blinded is None:
                 raise EventError(f"cannot fold: missing blinded key below node {parent_id}")
-            mine = blind(key)
-            key = mix(blinded, mine) if side == 0 else mix(mine, blinded)
+            step = (key.data, blinded.data, side)
+            parent = derivations.get(step)
+            if parent is None:
+                mine = blind(key)
+                parent = derivations[step] = mix(blinded, mine) if side == 0 else mix(mine, blinded)
+            key = parent
             self.knowledge.learn_key(key)
             path.append(key)
         self._dirty = len(path)

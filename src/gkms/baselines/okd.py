@@ -104,11 +104,19 @@ class OkdServer(LkhServer):
         return chain
 
     def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "OkdMember":
-        return OkdMember(bootstrap, table)
+        return OkdMember(bootstrap, table, self.derivations)
 
 
 class OkdMember(LkhMember):
-    """Member that steps its own path keys on a join notice."""
+    """Member that steps its own path keys on a join notice.
+
+    Each step is looked up in ``derivations``, the server's member
+    derivation table, under the old key before it is hashed.
+    """
+
+    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes], derivations: dict) -> None:
+        super().__init__(bootstrap, table)
+        self.derivations = derivations
 
     def apply_notice(self, notice: Notice, meter: CostMeter) -> None:
         self._check_addressed(notice)
@@ -121,7 +129,10 @@ class OkdMember(LkhMember):
             old = self.keys.get(node_id)
             if old is None:
                 continue
-            self.keys[node_id] = derive(old)
+            new = self.derivations.get(old.data)
+            if new is None:
+                new = self.derivations[old.data] = derive(old)
+            self.keys[node_id] = new
             meter.member_derivations += 1
-            self.knowledge.learn_key(self.keys[node_id])
+            self.knowledge.learn_key(new)
         self._refresh_group_key()

@@ -92,6 +92,7 @@ class CkcsServer(ServerProtocol):
 
     def handle_event(self, event: MembershipEvent, rng: Random, meter: CostMeter) -> EventOutput:
         self._validate(event)
+        self.derivations.clear()
         if event.op == "join":
             return self._join(event, rng, meter)
         return self._leave(event, rng, meter)
@@ -264,15 +265,21 @@ class CkcsServer(ServerProtocol):
         return out
 
     def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "CkcsMember":
-        return CkcsMember(bootstrap, table)
+        return CkcsMember(bootstrap, table, self.derivations)
 
 
 class CkcsMember(MemberView):
-    """Client view: individual key, path codes, code-derived middle keys."""
+    """Client view: individual key, path codes, code-derived middle keys.
 
-    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> None:
+    Each derivation is looked up in ``derivations``, the server's member
+    derivation table, before it is hashed: a middle key under
+    ``(group key, code)``, a group key step under the old group key.
+    """
+
+    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes], derivations: dict) -> None:
         assert bootstrap.individual_key is not None and bootstrap.leaf_id is not None
         super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
+        self.derivations = derivations
         self.leaf_id = bootstrap.leaf_id
         self.path: list[kt.PathEntry] = list(bootstrap.extra["path"])
         for entry in self.path:
@@ -287,11 +294,16 @@ class CkcsMember(MemberView):
 
     def _recompute_middle_keys(self, meter) -> None:
         """Refresh every non-root path key from the current group key."""
-        assert self.group_key is not None
+        group_key = self.group_key
+        assert group_key is not None
+        derivations = self.derivations
         self.middle_keys.clear()
         for entry in self.path[:-1]:
             assert entry.code is not None
-            key = derive_with_code(self.group_key, entry.code)
+            step = (group_key.data, entry.code)
+            key = derivations.get(step)
+            if key is None:
+                key = derivations[step] = derive_with_code(group_key, entry.code)
             meter.member_derivations += 1
             self.middle_keys[entry.node_id] = key
             self.knowledge.learn_key(key)
@@ -311,9 +323,13 @@ class CkcsMember(MemberView):
         self.path.append(entry)
         self.knowledge.learn_code(entry.code)  # type: ignore[arg-type]
 
-        assert self.group_key is not None
+        old = self.group_key
+        assert old is not None
+        new = self.derivations.get(old.data)
+        if new is None:
+            new = self.derivations[old.data] = derive(old)
         meter.member_derivations += 1  # one-way group key refresh
-        self._learn_group_key(derive(self.group_key))
+        self._learn_group_key(new)
         self._recompute_middle_keys(meter)
 
     def apply_message(self, message: RekeyMessage, meter) -> None:

@@ -294,10 +294,27 @@ class ServerProtocol(ABC):
     @abstractmethod
     def handle_event(self, event: MembershipEvent, rng: Random, meter: CostMeter) -> EventOutput: ...
 
+    @cached_property
+    def derivations(self) -> dict:
+        """The member derivation table: one event's one-way derivations, each
+        keyed by its full inputs and holding its output.
+
+        ``build_member`` hands it to every member it builds, and a member
+        looks a derivation up here before it hashes, so the members of a
+        subtree compute each shared derivation once: memo functions (Michie,
+        "Memo functions and machine learning", Nature 1968), scoped to one
+        event.  Every ``handle_event`` empties it first, so it holds at most
+        one event's entries.  Server code never reads or writes an entry:
+        the server's keys stay an independent check on the members' keys.
+        """
+        return {}
+
     @abstractmethod
     def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> MemberView:
         """Construct the client view a bootstrap delivery creates; its
-        knowledge interns key values in ``table``."""
+        knowledge interns key values in ``table``.  A protocol whose members
+        derive keys also hands them ``derivations``; a member meters each
+        derivation it needs whether or not the table already held it."""
 
     def _validate(self, event: MembershipEvent) -> None:
         """The one membership check: raise EventError unless the event may
@@ -329,6 +346,7 @@ class ServerProtocol(ABC):
         drawn again for a node an earlier single event already rekeyed.
         """
         self._validate(event)
+        self.derivations.clear()
         step = self._join_one if event.op == "join" else self._leave_one
         output = EventOutput()
         keygen_before = meter.keygen
