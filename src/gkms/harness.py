@@ -644,6 +644,26 @@ def generate_random_scenario(
     return Scenario(protocol=protocol, n=n0, seed=seed, steps=tuple(steps))
 
 
+def generate_churn_scenario(
+    protocol: str, n: int, events: int, seed: int, batch_sizes: tuple[int, ...]
+) -> Scenario:
+    """Join and leave batches in turn from ``n`` members, ``events`` steps.
+
+    Even steps join and odd steps leave, the leave layouts rotating through
+    ``LAYOUTS``.  Each batch size is drawn by ``Random(seed).choice`` from
+    ``batch_sizes``, one draw per event.
+    """
+    draw = Random(seed)
+    steps = []
+    for i in range(events):
+        count = draw.choice(batch_sizes)
+        if i % 2 == 0:
+            steps.append(Step(op="join", count=count))
+        else:
+            steps.append(Step(op="leave", count=count, layout=LAYOUTS[(i // 2) % len(LAYOUTS)]))
+    return Scenario(protocol=protocol, n=n, seed=seed, steps=tuple(steps))
+
+
 # -- measurement sweeps ------------------------------------------------------
 
 

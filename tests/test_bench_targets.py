@@ -1,15 +1,22 @@
-"""The benchmark's layer tracer finds every function it names.
+"""The benchmark's layer tracer finds every function it names, and its
+churn is the harness's.
 
 ``bench/tracer.py`` wraps gkms functions and methods by name from outside the
 program.  A rename in the program would leave that layer silently untimed,
-so every name it lists must resolve.
+so every name it lists must resolve.  ``bench/workloads.py`` keeps its own
+copy of the churn generator until the benchmark itself changes; it must
+build the very scenarios ``harness.generate_churn_scenario`` builds.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+from gkms.harness import PROTOCOLS, generate_churn_scenario
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER_PATH = BENCH / "tracer.py"
 
 
 def _tracer_targets():
@@ -31,3 +38,21 @@ def test_every_tracer_target_resolves():
             assert callable(getattr(owner, method, None)), (module_name, attr, layer)
         else:
             assert callable(getattr(module, attr, None)), (module_name, attr, layer)
+
+
+def test_bench_churn_is_the_harness_churn(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports bench/oracle.py
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    sizes = [
+        (workloads.TRACKED_N, workloads.TRACKED_EVENTS),
+        (workloads.UNTRACKED_N, workloads.UNTRACKED_EVENTS),
+    ]
+    for protocol in sorted(PROTOCOLS):
+        for n, events in sizes:
+            for seed in (1, 101, 777):
+                assert workloads.churn_scenario(protocol, n, events, seed) == generate_churn_scenario(
+                    protocol, n, events, seed, (workloads.BATCH,)
+                )

@@ -25,6 +25,7 @@ from gkms.harness import (
     Step,
     _run_probe,
     format_scenario,
+    generate_churn_scenario,
     generate_random_scenario,
     leaver_layout,
     make_server,
@@ -32,7 +33,7 @@ from gkms.harness import (
     run,
     sweep,
 )
-from gkms.tree import build_balanced
+from gkms.tree import CodeSpaceError, build_balanced
 from harness_reference import reference_log_tree, reference_trace_digest, reference_worst_spread
 
 
@@ -396,14 +397,10 @@ def test_tree_log_and_digest_match_references(monkeypatch):
 
 def _churn_scenarios():
     """Long churn per protocol at n=256: 40 alternating join/leave batches of
-    16, leave layouts rotating, then one trace of mixed batch sizes that
+    16, leave layouts rotating; a longer one with batch sizes drawn from
+    (1, 1, 2, 4, 8), 150 events for ckcs, which runs out of codes at event
+    159, and 300 for the others; then one trace of mixed batch sizes that
     also shrinks the group to a single member and grows it back."""
-    churn = []
-    for i in range(40):
-        if i % 2 == 0:
-            churn.append(Step(op="join", count=16))
-        else:
-            churn.append(Step(op="leave", count=16, layout=LAYOUTS[(i // 2) % len(LAYOUTS)]))
     mixed = [
         Step(op="leave", ids=("u5", "u17", "u200")),
         Step(op="join", count=1),
@@ -421,7 +418,9 @@ def _churn_scenarios():
     ]
     out = []
     for protocol in sorted(PROTOCOLS):
-        out.append(Scenario(protocol=protocol, n=256, seed=31, steps=tuple(churn)))
+        out.append(generate_churn_scenario(protocol, 256, 40, 31, (16,)))
+        events = 150 if protocol == "ckcs" else 300
+        out.append(generate_churn_scenario(protocol, 256, events, 5, (1, 1, 2, 4, 8)))
         out.append(Scenario(protocol=protocol, n=256, seed=32, steps=tuple(mixed)))
     return out
 
@@ -526,10 +525,7 @@ def test_members_hold_the_server_path_keys_after_random_churn(protocol):
 
 def _churn_scenario(protocol):
     """12 alternating batches of 8 from n=64, leave layouts in rotation."""
-    lines = [f"init n=64 protocol={protocol} seed=11"]
-    for i in range(12):
-        lines.append("join 8" if i % 2 == 0 else f"leave 8 layout={LAYOUTS[(i // 2) % 3]}")
-    return parse_scenario("\n".join(lines) + "\n")
+    return generate_churn_scenario(protocol, 64, 12, 11, (8,))
 
 
 def _member_outputs(trace):
@@ -708,6 +704,27 @@ def test_generated_scenarios_are_valid_and_seed_stable():
         assert step.op in ("join", "leave")
         if step.layout is not None:
             assert step.layout in LAYOUTS
+
+
+def test_churn_alternates_rotates_layouts_and_draws_sizes_from_its_seed():
+    sizes = (1, 1, 2, 4, 8)
+    scenario = generate_churn_scenario("lkh", 256, 13, 5, sizes)
+    assert (scenario.protocol, scenario.n, scenario.seed) == ("lkh", 256, 5)
+    assert [step.op for step in scenario.steps] == ["join", "leave"] * 6 + ["join"]
+    assert [step.layout for step in scenario.steps if step.op == "leave"] == list(LAYOUTS) * 2
+    assert {step.count for step in scenario.steps} <= set(sizes)
+    draw = Random(5)
+    assert [step.count for step in scenario.steps] == [draw.choice(sizes) for _ in range(13)]
+    assert generate_churn_scenario("lkh", 256, 13, 5, sizes) == scenario
+    assert {step.count for step in generate_churn_scenario("okd", 64, 9, 11, (3,)).steps} == {3}
+
+
+def test_ckcs_churn_runs_out_of_root_codes_at_event_159():
+    # the single-digit code floor blocks one prefix per lineage; this is
+    # the limit a lineage policy for long horizons has to lift
+    scenario = generate_churn_scenario("ckcs", 256, 200, 5, (1, 1, 2, 4, 8))
+    with pytest.raises(CodeSpaceError, match="^event 159: no "):
+        run(scenario, track_members=False)
 
 
 # -- sweeps -------------------------------------------------------------------------

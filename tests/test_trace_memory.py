@@ -1,4 +1,4 @@
-"""``tools/trace_memory.py``: the churn it runs and the line it prints."""
+"""``tools/trace_memory.py``: the line it prints."""
 
 import importlib.util
 from pathlib import Path
@@ -15,19 +15,10 @@ def _tool():
     return module
 
 
-def test_churn_alternates_and_rotates_leave_layouts():
-    scenario = _tool().churn("lkh", events=7)
-    assert (scenario.protocol, scenario.n, scenario.seed) == ("lkh", 256, 5)
-    assert [step.op for step in scenario.steps] == ["join", "leave"] * 3 + ["join"]
-    layouts = [step.layout for step in scenario.steps if step.op == "leave"]
-    assert layouts == ["random", "best-half", "worst-spread"]
-    assert {step.count for step in scenario.steps} <= {1, 2, 4, 8}
-
-
 def test_report_names_the_trace_and_its_knowledge():
     tool = _tool()
     fields = dict(part.split("=") for part in tool.measure("okd", 6).split()[1:])
-    trace = harness.run(tool.churn("okd", 6))
+    trace = harness.run(harness.generate_churn_scenario("okd", tool.N, 6, tool.SEED, tool.BATCH_SIZES))
     assert fields["events"] == "6"
     assert fields["digest"] == trace.digest
     assert fields["knowledge"] == tool.knowledge_hash(trace)

@@ -40,15 +40,10 @@ the hashes differ.  About 40 s per checkout on one core.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
-import os
-import subprocess
 import sys
-from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
 PROTOCOLS = ("ckcs", "lkh", "oft", "okd")
 COSTS = (
     "keygen", "encrypt", "unicast", "multicast", "payload_keys", "member_derivations", "notices",
@@ -164,37 +159,10 @@ def _put_tracked(put, trace) -> None:
         put(sorted(server.all_codes()))
 
 
-def _run_checkout(checkout: Path) -> str:
-    """The hash of one checkout's ``src/``, computed in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker"]
-    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{checkout}: hashing failed\n{done.stderr}")
-    return done.stdout.strip()
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--checkout", action="append", type=Path,
-        help="a checkout to hash (repeatable; default: this repository)",
-    )
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        import gkms
+    from checkouts import compare
 
-        src = (Path.cwd() / "src").resolve()
-        if not Path(gkms.__file__).resolve().is_relative_to(src):
-            raise SystemExit(f"imported {gkms.__file__}, not the checkout's {src}")
-        print(output_hash())
-        return 0
-    hashes = []
-    for checkout in (c.resolve() for c in (args.checkout or [REPO])):
-        hashes.append(_run_checkout(checkout))
-        print(f"{hashes[-1]}  {checkout}", flush=True)
-    return 0 if len(set(hashes)) == 1 else 1
+    return compare(argv, __file__, __doc__.splitlines()[0], output_hash, key=lambda line: line)
 
 
 if __name__ == "__main__":
