@@ -24,7 +24,7 @@ from gkms.core import (
     RekeyMessage,
     ServerProtocol,
 )
-from gkms.crypto import SymKey, WrappedKey, random_key, random_keys, unwrap, wrap
+from gkms.crypto import SymKey, WrappedKey, random_key, random_keys, wrap
 from gkms.tree import KeyTree, build_balanced, detach_leaf
 
 
@@ -159,14 +159,14 @@ class LkhServer(ServerProtocol):
         return out
 
     def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "LkhMember":
-        return LkhMember(bootstrap, table)
+        return LkhMember(bootstrap, table, self.derivations)
 
 
 class LkhMember(MemberView):
     """Member state for the key-hierarchy baseline: path node ids plus keys."""
 
-    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> None:
-        super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
+    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes], derivations: dict) -> None:
+        super().__init__(bootstrap.member_id, bootstrap.individual_key, table, derivations)
         self.leaf_id: int = bootstrap.leaf_id
         self.chain: list[int] = list(bootstrap.extra["chain"])
         self.chain_set: set[int] = set(self.chain)
@@ -204,7 +204,7 @@ class LkhMember(MemberView):
             kek = self.keys.get(payload.kek_id)
             if kek is None or target not in self.chain_set:
                 continue
-            new_key = unwrap(kek, payload)
+            new_key = self._unwrap(kek, payload)
             self.keys[target] = new_key
             self.knowledge.learn_key(new_key)
             matched = True

@@ -31,7 +31,7 @@ from gkms.core import (
     RekeyMessage,
     ServerProtocol,
 )
-from gkms.crypto import SymKey, blind, mix, random_key, random_keys, unwrap, wrap
+from gkms.crypto import SymKey, blind, mix, random_key, random_keys, wrap
 from gkms.tree import KeyTree, Node, build_balanced, remove_leaves
 
 
@@ -261,13 +261,11 @@ class OftMember(MemberView):
     (None until an advert delivers it).  ``path[i]`` is the parent key the
     last fold gave, and ``pos`` maps each chain node to its index.
     ``_dirty`` is the lowest level whose inputs changed since that fold, so
-    ``path[:_dirty]`` still holds the current keys.  ``derivations`` is the
-    server's member derivation table, shared with every member it builds.
+    ``path[:_dirty]`` still holds the current keys.
     """
 
     def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes], derivations: dict) -> None:
-        super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
-        self.derivations = derivations
+        super().__init__(bootstrap.member_id, bootstrap.individual_key, table, derivations)
         self.leaf_id: int = bootstrap.leaf_id
         self.chain: list[int] = list(bootstrap.extra["chain"])
         self._index_chain()
@@ -351,7 +349,7 @@ class OftMember(MemberView):
         if payload.kek_id != self.leaf_id:
             self.unwrap_misses += 1
             return
-        self.individual_key = unwrap(self.individual_key, payload)
+        self.individual_key = self._unwrap(self.individual_key, payload)
         self.knowledge.learn_key(self.individual_key)
         self._dirty = 0
         if message.aux.get("fold", False):
@@ -377,14 +375,14 @@ class OftMember(MemberView):
                 if target == self.chain[-1]:
                     # group key shipped directly (joiner bundle); the fold
                     # that follows confirms it, and learns it
-                    self.group_key = unwrap(kek, payload)
+                    self.group_key = self._unwrap(kek, payload)
                     continue
                 if target in self.siblings:
                     # the joiner bundle keys every level under the leaf and
                     # names it by its sibling
                     index = self.siblings.index(target)
             self.siblings[index] = target
-            self.blinds[index] = blinded = unwrap(kek, payload)
+            self.blinds[index] = blinded = self._unwrap(kek, payload)
             self.knowledge.learn_key(blinded)
             self._dirty = min(self._dirty, index)
         if self._dirty < len(self.siblings):

@@ -114,10 +114,6 @@ class OkdMember(LkhMember):
     derivation table, under the old key before it is hashed.
     """
 
-    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes], derivations: dict) -> None:
-        super().__init__(bootstrap, table)
-        self.derivations = derivations
-
     def apply_notice(self, notice: Notice, meter: CostMeter) -> None:
         self._check_addressed(notice)
         aux = notice.aux

@@ -42,7 +42,6 @@ from gkms.crypto import (
     encode_code,
     random_key,
     random_keys,
-    unwrap,
     wrap,
 )
 
@@ -278,8 +277,7 @@ class CkcsMember(MemberView):
 
     def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes], derivations: dict) -> None:
         assert bootstrap.individual_key is not None and bootstrap.leaf_id is not None
-        super().__init__(bootstrap.member_id, bootstrap.individual_key, table)
-        self.derivations = derivations
+        super().__init__(bootstrap.member_id, bootstrap.individual_key, table, derivations)
         self.leaf_id = bootstrap.leaf_id
         self.path: list[kt.PathEntry] = list(bootstrap.extra["path"])
         for entry in self.path:
@@ -351,14 +349,14 @@ class CkcsMember(MemberView):
         if payload.kek_id != self.leaf_id:
             self.unwrap_misses += 1
             return
-        code = decode_code(unwrap(self.individual_key, payload).data)
+        code = decode_code(self._unwrap(self.individual_key, payload).data)
         self._pending_root = kt.PathEntry(message.aux["new_root"], code)
         self.knowledge.learn_code(code)
 
     def _apply_join_delivery(self, message: RekeyMessage, meter) -> None:
         for payload in message.payloads:
             if payload.kek_id == self.leaf_id:
-                self._learn_group_key(unwrap(self.individual_key, payload))
+                self._learn_group_key(self._unwrap(self.individual_key, payload))
                 self._recompute_middle_keys(meter)
                 return
         self.unwrap_misses += 1
@@ -377,7 +375,7 @@ class CkcsMember(MemberView):
                 kek = self.middle_keys[payload.kek_id]  # pre-refresh epoch value
             if kek is None:
                 continue
-            self._learn_group_key(unwrap(kek, payload))
+            self._learn_group_key(self._unwrap(kek, payload))
             self._recompute_middle_keys(meter)
             return
         self.unwrap_misses += 1

@@ -18,7 +18,7 @@ from functools import cached_property
 from random import Random
 from typing import Literal
 
-from gkms.crypto import SymKey, WrappedKey, random_key
+from gkms.crypto import SymKey, WrappedKey, random_key, unwrap
 from gkms.tree import InsertResult, KeyTree, insert_leaf
 
 CSV_COLUMNS = [
@@ -240,15 +240,34 @@ class MemberView(ABC):
     Concrete views keep whatever keys their protocol calls for; all of them
     expose the current group key and accumulate a knowledge log, whose key
     values are interned in ``table`` (a tracked trace's ``key_table``).
+    ``derivations`` is the server's member derivation table, shared with
+    every member the server builds.
     """
 
-    def __init__(self, member_id: str, individual_key: SymKey, table: dict[bytes, bytes]) -> None:
+    def __init__(
+        self, member_id: str, individual_key: SymKey, table: dict[bytes, bytes], derivations: dict
+    ) -> None:
         self.member_id = member_id
         self.individual_key = individual_key
+        self.derivations = derivations
         self.group_key: SymKey | None = None
         self.knowledge = Knowledge(table)
         self.unwrap_misses = 0
         self.knowledge.learn_key(individual_key)
+
+    def _unwrap(self, kek: SymKey, payload: WrappedKey) -> SymKey:
+        """``unwrap(kek, payload)``, looked up in ``derivations`` first.
+
+        The entry is keyed by the KEK value the member presents and the
+        ciphertext, so a member reads only what its own decrypt would
+        return: AES-SIV is deterministic.  A failed unwrap raises and stores
+        nothing.
+        """
+        step = ("unwrap", kek.data, payload.ciphertext)
+        key = self.derivations.get(step)
+        if key is None:
+            key = self.derivations[step] = unwrap(kek, payload)
+        return key
 
     def _check_addressed(self, delivery: RekeyMessage | Notice) -> None:
         """Raise unless this member is one of the delivery's recipients."""
@@ -296,25 +315,28 @@ class ServerProtocol(ABC):
 
     @cached_property
     def derivations(self) -> dict:
-        """The member derivation table: one event's one-way derivations, each
-        keyed by its full inputs and holding its output.
+        """The member derivation table: one event's one-way derivations and
+        successful unwraps, each keyed by its full inputs and holding its
+        output.
 
         ``build_member`` hands it to every member it builds, and a member
-        looks a derivation up here before it hashes, so the members of a
-        subtree compute each shared derivation once: memo functions (Michie,
-        "Memo functions and machine learning", Nature 1968), scoped to one
-        event.  Every ``handle_event`` empties it first, so it holds at most
-        one event's entries.  Server code never reads or writes an entry:
-        the server's keys stay an independent check on the members' keys.
+        looks a derivation or an unwrap up here before it computes it, so
+        the members of a subtree compute each shared step once: memo
+        functions (Michie, "Memo functions and machine learning", Nature
+        1968), scoped to one event.  An unwrap entry's key starts with the
+        tag ``"unwrap"``, so it never meets a derivation entry.  Every
+        ``handle_event`` empties the table first, so it holds at most one
+        event's entries.  Server code never reads or writes an entry: the
+        server's keys stay an independent check on the members' keys.
         """
         return {}
 
     @abstractmethod
     def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> MemberView:
         """Construct the client view a bootstrap delivery creates; its
-        knowledge interns key values in ``table``.  A protocol whose members
-        derive keys also hands them ``derivations``; a member meters each
-        derivation it needs whether or not the table already held it."""
+        knowledge interns key values in ``table``, and it shares
+        ``derivations``.  A member meters each derivation it needs whether
+        or not the table already held it."""
 
     def _validate(self, event: MembershipEvent) -> None:
         """The one membership check: raise EventError unless the event may

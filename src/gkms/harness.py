@@ -4,10 +4,12 @@ A scenario is a line-oriented script: one ``init`` line fixing the protocol,
 starting group size and seed, followed by ``join``/``leave`` steps.  The
 runner builds the server, replays the script, delivers every message to the
 tracked member states in emission order, runs a probe test after every event
-(every current member must unwrap a fresh key wrapped under the group key;
-every departed member must fail), and meters costs into one CSV row per
-event.  Runs are deterministic: the same scenario text reproduces the same
-trace digest byte for byte.
+(every current member must hold the server's group key, so one real unwrap of
+a fresh key wrapped under it speaks for them all; every departed member must
+fail, checked by real unwraps for this event's leavers and by key lookup for
+the rest), and meters costs into one CSV row per event.  Runs are
+deterministic: the same scenario text reproduces the same trace digest byte
+for byte.
 
 ``sweep`` runs one-event measurements over a (protocol, n, m, op) grid with
 members untracked, so the wall-time column reflects server-side rekeying
@@ -23,6 +25,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from random import Random
 
 from gkms.baselines import LkhServer, OftServer, OkdServer
@@ -492,40 +495,75 @@ def _deliver(trace: TraceRecord, event: MembershipEvent, output: EventOutput, me
 
 
 def _run_probe(trace: TraceRecord, probe_rng: Random, seq: int) -> None:
+    """Wrap a fresh key under the server's group key: every current member
+    must unwrap it, and every departed member must fail.
+
+    AES-SIV authenticates, so a key opens the probe exactly when it equals
+    the server's group key.  Each current member's group key is compared
+    with the server's, so one real unwrap under the key they were all shown
+    to hold speaks for all of them.  A departed member's view is frozen once
+    it leaves (``_deliver`` hands it nothing), so this event's leavers make
+    real unwraps, one per distinct group key, and every departed member is
+    then checked by looking the server's group key up among the departed
+    members' group keys, rebuilt from ``trace.departed`` as it stands.
+    """
     quiet = CostMeter()  # probes are not protocol work
     probe_payload = random_key(probe_rng, quiet)
-    probe = wrap(trace.server.group_key, probe_payload, quiet, kek_id="probe")
+    server_key = trace.server.group_key
+    probe = wrap(server_key, probe_payload, quiet, kek_id="probe")
     if set(trace.members) != set(trace.server.member_ids):
         raise ProbeError(
             f"event {seq}: tracked members {sorted(trace.members)} != "
             f"server membership {sorted(trace.server.member_ids)}"
         )
+    server_data = server_key.data
     for member_id, view in trace.members.items():
-        if view.group_key != trace.server.group_key:
+        # by value: SymKey's dataclass __eq__ runs as Python code
+        if view.group_key is None or view.group_key.data != server_data:
             raise ProbeError(
                 f"event {seq}: member {member_id} holds group key "
                 f"{view.group_key.fingerprint if view.group_key else None}, server has "
-                f"{trace.server.group_key.fingerprint}"
+                f"{server_key.fingerprint}"
             )
-        try:
-            got = unwrap(view.group_key, probe)
-        except UnwrapError as exc:
-            raise ProbeError(f"event {seq}: member {member_id} failed the probe: {exc}") from exc
-        if got != probe_payload:
-            raise ProbeError(f"event {seq}: member {member_id} unwrapped a wrong probe value")
         if view.unwrap_misses:
             raise ProbeError(
                 f"event {seq}: member {member_id} missed {view.unwrap_misses} deliveries"
             )
-    for member_id, view in trace.departed.items():
-        if view.group_key is None:
-            continue
+    first_id, first = next(iter(trace.members.items()))
+    try:
+        got = unwrap(first.group_key, probe)
+    except UnwrapError as exc:
+        raise ProbeError(f"event {seq}: member {first_id} failed the probe: {exc}") from exc
+    if got.data != probe_payload.data:
+        raise ProbeError(f"event {seq}: member {first_id} unwrapped a wrong probe value")
+
+    leaver_keys: dict[bytes, SymKey] = {}
+    for member_id, epoch in reversed(trace.leave_epoch.items()):
+        if epoch != seq:
+            break  # leave epochs only grow, so this event's leavers come last
+        key = trace.departed[member_id].group_key
+        if key is not None:
+            leaver_keys.setdefault(key.data, key)
+    opened = None
+    for key in leaver_keys.values():
         try:
-            unwrap(view.group_key, probe)
+            unwrap(key, probe)
         except UnwrapError:
             continue
+        opened = key.data
+        break
+    if opened is None:
+        departed_keys = map(attrgetter("group_key"), trace.departed.values())
+        if server_data in {key.data for key in departed_keys if key is not None}:
+            opened = server_data
+    if opened is not None:
+        mole = next(
+            member_id
+            for member_id, view in trace.departed.items()
+            if view.group_key is not None and view.group_key.data == opened
+        )
         raise ProbeError(
-            f"event {seq}: departed member {member_id} still unwraps the probe"
+            f"event {seq}: departed member {mole} still unwraps the probe"
         )
 
 

@@ -139,7 +139,7 @@ def test_lkh_member_takes_payloads_in_message_order():
 
     def member():
         boot = Bootstrap(member_id="u1", individual_key=leaf, leaf_id=10, extra={"chain": [10, 5, 1]})
-        return LkhMember(boot, {})
+        return LkhMember(boot, {}, {})
 
     def message(*payloads):
         wrapped = tuple(wrap(kek, key, meter, kek_id=kek_id) for kek, key, kek_id, _ in payloads)

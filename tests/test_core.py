@@ -132,7 +132,7 @@ class _ProbeView(MemberView):
 
 
 def test_member_view_basics():
-    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {})
+    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {}, {})
     assert view.group_key is None
     assert view.individual_key.data in view.knowledge.key_bytes
     view._check_addressed(msg(recipients=("bob", "alice")))
@@ -147,7 +147,7 @@ def test_member_view_basics():
 
 
 def test_recipient_check_against_the_delivery_set():
-    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {})
+    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {}, {})
     message = msg(recipients=("carol", "alice", "bob"))
     assert message.recipient_set == frozenset(("alice", "bob", "carol"))
     assert message.recipient_set is message.recipient_set  # built once

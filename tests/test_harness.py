@@ -475,6 +475,18 @@ def test_probe_detects_departed_member_with_live_key():
         _run_probe(trace, Random(0), seq=99)
 
 
+def test_probe_detects_real_leaver_with_live_key():
+    trace = run(parse_scenario("init n=4 protocol=lkh seed=1\nleave 1\n"))
+    (leaver,) = trace.departed
+    assert trace.leave_epoch[leaver] == 1
+    trace.departed[leaver].group_key = trace.server.group_key
+    # at its own leave event the leaver's real unwrap opens the probe; at
+    # a later one the lookup among the departed members' keys finds it
+    for seq in (1, 99):
+        with pytest.raises(ProbeError, match=f"departed member {leaver} still unwraps"):
+            _run_probe(trace, Random(0), seq=seq)
+
+
 def test_recording_meter_logs_wrapping_keys():
     from gkms.crypto import unwrap
 
