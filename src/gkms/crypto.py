@@ -32,10 +32,12 @@ _DOMAIN_BLIND = b"\x02"
 _DOMAIN_MIX = b"\x03"
 _DOMAIN_CODE = b"\x04"
 
-# AES-SIV cipher objects kept per key.  One event wraps many payloads under
-# the same few keys, its members unwrap under them, and building a cipher
-# costs about as much as using it.  A fixed bound keeps memory flat: 256 ciphers take about 2 MB,
-# 4096 about 16 MB (CPython 3.11, cryptography 48).
+# AES-SIV cipher objects kept per key.  A key that wraps a payload is used
+# again soon after: the members unwrap under it (once per event, through the
+# member derivation table), and the server may wrap more payloads under it in
+# the same event.  Building a cipher costs about as much as using it.  A
+# fixed bound keeps memory flat: 256 ciphers take about 2 MB, 4096 about
+# 16 MB (CPython 3.11, cryptography 48).
 CIPHER_CACHE_SIZE = 256
 
 

@@ -25,7 +25,6 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 from random import Random
 
 from gkms.baselines import LkhServer, OftServer, OkdServer
@@ -534,7 +533,7 @@ def _run_probe(trace: TraceRecord, probe_rng: Random, seq: int) -> None:
         got = unwrap(first.group_key, probe)
     except UnwrapError as exc:
         raise ProbeError(f"event {seq}: member {first_id} failed the probe: {exc}") from exc
-    if got.data != probe_payload.data:
+    if got != probe_payload:
         raise ProbeError(f"event {seq}: member {first_id} unwrapped a wrong probe value")
 
     leaver_keys: dict[bytes, SymKey] = {}
@@ -553,8 +552,8 @@ def _run_probe(trace: TraceRecord, probe_rng: Random, seq: int) -> None:
         opened = key.data
         break
     if opened is None:
-        departed_keys = map(attrgetter("group_key"), trace.departed.values())
-        if server_data in {key.data for key in departed_keys if key is not None}:
+        held = {view.group_key.data for view in trace.departed.values() if view.group_key is not None}
+        if server_data in held:
             opened = server_data
     if opened is not None:
         mole = next(
