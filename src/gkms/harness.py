@@ -500,11 +500,10 @@ def _run_probe(trace: TraceRecord, probe_rng: Random, seq: int) -> None:
     AES-SIV authenticates, so a key opens the probe exactly when it equals
     the server's group key.  Each current member's group key is compared
     with the server's, so one real unwrap under the key they were all shown
-    to hold speaks for all of them.  A departed member's view is frozen once
-    it leaves (``_deliver`` hands it nothing), so this event's leavers make
-    real unwraps, one per distinct group key, and every departed member is
-    then checked by looking the server's group key up among the departed
-    members' group keys, rebuilt from ``trace.departed`` as it stands.
+    to hold speaks for all of them.  Likewise a departed member opens the
+    probe exactly when its group key equals the server's, so one pass over
+    ``trace.departed`` as it stands compares values and names the first
+    departed member, in order, that still holds the key.
     """
     quiet = CostMeter()  # probes are not protocol work
     probe_payload = random_key(probe_rng, quiet)
@@ -536,34 +535,16 @@ def _run_probe(trace: TraceRecord, probe_rng: Random, seq: int) -> None:
     if got != probe_payload:
         raise ProbeError(f"event {seq}: member {first_id} unwrapped a wrong probe value")
 
-    leaver_keys: dict[bytes, SymKey] = {}
-    for member_id, epoch in reversed(trace.leave_epoch.items()):
-        if epoch != seq:
-            break  # leave epochs only grow, so this event's leavers come last
-        key = trace.departed[member_id].group_key
-        if key is not None:
-            leaver_keys.setdefault(key.data, key)
-    opened = None
-    for key in leaver_keys.values():
-        try:
-            unwrap(key, probe)
-        except UnwrapError:
-            continue
-        opened = key.data
-        break
-    if opened is None:
-        held = {view.group_key.data for view in trace.departed.values() if view.group_key is not None}
-        if server_data in held:
-            opened = server_data
-    if opened is not None:
-        mole = next(
+    mole = next(
+        (
             member_id
             for member_id, view in trace.departed.items()
-            if view.group_key is not None and view.group_key.data == opened
-        )
-        raise ProbeError(
-            f"event {seq}: departed member {mole} still unwraps the probe"
-        )
+            if view.group_key is not None and view.group_key.data == server_data
+        ),
+        None,
+    )
+    if mole is not None:
+        raise ProbeError(f"event {seq}: departed member {mole} still unwraps the probe")
 
 
 _DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

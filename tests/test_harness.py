@@ -480,8 +480,7 @@ def test_probe_detects_real_leaver_with_live_key():
     (leaver,) = trace.departed
     assert trace.leave_epoch[leaver] == 1
     trace.departed[leaver].group_key = trace.server.group_key
-    # at its own leave event the leaver's real unwrap opens the probe; at
-    # a later one the lookup among the departed members' keys finds it
+    # found by its key value, at its own leave event and at a later one
     for seq in (1, 99):
         with pytest.raises(ProbeError, match=f"departed member {leaver} still unwraps"):
             _run_probe(trace, Random(0), seq=seq)
