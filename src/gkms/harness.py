@@ -6,10 +6,9 @@ runner builds the server, replays the script, delivers every message to the
 tracked member states in emission order, runs a probe test after every event
 (every current member must hold the server's group key, so one real unwrap of
 a fresh key wrapped under it speaks for them all; every departed member must
-fail, checked by real unwraps for this event's leavers and by key lookup for
-the rest), and meters costs into one CSV row per event.  Runs are
-deterministic: the same scenario text reproduces the same trace digest byte
-for byte.
+fail, so none may hold that key), and meters costs into one CSV row per
+event.  Runs are deterministic: the same scenario text reproduces the same
+trace digest byte for byte.
 
 ``sweep`` runs one-event measurements over a (protocol, n, m, op) grid with
 members untracked, so the wall-time column reflects server-side rekeying
