@@ -22,6 +22,7 @@ from gkms.core import (
     MemberView,
     MembershipEvent,
     RekeyMessage,
+    RosterView,
     ServerProtocol,
 )
 from gkms.crypto import SymKey, WrappedKey, random_key, random_keys, wrap
@@ -54,8 +55,9 @@ class LkhServer(ServerProtocol):
         rng: random.Random,
         meter: CostMeter,
         output: EventOutput,
+        old_members: RosterView,
     ) -> list[int]:
-        individual, old_members, inserted, split = self._place_joiner(member, rng, meter)
+        individual, inserted, split = self._place_joiner(member, rng, meter)
         chain = list(self.tree.ancestors(inserted.leaf_id))
         for node_id in chain:
             self.tree.node(node_id).key = random_key(rng, meter)
@@ -96,6 +98,7 @@ class LkhServer(ServerProtocol):
         rng: random.Random,
         meter: CostMeter,
         output: EventOutput,
+        remaining: RosterView,
     ) -> list[int]:
         detached = detach_leaf(self.tree, member)
 
@@ -106,7 +109,7 @@ class LkhServer(ServerProtocol):
         payloads, targets = self._wrap_under_children(chain, None, meter)
         message = RekeyMessage(
             channel="multicast",
-            recipients=self.tree.members,
+            recipients=remaining,
             payloads=payloads,
             aux={
                 "op": "leave",

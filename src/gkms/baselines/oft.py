@@ -29,6 +29,7 @@ from gkms.core import (
     MemberView,
     MembershipEvent,
     RekeyMessage,
+    RosterView,
     ServerProtocol,
 )
 from gkms.crypto import SymKey, blind, mix, random_key, random_keys, wrap
@@ -94,7 +95,7 @@ class OftServer(ServerProtocol):
     def _advert_multicast(
         self,
         changed: list[Node],
-        recipients: tuple[str, ...],
+        recipients: RosterView,
         aux: dict,
         meter: CostMeter,
         output: EventOutput,
@@ -122,8 +123,9 @@ class OftServer(ServerProtocol):
         rng: random.Random,
         meter: CostMeter,
         output: EventOutput,
+        old_members: RosterView,
     ) -> list[int]:
-        individual, old_members, inserted, split = self._place_joiner(member, rng, meter)
+        individual, inserted, split = self._place_joiner(member, rng, meter)
         if split is None:
             raise EventError("binary folding tree requires a split at every join")
         split["joiner_side"] = self.tree.node(inserted.parent_id).children.index(inserted.leaf_id)
@@ -171,6 +173,7 @@ class OftServer(ServerProtocol):
         rng: random.Random,
         meter: CostMeter,
         output: EventOutput,
+        remaining: RosterView,
     ) -> list[int]:
         removal = remove_leaves(self.tree, [member])
         if not removal.promotions:
@@ -196,7 +199,7 @@ class OftServer(ServerProtocol):
         changed = ([refresh_leaf] + chain)[:-1]
         self._advert_multicast(
             changed,
-            self.tree.members,
+            remaining,
             {
                 "op": "leave",
                 "left": [member],

@@ -27,6 +27,7 @@ from gkms.core import (
     EventOutput,
     Notice,
     RekeyMessage,
+    RosterView,
 )
 from gkms.crypto import derive, random_key, wrap
 
@@ -43,8 +44,9 @@ class OkdServer(LkhServer):
         rng: random.Random,
         meter: CostMeter,
         output: EventOutput,
+        old_members: RosterView,
     ) -> list[int]:
-        individual, old_members, inserted, split = self._place_joiner(member, rng, meter)
+        individual, inserted, split = self._place_joiner(member, rng, meter)
         new_node_id = split["new_node"] if split else None
 
         chain = list(self.tree.ancestors(inserted.leaf_id))

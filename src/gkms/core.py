@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,10 +52,104 @@ class MembershipEvent:
     member_ids: tuple[str, ...]
 
 
-class _Addressed:
-    """A delivery to a fixed tuple of recipients."""
+class Roster:
+    """The membership one sequential batch addresses, copied once.
 
-    recipients: tuple[str, ...]
+    ``members`` is the group when the batch starts, followed by a join
+    batch's joiners; ``leavers`` lists a leave batch's leavers in event
+    order.  Every multicast and notice of the batch addresses a
+    :class:`RosterView` of this one tuple, so a batch of m single joins or
+    leaves makes one O(n) copy of the membership, not m: its messages share
+    one record, as the versions of a persistent structure do (Driscoll,
+    Sarnak, Sleator, Tarjan, "Making Data Structures Persistent", JCSS 1989).
+    """
+
+    __slots__ = ("members", "leavers", "_positions")
+
+    def __init__(self, members: tuple[str, ...], leavers: tuple[str, ...] = ()) -> None:
+        self.members = members
+        self.leavers = leavers
+        self._positions: list[int] | None = None
+
+    def positions(self) -> list[int]:
+        """Each leaver's index in ``members``, in event order.  Found in one
+        O(n) pass the first time a view of the batch is read, so a batch
+        whose recipients nothing reads (a sweep cell) never pays it."""
+        if self._positions is None:
+            index = dict(zip(self.members, range(len(self.members))))
+            self._positions = [index[member] for member in self.leavers]
+        return self._positions
+
+
+class RosterView:
+    """``roster.members[:present]`` less the roster's first ``gone``
+    leavers, in roster order: the members one single join or leave of a
+    sequential batch addresses.
+
+    It reads as the tuple a fresh ``tuple(tree.members)`` gave at that
+    single join or leave: iteration, ``len``, equality and ``repr`` all
+    match it.  It is read through :meth:`runs`, C-level slices of the
+    roster, never a Python-level filter over the members.
+    """
+
+    __slots__ = ("roster", "present", "gone")
+
+    def __init__(self, roster: Roster, present: int, gone: int = 0) -> None:
+        self.roster = roster
+        self.present = present
+        self.gone = gone
+
+    def runs(self) -> list[tuple[str, ...]]:
+        """The view as the non-empty slices of the roster between the
+        members gone so far, in order."""
+        members = self.roster.members
+        present = self.present
+        if not self.gone:
+            return [members[:present]] if present else []
+        runs = []
+        start = 0
+        for cut in sorted(self.roster.positions()[: self.gone]):
+            if start < cut:
+                runs.append(members[start:cut])
+            start = cut + 1
+        if start < present:
+            runs.append(members[start:present])
+        return runs
+
+    def __iter__(self):
+        if not self.gone:
+            return iter(self.roster.members[: self.present])
+        return itertools.chain.from_iterable(self.runs())
+
+    def __len__(self) -> int:
+        return self.present - self.gone
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RosterView):
+            other = tuple(other)
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class _Addressed:
+    """A delivery to a fixed sequence of recipients: a tuple, or a view of
+    its batch's roster."""
+
+    recipients: tuple[str, ...] | RosterView
+
+    def recipient_runs(self) -> list[tuple[str, ...]]:
+        """The recipients as consecutive non-empty tuples, in order, without
+        copying them into one."""
+        recipients = self.recipients
+        if isinstance(recipients, RosterView):
+            return recipients.runs()
+        return [recipients] if recipients else []
 
     @cached_property
     def recipient_set(self) -> frozenset[str]:
@@ -77,7 +172,7 @@ class RekeyMessage(_Addressed):
     """
 
     channel: Literal["unicast", "multicast"]
-    recipients: tuple[str, ...]
+    recipients: tuple[str, ...] | RosterView
     payloads: tuple[WrappedKey, ...]
     aux: dict
 
@@ -97,7 +192,7 @@ class Notice(_Addressed):
     """Zero-payload signal (for example a join announcement)."""
 
     kind: str
-    recipients: tuple[str, ...]
+    recipients: tuple[str, ...] | RosterView
     aux: dict
 
 
@@ -364,18 +459,32 @@ class ServerProtocol(ABC):
 
         For the sequential baselines, which define ``_join_one`` and
         ``_leave_one``; each returns the ancestor chain whose keys it drew.
-        The ``keygen_dedup`` stat is the batch's keygen less the chain keys
-        drawn again for a node an earlier single event already rekeyed.
+        Each single event gets the members its multicasts and notices
+        address as a :class:`RosterView` of the batch's one
+        :class:`Roster`: a joiner the members before it joined, a leaver
+        the members left after it.  The ``keygen_dedup`` stat is the batch's
+        keygen less the chain keys drawn again for a node an earlier single
+        event already rekeyed.
         """
         self._validate(event)
         self.derivations.clear()
-        step = self._join_one if event.op == "join" else self._leave_one
+        members = self.member_ids
+        before = len(members)
+        batch = range(len(event.member_ids))
+        if event.op == "join":
+            step = self._join_one
+            roster = Roster(members + event.member_ids)
+            views = [RosterView(roster, before + index) for index in batch]
+        else:
+            step = self._leave_one
+            roster = Roster(members, event.member_ids)
+            views = [RosterView(roster, before, index + 1) for index in batch]
         output = EventOutput()
         keygen_before = meter.keygen
         chain_keys = 0
         touched: set[int] = set()
-        for member in event.member_ids:
-            chain = step(member, rng, meter, output)
+        for member, view in zip(event.member_ids, views):
+            chain = step(member, rng, meter, output, view)
             chain_keys += len(chain)
             touched.update(chain)
         output.stats["keygen_dedup"] = meter.keygen - keygen_before - chain_keys + len(touched)
@@ -383,12 +492,11 @@ class ServerProtocol(ABC):
 
     def _place_joiner(
         self, member: str, rng: Random, meter: CostMeter
-    ) -> tuple[SymKey, tuple[str, ...], InsertResult, dict | None]:
+    ) -> tuple[SymKey, InsertResult, dict | None]:
         """Draw a sequential baseline joiner's individual key and give it a
-        leaf.  Returns the key, the members before the join, the placement
-        and the split record (None when the joiner filled an open slot)."""
+        leaf.  Returns the key, the placement and the split record (None
+        when the joiner filled an open slot)."""
         individual = random_key(rng, meter)
-        old_members = self.member_ids
         inserted = insert_leaf(self.tree, member)
         self.tree.node(inserted.leaf_id).key = individual
         split = None
@@ -398,4 +506,4 @@ class ServerProtocol(ABC):
                 "new_node": inserted.parent_id,
                 "joiner_leaf": inserted.leaf_id,
             }
-        return individual, old_members, inserted, split
+        return individual, inserted, split

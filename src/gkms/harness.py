@@ -255,7 +255,7 @@ def leaver_layout(tree: KeyTree, m: int, layout: str, rng: Random) -> list[str]:
     if layout == "best-half":
         best: list[str] | None = None
         for child_id in tree.root.children:
-            members = tree.subtree_member_ids(child_id)
+            members = _members_below(tree, child_id)
             if len(members) >= m and (best is None or len(best) < len(members)):
                 best = members
         if best is None:
@@ -266,6 +266,21 @@ def leaver_layout(tree: KeyTree, m: int, layout: str, rng: Random) -> list[str]:
     if layout == "worst-spread":
         return _worst_spread(tree, m)
     raise ScenarioError(f"unknown layout {layout!r}")
+
+
+def _members_below(tree: KeyTree, top_id: int) -> list[str]:
+    """The members of the leaves under ``top_id``, in depth-first order,
+    children in stored order: one stack pass reading each node once."""
+    nodes = tree.nodes
+    members: list[str] = []
+    stack = [top_id]
+    while stack:
+        node = nodes[stack.pop()]
+        if node.children:
+            stack.extend(reversed(node.children))
+        elif node.member:
+            members.append(node.member)
+    return members
 
 
 def _worst_spread(tree: KeyTree, m: int) -> list[str]:
@@ -603,14 +618,18 @@ def _trace_digest(trace: TraceRecord) -> str:
         head, *tails = _DIGEST_ENCODER.encode(event).split('"recipients":[]')
         update(separator + head.encode())
         for delivery, tail in zip(sent, tails, strict=True):
-            if delivery.recipients:
-                # the id list is the bulk of the bytes: hash it on its own
-                # rather than copy it into a larger string
-                update(b'"recipients":["')
-                update('","'.join(delivery.recipients).encode())
-                update(b'"]' + tail.encode())
-            else:
+            runs = delivery.recipient_runs()
+            if not runs:
                 update(b'"recipients":[]' + tail.encode())
+                continue
+            # the id list is the bulk of the bytes: hash it a run of the
+            # shared roster at a time rather than copy it into a larger string
+            update(b'"recipients":["')
+            update('","'.join(runs[0]).encode())
+            for run in runs[1:]:
+                update(b'","')
+                update('","'.join(run).encode())
+            update(b'"]' + tail.encode())
         separator = b","
     digest.update(b"]")
     return digest.hexdigest()

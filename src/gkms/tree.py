@@ -189,9 +189,6 @@ class KeyTree:
             return []
         return [c for c in self.nodes[node.parent].children if c != node_id]
 
-    def subtree_member_ids(self, node_id: int) -> list[str]:
-        return [n.member for n in self.walk(node_id) if n.is_leaf and n.member]
-
     # -- placement bookkeeping ----------------------------------------------
     # insert_leaf picks its target in breadth-first order: the first internal
     # node with a free child slot, otherwise the first leaf.  Rescanning the

@@ -1,12 +1,14 @@
 """Plain reference versions of the harness's own per-event work.
 
 ``gkms.harness`` computes the worst-spread leaver layout with a frontier
-heap, logs the tree with its own explicit-stack walk after each event, and
-hashes the trace digest one event at a time with recipient ids joined, not
+heap and the best-half layout with one stack pass per root child, logs the
+tree with its own explicit-stack walk after each event, and hashes the
+trace digest one event at a time with recipient ids joined, not
 JSON-encoded.  The functions here are the direct forms those replace: the
-greedy that re-scores every leaf's whole path for each pick, a walk over
-``KeyTree.walk``, and one JSON blob of the whole trace.  Tests require the
-harness to give exactly their results, orders included.
+greedy that re-scores every leaf's whole path for each pick, the largest
+root subtree listed over ``KeyTree.walk``, a walk over ``KeyTree.walk``, and
+one JSON blob of the whole trace.  Tests require the harness to give
+exactly their results, orders included.
 """
 
 from __future__ import annotations
@@ -15,6 +17,18 @@ import hashlib
 import json
 
 from gkms.core import Notice
+from tree_reference import reference_subtree_members
+
+
+def reference_best_half(tree, m):
+    """The first ``m`` members of the first largest root subtree holding at
+    least ``m``, or None when no root subtree holds that many."""
+    best = None
+    for child_id in tree.root.children:
+        members = reference_subtree_members(tree, child_id)
+        if len(members) >= m and (best is None or len(best) < len(members)):
+            best = members
+    return None if best is None else best[:m]
 
 
 def reference_worst_spread(tree, m):

@@ -28,6 +28,7 @@ from gkms.harness import generate_random_scenario, parse_scenario, run, sweep
 from test_baselines import fold_oracle
 from test_ckcs import deliver
 from test_tree import cover_oracle
+from tree_reference import reference_subtree_members
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 N_VALUES = [256, 1024, 4096, 8192]
@@ -154,13 +155,13 @@ def test_c3_leave_cover_layouts(coded_grid):
     [msg] = [d for d in event.output.deliveries if getattr(d, "channel", None) == "multicast"]
     if event.cost.encrypt != 1 or len(msg.payloads) != 1:
         problems.append(f"best-half leave: encrypt {event.cost.encrypt} != 1")
-    elif sorted(half.server.tree.subtree_member_ids(msg.payloads[0].kek_id)) != survivors:
+    elif sorted(reference_subtree_members(half.server.tree, msg.payloads[0].kek_id)) != survivors:
         problems.append("best-half cover subtree does not hold exactly the survivors")
 
     spread = _run_scenario("ckcs_spread_leave.txt")
     event = spread.events[0]
     [msg] = [d for d in event.output.deliveries if getattr(d, "channel", None) == "multicast"]
-    cover_sets = [sorted(spread.server.tree.subtree_member_ids(p.kek_id)) for p in msg.payloads]
+    cover_sets = [sorted(reference_subtree_members(spread.server.tree, p.kek_id)) for p in msg.payloads]
     if event.cost.encrypt != 4:
         problems.append(f"spread leave: encrypt {event.cost.encrypt} != 4")
     if cover_sets != [["u2"], ["u3"], ["u5", "u6"], ["u7"]]:

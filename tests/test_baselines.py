@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from gkms import core as core_module
 from gkms.baselines import LkhServer, OftServer, OkdServer
 from gkms.baselines.lkh import LkhMember
-from gkms.core import Bootstrap, CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
+from gkms.core import (
+    Bootstrap,
+    CostMeter,
+    EventError,
+    MembershipEvent,
+    Notice,
+    RekeyMessage,
+    RosterView,
+)
 from gkms.crypto import SymKey, blind, derive, mix, unwrap, wrap
 from gkms.harness import LAYOUTS, ScenarioError, leaver_layout
 from tree_reference import assert_insert_matches_reference
@@ -509,3 +517,76 @@ def test_joiners_land_where_a_fresh_scan_says_under_churn(server_class, monkeypa
         churn(server, rng, events=40, max_batch=20)
     assert len(placed) > 5000
 
+
+
+# -- recipient addressing under churn --------------------------------------------------
+
+
+def _record_snapshots(server):
+    """Wrap the server's single join and leave so that every multicast and
+    notice each sends is paired with a fresh ``tuple(tree.members)`` taken
+    where the single event stands: before the joiner is placed, after the
+    leaver is gone."""
+    sent = []
+    join_one, leave_one = server._join_one, server._leave_one
+
+    def join(member, rng, meter, output, old_members):
+        snapshot = tuple(server.tree.members)
+        start = len(output.deliveries)
+        chain = join_one(member, rng, meter, output, old_members)
+        sent.extend((d, snapshot) for d in output.deliveries[start:])
+        return chain
+
+    def leave(member, rng, meter, output, remaining):
+        start = len(output.deliveries)
+        chain = leave_one(member, rng, meter, output, remaining)
+        snapshot = tuple(server.tree.members)
+        sent.extend((d, snapshot) for d in output.deliveries[start:])
+        return chain
+
+    server._join_one, server._leave_one = join, leave
+    return sent
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    server_class=st.sampled_from([LkhServer, OftServer, OkdServer]),
+    n=st.integers(2, 40),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["join", "leave"]), st.integers(1, 8), st.sampled_from(LAYOUTS)),
+        min_size=1,
+        max_size=10,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_recipients_equal_a_fresh_snapshot_under_churn(server_class, n, steps, seed):
+    rng = Random(seed)
+    server = server_class(members(n), rng)
+    sent = _record_snapshots(server)
+    joined = n
+    for seq, (op, m, layout) in enumerate(steps, start=1):
+        if op == "join":
+            ids = [f"u{joined + k}" for k in range(1, m + 1)]
+            joined += m
+        else:
+            m = min(m, server.member_count - 1)
+            if m < 1:
+                continue
+            try:
+                ids = leaver_layout(server.tree, m, layout, rng)
+            except ScenarioError:  # best-half needs a root subtree of m members
+                ids = leaver_layout(server.tree, m, "random", rng)
+        output, _ = handle(server, rng, seq, op, ids)
+        assert len(sent) == len(output.deliveries)
+        for delivery, snapshot in sent:
+            recipients = delivery.recipients
+            if getattr(delivery, "channel", None) == "unicast":
+                assert isinstance(recipients, tuple) and len(recipients) == 1
+                continue
+            assert isinstance(recipients, RosterView)
+            assert list(recipients) == list(snapshot)
+            assert len(recipients) == len(snapshot)
+            assert recipients == snapshot and tuple(recipients) == snapshot
+            assert delivery.recipient_set == frozenset(snapshot)
+            assert [member for run in delivery.recipient_runs() for member in run] == list(snapshot)
+        sent.clear()

@@ -14,6 +14,7 @@ from gkms.ckcs import CkcsServer
 from gkms.core import CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
 from gkms.crypto import decode_code, derive, derive_with_code, unwrap
 from gkms.harness import parse_scenario, run
+from tree_reference import reference_subtree_members
 
 
 def members(n):
@@ -306,7 +307,7 @@ def test_leave_spread_uses_the_pre_removal_cover():
     (message,) = output.messages
     assert message.aux["cover"] == expected_cover
     assert [p.kek_id for p in message.payloads] == expected_cover
-    cover_members = [server.tree.subtree_member_ids(i) for i in message.aux["cover"]]
+    cover_members = [reference_subtree_members(server.tree, i) for i in message.aux["cover"]]
     assert cover_members == [["u2"], ["u3"], ["u5", "u6"], ["u7"]]
     promoted = {p for p, _ in (tuple(pair) for pair in message.aux["promotions"])}
     assert promoted == {server.tree.leaf_of(m).node_id for m in ("u2", "u3", "u7")}
@@ -324,7 +325,7 @@ def test_leave_spread_uses_the_pre_removal_cover():
 
 def test_leave_of_a_whole_subtree_needs_one_encryption():
     server, rng = make(n=8, root_code="27")
-    half = server.tree.subtree_member_ids(server.tree.root.children[0])
+    half = reference_subtree_members(server.tree, server.tree.root.children[0])
     other = server.tree.root.children[1]
     meter = CostMeter()
     event = MembershipEvent(1, "leave", tuple(half))

@@ -14,6 +14,8 @@ from gkms.core import (
     MemberView,
     Notice,
     RekeyMessage,
+    Roster,
+    RosterView,
     ServerProtocol,
     csv_row,
     rows_to_csv,
@@ -159,6 +161,42 @@ def test_recipient_check_against_the_delivery_set():
     assert notice.recipient_set == frozenset(("bob",))
     with pytest.raises(EventError):
         view._check_addressed(notice)
+
+
+def test_roster_views_read_as_the_tuples_they_stand_for():
+    joins = Roster(("a", "b", "c", "d"))
+    assert tuple(RosterView(joins, 3)) == ("a", "b", "c")
+    assert RosterView(joins, 3).runs() == [("a", "b", "c")]
+    assert RosterView(joins, 0).runs() == [] and len(RosterView(joins, 0)) == 0
+    leaves = Roster(("a", "b", "c", "d", "e"), ("d", "a", "b"))
+    views = [RosterView(leaves, 5, gone) for gone in (1, 2, 3)]
+    assert [view.runs() for view in views] == [
+        [("a", "b", "c"), ("e",)],
+        [("b", "c"), ("e",)],
+        [("c",), ("e",)],
+    ]
+    assert [len(view) for view in views] == [4, 3, 2]
+    assert views[2] == ("c", "e") and ("c", "e") == views[2] and views[2] != ("e", "c")
+    assert views[2] == RosterView(Roster(("c", "e")), 2)
+    assert repr(views[1]) == repr(("b", "c", "e")) and "a" not in views[1]
+
+
+def test_check_addressed_names_a_view_as_its_tuple():
+    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {}, {})
+    roster = Roster(("alice", "bob", "carol", "dave"), ("alice", "dave"))
+    message = RekeyMessage(
+        channel="multicast", recipients=RosterView(roster, 4, 1), payloads=(), aux={}
+    )
+    notice = Notice(kind="join", recipients=RosterView(roster, 4, 2), aux={})
+    # the text a tuple of the same members gives
+    for delivery, text in (
+        (message, "message not addressed to alice: ('bob', 'carol', 'dave')"),
+        (notice, "message not addressed to alice: ('bob', 'carol')"),
+    ):
+        with pytest.raises(EventError) as info:
+            view._check_addressed(delivery)
+        assert str(info.value) == text
+    _ProbeView("carol", SymKey(bytes([2]) * 32), {}, {})._check_addressed(message)
 
 
 def test_dropped_recipient_set_is_built_again_on_demand():

@@ -34,7 +34,13 @@ from gkms.harness import (
     sweep,
 )
 from gkms.tree import CodeSpaceError, build_balanced
-from harness_reference import reference_log_tree, reference_trace_digest, reference_worst_spread
+from harness_reference import (
+    reference_best_half,
+    reference_log_tree,
+    reference_trace_digest,
+    reference_worst_spread,
+)
+from tree_reference import reference_subtree_members
 
 
 SAMPLE = """\
@@ -218,7 +224,7 @@ def test_layout_guards():
 def test_best_half_takes_one_subtree():
     tree = balanced_tree(8)
     picks = leaver_layout(tree, 4, "best-half", Random(0))
-    halves = [set(tree.subtree_member_ids(c)) for c in tree.root.children]
+    halves = [set(reference_subtree_members(tree, c)) for c in tree.root.children]
     assert any(set(picks) == half for half in halves)
 
 
@@ -226,6 +232,32 @@ def test_best_half_infeasible_when_no_subtree_is_big_enough():
     tree = balanced_tree(8)  # root subtrees hold 4 members each
     with pytest.raises(ScenarioError, match="best-half infeasible"):
         leaver_layout(tree, 5, "best-half", Random(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    protocol=st.sampled_from(sorted(PROTOCOLS)),
+    seed=st.integers(0, 10**6),
+    fraction=st.floats(0, 1),
+)
+def test_best_half_matches_reference_after_churn(protocol, seed, fraction):
+    scenario = generate_random_scenario(seed, protocol=protocol, max_n=48)
+    tree = run(scenario, track_members=False).server.tree
+    n = tree.member_count
+    assume(n >= 2)
+    m = 1 + round(fraction * (n - 2))  # anywhere in 1..n-1
+    expected = reference_best_half(tree, m)
+    if expected is None:
+        with pytest.raises(ScenarioError, match="best-half infeasible"):
+            leaver_layout(tree, m, "best-half", Random(0))
+    else:
+        assert leaver_layout(tree, m, "best-half", Random(0)) == expected
+
+
+def test_best_half_skips_memberless_leaves():
+    tree = _tree_with_memberless_leaves()
+    for m in range(1, 5):
+        assert leaver_layout(tree, m, "best-half", Random(0)) == reference_best_half(tree, m)
 
 
 def test_worst_spread_maximizes_cover():

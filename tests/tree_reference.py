@@ -15,6 +15,10 @@ scans that resume between inserts.  ``reference_attach_subtree`` is the
 two-tree form of ``attach_subtree``: build the joiners' tree apart, then
 clone it node by node into the current tree, which the tree replaces with
 one build in place.
+
+``reference_subtree_members`` lists the members under a node over
+``KeyTree.walk``: the direct form of the best-half layout's stack pass, and
+the tests' way to name the members a cover node or subtree stands for.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ from dataclasses import dataclass
 from gkms import tree as kt
 from gkms.core import CostMeter
 from gkms.crypto import SymKey, blind, mix, random_key
+
+
+def reference_subtree_members(tree, node_id):
+    """The members of the leaves under ``node_id``, in ``walk()`` order."""
+    return [n.member for n in tree.walk(node_id) if n.is_leaf and n.member]
 
 
 @dataclass

@@ -9,7 +9,10 @@ round's wall time) and call counts.  With several
 ``--checkout`` directories every seed runs on each of them in turn, and the
 one that goes first rotates from seed to seed (A B, B A, ...), so that
 machine drift hits every checkout alike and the per-seed values pair up; the
-points are appended in the order the checkouts are given.
+points are appended in the order the checkouts are given.  A point's
+``commit``, ``dirty`` and ``src_sha256`` are read before the first run; if
+they no longer hold after the last, the script exits with an error and
+appends nothing.
 
     python3 tools/bench_record.py --workload audit_all --seeds 961-970
     python3 tools/bench_record.py --workload audit_all --seeds 961-970 \\
@@ -84,8 +87,18 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def _point(checkout: Path, runs: list[tuple[int, dict, dict]], traced: tuple[int, dict, dict],
-           label: str | None) -> dict:
+def _source_state(checkout: Path) -> dict:
+    """What a point says ran: the commit, whether ``src/`` or ``bench/``
+    differ from it, and the digest of ``src/``."""
+    return {
+        "commit": _git(checkout, "rev-parse", "HEAD"),
+        "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src", "bench")),
+        "src_sha256": _source_digest(checkout),
+    }
+
+
+def _point(source: dict, checkout: Path, runs: list[tuple[int, dict, dict]],
+           traced: tuple[int, dict, dict], label: str | None) -> dict:
     env = runs[0][1]
     samples = {
         name: [result["metrics"][name]["value"] for _, _, result in runs] for name in END_TO_END
@@ -105,9 +118,7 @@ def _point(checkout: Path, runs: list[tuple[int, dict, dict]], traced: tuple[int
         name: value / traced_wall for name, value in per_layer.items() if name.endswith(".self_s")
     }
     return {
-        "commit": _git(checkout, "rev-parse", "HEAD"),
-        "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src", "bench")),
-        "src_sha256": _source_digest(checkout),
+        **source,
         "label": label,
         "recorded_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "environment": env,
@@ -131,7 +142,13 @@ def _point(checkout: Path, runs: list[tuple[int, dict, dict]], traced: tuple[int
 
 def _record(workload: str, seeds: list[int], trace_seed: int, checkouts: list[Path],
             labels: list[str | None]) -> None:
-    """Run one workload over every seed on every checkout; append its points."""
+    """Run one workload over every seed on every checkout; append its points.
+
+    Each point names the source its checkout held before the first run.  If
+    any checkout's source differs after the last run, the runs did not all
+    measure what a point would name, so nothing is appended.
+    """
+    sources = {c: _source_state(c) for c in checkouts}
     runs: dict[Path, list] = {c: [] for c in checkouts}
     for turn, seed in enumerate(seeds):
         # each seed starts with the next checkout in turn: A B, B A, ...
@@ -145,7 +162,13 @@ def _record(workload: str, seeds: list[int], trace_seed: int, checkouts: list[Pa
     for checkout, label in zip(checkouts, labels):
         env, result = _bench(checkout, workload, trace_seed, trace=1)
         traced = (trace_seed, env, result)
-        points.append(_point(checkout, runs[checkout], traced, label))
+        points.append(_point(sources[checkout], checkout, runs[checkout], traced, label))
+    for checkout, source in sources.items():
+        if _source_state(checkout) != source:
+            raise SystemExit(
+                f"{checkout}: src/, bench/ or the commit changed while {workload} was "
+                f"recorded; no point appended"
+            )
 
     path = REPO / f"BENCH_{workload}.json"
     doc = {"workload": workload, "points": []}
