@@ -376,9 +376,9 @@ class OftMember(MemberView):
             else:
                 kek = self.individual_key
                 if target == self.chain[-1]:
-                    # group key shipped directly (joiner bundle); the fold
-                    # that follows confirms it, and learns it
-                    self.group_key = self._unwrap(kek, payload)
+                    # group key shipped directly (joiner bundle): the bundle
+                    # also sets every level's blind, so the fold that follows
+                    # computes this key; it is left wrapped
                     continue
                 if target in self.siblings:
                     # the joiner bundle keys every level under the leaf and

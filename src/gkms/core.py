@@ -52,94 +52,60 @@ class MembershipEvent:
     member_ids: tuple[str, ...]
 
 
-class Roster:
-    """The membership one sequential batch addresses, copied once.
-
-    ``members`` is the group when the batch starts, followed by a join
-    batch's joiners; ``leavers`` lists a leave batch's leavers in event
-    order.  Every multicast and notice of the batch addresses a
-    :class:`RosterView` of this one tuple, so a batch of m single joins or
-    leaves makes one O(n) copy of the membership, not m: its messages share
-    one record, as the versions of a persistent structure do (Driscoll,
-    Sarnak, Sleator, Tarjan, "Making Data Structures Persistent", JCSS 1989).
-    """
-
-    __slots__ = ("members", "leavers", "_positions")
-
-    def __init__(self, members: tuple[str, ...], leavers: tuple[str, ...] = ()) -> None:
-        self.members = members
-        self.leavers = leavers
-        self._positions: list[int] | None = None
-
-    def positions(self) -> list[int]:
-        """Each leaver's index in ``members``, in event order.  Found in one
-        O(n) pass the first time a view of the batch is read, so a batch
-        whose recipients nothing reads (a sweep cell) never pays it."""
-        if self._positions is None:
-            index = dict(zip(self.members, range(len(self.members))))
-            self._positions = [index[member] for member in self.leavers]
-        return self._positions
-
-
 class RosterView:
-    """``roster.members[:present]`` less the roster's first ``gone``
-    leavers, in roster order: the members one single join or leave of a
-    sequential batch addresses.
+    """``members[:present]`` less the leavers whose event index is below
+    ``gone``, in ``members`` order: the members one single join or leave of
+    a sequential batch addresses.
 
-    It reads as the tuple a fresh ``tuple(tree.members)`` gave at that
-    single join or leave: iteration, ``len``, equality and ``repr`` all
-    match it.  It is read through :meth:`runs`, C-level slices of the
-    roster, never a Python-level filter over the members.
+    ``cuts`` lists each leaver's ``(position in members, event index)``,
+    sorted by position.  Every view of one batch shares its ``members``
+    tuple and its ``cuts`` list, so a batch of m single joins or leaves
+    copies the membership once, not m times.  A view iterates as the tuple
+    a fresh ``tuple(tree.members)`` gave at that single join or leave; it
+    is read through :meth:`runs`, C-level slices of ``members``, never a
+    Python-level filter over the members.
     """
 
-    __slots__ = ("roster", "present", "gone")
+    __slots__ = ("members", "present", "cuts", "gone")
 
-    def __init__(self, roster: Roster, present: int, gone: int = 0) -> None:
-        self.roster = roster
+    def __init__(
+        self,
+        members: tuple[str, ...],
+        present: int,
+        cuts: list[tuple[int, int]] | tuple = (),
+        gone: int = 0,
+    ) -> None:
+        self.members = members
         self.present = present
+        self.cuts = cuts
         self.gone = gone
 
     def runs(self) -> list[tuple[str, ...]]:
-        """The view as the non-empty slices of the roster between the
+        """The view as the non-empty slices of ``members`` between the
         members gone so far, in order."""
-        members = self.roster.members
-        present = self.present
-        if not self.gone:
-            return [members[:present]] if present else []
+        members = self.members
+        gone = self.gone
         runs = []
         start = 0
-        for cut in sorted(self.roster.positions()[: self.gone]):
-            if start < cut:
-                runs.append(members[start:cut])
-            start = cut + 1
-        if start < present:
-            runs.append(members[start:present])
+        for cut, index in self.cuts:
+            if index < gone:
+                if start < cut:
+                    runs.append(members[start:cut])
+                start = cut + 1
+        if start < self.present:
+            runs.append(members[start : self.present])
         return runs
 
     def __iter__(self):
-        if not self.gone:
-            return iter(self.roster.members[: self.present])
         return itertools.chain.from_iterable(self.runs())
 
     def __len__(self) -> int:
         return self.present - self.gone
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RosterView):
-            other = tuple(other)
-        if not isinstance(other, tuple):
-            return NotImplemented
-        return tuple(self) == other
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
 
 class _Addressed:
     """A delivery to a fixed sequence of recipients: a tuple, or a view of
-    its batch's roster."""
+    its sequential batch's membership."""
 
     recipients: tuple[str, ...] | RosterView
 
@@ -368,7 +334,7 @@ class MemberView(ABC):
         """Raise unless this member is one of the delivery's recipients."""
         if self.member_id not in delivery.recipient_set:
             raise EventError(
-                f"message not addressed to {self.member_id}: {delivery.recipients}"
+                f"message not addressed to {self.member_id}: {tuple(delivery.recipients)}"
             )
 
     @abstractmethod
@@ -460,11 +426,12 @@ class ServerProtocol(ABC):
         For the sequential baselines, which define ``_join_one`` and
         ``_leave_one``; each returns the ancestor chain whose keys it drew.
         Each single event gets the members its multicasts and notices
-        address as a :class:`RosterView` of the batch's one
-        :class:`Roster`: a joiner the members before it joined, a leaver
-        the members left after it.  The ``keygen_dedup`` stat is the batch's
-        keygen less the chain keys drawn again for a node an earlier single
-        event already rekeyed.
+        address as a :class:`RosterView`: a joiner the members before it
+        joined, a leaver the members left after it.  The views of one batch
+        share one membership tuple and, for leaves, one sorted list of cut
+        positions.  The ``keygen_dedup`` stat is the batch's keygen less the
+        chain keys drawn again for a node an earlier single event already
+        rekeyed.
         """
         self._validate(event)
         self.derivations.clear()
@@ -473,12 +440,13 @@ class ServerProtocol(ABC):
         batch = range(len(event.member_ids))
         if event.op == "join":
             step = self._join_one
-            roster = Roster(members + event.member_ids)
-            views = [RosterView(roster, before + index) for index in batch]
+            joined = members + event.member_ids
+            views = [RosterView(joined, before + index) for index in batch]
         else:
             step = self._leave_one
-            roster = Roster(members, event.member_ids)
-            views = [RosterView(roster, before, index + 1) for index in batch]
+            position = dict(zip(members, range(before)))
+            cuts = sorted((position[member], index) for index, member in enumerate(event.member_ids))
+            views = [RosterView(members, before, cuts, index + 1) for index in batch]
         output = EventOutput()
         keygen_before = meter.keygen
         chain_keys = 0

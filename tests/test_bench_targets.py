@@ -3,8 +3,9 @@ churn is the harness's.
 
 ``bench/tracer.py`` wraps gkms functions and methods by name from outside the
 program.  A rename in the program would leave that layer silently untimed,
-so every name it lists must resolve.  ``bench/workloads.py`` keeps its own
-copy of the churn generator until the benchmark itself changes; it must
+so every name it lists must resolve, and every layer must name at least one
+function or method the tracer really wraps.  ``bench/workloads.py`` keeps its
+own copy of the churn generator until the benchmark itself changes; it must
 build the very scenarios ``harness.generate_churn_scenario`` builds.
 """
 
@@ -29,6 +30,7 @@ def _tracer_targets():
 def test_every_tracer_target_resolves():
     targets = _tracer_targets()
     assert targets
+    wrapped_layers = set()
     for module_name, attr, layer in targets:
         module = importlib.import_module(module_name)
         if "." in attr:
@@ -36,8 +38,15 @@ def test_every_tracer_target_resolves():
             owner = getattr(module, cls_name)
             # a method may be inherited: the tracer wraps it where it is defined
             assert callable(getattr(owner, method, None)), (module_name, attr, layer)
+            if method in vars(owner):
+                wrapped_layers.add(layer)
         else:
             assert callable(getattr(module, attr, None)), (module_name, attr, layer)
+            wrapped_layers.add(layer)
+    # a layer all of whose methods are inherited from classes it does not
+    # name would be timed nowhere
+    untimed = {layer for _, _, layer in targets} - wrapped_layers
+    assert not untimed, untimed
 
 
 def test_bench_churn_is_the_harness_churn(monkeypatch):

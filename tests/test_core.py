@@ -2,6 +2,8 @@
 CSV schema, and the base member/server interfaces."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkms.core import (
     CSV_COLUMNS,
@@ -14,7 +16,6 @@ from gkms.core import (
     MemberView,
     Notice,
     RekeyMessage,
-    Roster,
     RosterView,
     ServerProtocol,
     csv_row,
@@ -163,31 +164,34 @@ def test_recipient_check_against_the_delivery_set():
         view._check_addressed(notice)
 
 
-def test_roster_views_read_as_the_tuples_they_stand_for():
-    joins = Roster(("a", "b", "c", "d"))
-    assert tuple(RosterView(joins, 3)) == ("a", "b", "c")
-    assert RosterView(joins, 3).runs() == [("a", "b", "c")]
-    assert RosterView(joins, 0).runs() == [] and len(RosterView(joins, 0)) == 0
-    leaves = Roster(("a", "b", "c", "d", "e"), ("d", "a", "b"))
-    views = [RosterView(leaves, 5, gone) for gone in (1, 2, 3)]
-    assert [view.runs() for view in views] == [
-        [("a", "b", "c"), ("e",)],
-        [("b", "c"), ("e",)],
-        [("c",), ("e",)],
-    ]
-    assert [len(view) for view in views] == [4, 3, 2]
-    assert views[2] == ("c", "e") and ("c", "e") == views[2] and views[2] != ("e", "c")
-    assert views[2] == RosterView(Roster(("c", "e")), 2)
-    assert repr(views[1]) == repr(("b", "c", "e")) and "a" not in views[1]
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 24), data=st.data())
+def test_roster_views_read_as_the_tuples_they_stand_for(n, data):
+    members = tuple(f"m{i}" for i in range(n))
+    present = data.draw(st.integers(0, n))
+    leavers = data.draw(st.permutations(members[:present]))[: data.draw(st.integers(0, present))]
+    cuts = sorted((members.index(member), index) for index, member in enumerate(leavers))
+    assert tuple(RosterView(members, present)) == members[:present]
+    for gone in range(len(leavers) + 1):
+        view = RosterView(members, present, cuts, gone)
+        expected = tuple(m for m in members[:present] if m not in leavers[:gone])
+        runs = view.runs()
+        assert tuple(member for run in runs for member in run) == expected
+        for run in runs:  # each run is a non-empty slice of the members
+            start = members.index(run[0])
+            assert run == members[start : start + len(run)]
+        assert tuple(view) == expected
+        assert len(view) == len(expected)
 
 
 def test_check_addressed_names_a_view_as_its_tuple():
     view = _ProbeView("alice", SymKey(bytes([1]) * 32), {}, {})
-    roster = Roster(("alice", "bob", "carol", "dave"), ("alice", "dave"))
+    members = ("alice", "bob", "carol", "dave")
+    cuts = [(0, 0), (3, 1)]  # alice leaves first, then dave
     message = RekeyMessage(
-        channel="multicast", recipients=RosterView(roster, 4, 1), payloads=(), aux={}
+        channel="multicast", recipients=RosterView(members, 4, cuts, 1), payloads=(), aux={}
     )
-    notice = Notice(kind="join", recipients=RosterView(roster, 4, 2), aux={})
+    notice = Notice(kind="join", recipients=RosterView(members, 4, cuts, 2), aux={})
     # the text a tuple of the same members gives
     for delivery, text in (
         (message, "message not addressed to alice: ('bob', 'carol', 'dave')"),
