@@ -161,15 +161,15 @@ class LkhServer(ServerProtocol):
             out.append(boot)
         return out
 
-    def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "LkhMember":
-        return LkhMember(bootstrap, table, self.derivations)
+    def build_member(self, bootstrap: Bootstrap) -> "LkhMember":
+        return LkhMember(bootstrap, self.derivations)
 
 
 class LkhMember(MemberView):
     """Member state for the key-hierarchy baseline: path node ids plus keys."""
 
-    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes], derivations: dict) -> None:
-        super().__init__(bootstrap.member_id, bootstrap.individual_key, table, derivations)
+    def __init__(self, bootstrap: Bootstrap, derivations: dict) -> None:
+        super().__init__(bootstrap.member_id, bootstrap.individual_key, derivations)
         self.leaf_id: int = bootstrap.leaf_id
         self.chain: list[int] = list(bootstrap.extra["chain"])
         self.chain_set: set[int] = set(self.chain)
@@ -189,13 +189,6 @@ class LkhMember(MemberView):
         if split and split["member"] == self.member_id:
             self.chain.insert(1, split["new_node"])
             self.chain_set.add(split["new_node"])
-        deleted = aux.get("deleted")
-        if deleted and not self.chain_set.isdisjoint(deleted):
-            # only chain nodes have keys here, so nothing else needs a pop
-            self.chain = [n for n in self.chain if n not in deleted]
-            self.chain_set = set(self.chain)
-            for node_id in deleted:
-                self.keys.pop(node_id, None)
 
     def apply_message(self, message: RekeyMessage, meter: CostMeter) -> None:
         self._check_addressed(message)

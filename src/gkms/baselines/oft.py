@@ -251,8 +251,8 @@ class OftServer(ServerProtocol):
             for m in self.member_ids
         ]
 
-    def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "OftMember":
-        return OftMember(bootstrap, table, self.derivations)
+    def build_member(self, bootstrap: Bootstrap) -> "OftMember":
+        return OftMember(bootstrap, self.derivations)
 
 
 class OftMember(MemberView):
@@ -267,8 +267,8 @@ class OftMember(MemberView):
     ``path[:_dirty]`` still holds the current keys.
     """
 
-    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes], derivations: dict) -> None:
-        super().__init__(bootstrap.member_id, bootstrap.individual_key, table, derivations)
+    def __init__(self, bootstrap: Bootstrap, derivations: dict) -> None:
+        super().__init__(bootstrap.member_id, bootstrap.individual_key, derivations)
         self.leaf_id: int = bootstrap.leaf_id
         self.chain: list[int] = list(bootstrap.extra["chain"])
         self._index_chain()

@@ -105,8 +105,8 @@ class OkdServer(LkhServer):
         output.bootstraps.append(self._bootstrap_for(member, individual))
         return chain
 
-    def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "OkdMember":
-        return OkdMember(bootstrap, table, self.derivations)
+    def build_member(self, bootstrap: Bootstrap) -> "OkdMember":
+        return OkdMember(bootstrap, self.derivations)
 
 
 class OkdMember(LkhMember):

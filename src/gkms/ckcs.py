@@ -263,8 +263,8 @@ class CkcsServer(ServerProtocol):
             out.append(self._bootstrap_for(member, leaf.key, include_group_key=True))
         return out
 
-    def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> "CkcsMember":
-        return CkcsMember(bootstrap, table, self.derivations)
+    def build_member(self, bootstrap: Bootstrap) -> "CkcsMember":
+        return CkcsMember(bootstrap, self.derivations)
 
 
 class CkcsMember(MemberView):
@@ -275,9 +275,9 @@ class CkcsMember(MemberView):
     ``(group key, code)``, a group key step under the old group key.
     """
 
-    def __init__(self, bootstrap: Bootstrap, table: dict[bytes, bytes], derivations: dict) -> None:
+    def __init__(self, bootstrap: Bootstrap, derivations: dict) -> None:
         assert bootstrap.individual_key is not None and bootstrap.leaf_id is not None
-        super().__init__(bootstrap.member_id, bootstrap.individual_key, table, derivations)
+        super().__init__(bootstrap.member_id, bootstrap.individual_key, derivations)
         self.leaf_id = bootstrap.leaf_id
         self.path: list[kt.PathEntry] = list(bootstrap.extra["path"])
         for entry in self.path:

@@ -115,7 +115,7 @@ class _Addressed:
         recipients = self.recipients
         if isinstance(recipients, RosterView):
             return recipients.runs()
-        return [recipients] if recipients else []
+        return [recipients]
 
     @cached_property
     def recipient_set(self) -> frozenset[str]:
@@ -160,6 +160,10 @@ class Notice(_Addressed):
     kind: str
     recipients: tuple[str, ...] | RosterView
     aux: dict
+
+    def __post_init__(self) -> None:
+        if not self.recipients:
+            raise ValueError("notice must have at least one recipient")
 
 
 @dataclass(frozen=True)
@@ -265,26 +269,22 @@ def rows_to_csv(rows: list[dict], extra_columns: list[str] | None = None) -> str
 class Knowledge:
     """Everything a principal has ever held: key values and node codes.
 
-    ``keys`` lists each key value held, in the order it was learned.  Each
-    value goes in through ``table``, a dict from a value to the one
-    ``bytes`` object that stands for it.  The members of a tracked trace
-    share the trace's ``key_table``, so a value that many of them held costs
-    one object, not one per member: this is hash-consing (Filliâtre and
-    Conchon, "Type-safe modular hash-consing", ML Workshop 2006).
-    ``learn_key`` does not look for the value in ``keys``: every member
-    learns a value once, where it obtains it, so the list holds one slot per
-    distinct value.  ``key_bytes`` is the set of every value held.
+    ``keys`` lists each key value held, in the order it was learned: the
+    ``bytes`` object the member obtained, so members that took a value from
+    one event's ``derivations`` table share that one object.  ``learn_key``
+    does not look for the value in ``keys``: every member learns a value
+    once, where it obtains it, so the list holds one slot per distinct
+    value.  ``key_bytes`` is the set of every value held.
 
     Monotone by construction; the secrecy analyzer seeds adversaries from it.
     """
 
-    def __init__(self, table: dict[bytes, bytes]) -> None:
-        self.table = table
+    def __init__(self) -> None:
         self.keys: list[bytes] = []
         self.codes: set[str] = set()
 
     def learn_key(self, key: SymKey) -> None:
-        self.keys.append(self.table.setdefault(key.data, key.data))
+        self.keys.append(key.data)
 
     @property
     def key_bytes(self) -> set[bytes]:
@@ -299,20 +299,17 @@ class MemberView(ABC):
     """Client-side state of one member.
 
     Concrete views keep whatever keys their protocol calls for; all of them
-    expose the current group key and accumulate a knowledge log, whose key
-    values are interned in ``table`` (a tracked trace's ``key_table``).
-    ``derivations`` is the server's member derivation table, shared with
-    every member the server builds.
+    expose the current group key and accumulate a knowledge log of every key
+    value they held.  ``derivations`` is the server's member derivation
+    table, shared with every member the server builds.
     """
 
-    def __init__(
-        self, member_id: str, individual_key: SymKey, table: dict[bytes, bytes], derivations: dict
-    ) -> None:
+    def __init__(self, member_id: str, individual_key: SymKey, derivations: dict) -> None:
         self.member_id = member_id
         self.individual_key = individual_key
         self.derivations = derivations
         self.group_key: SymKey | None = None
-        self.knowledge = Knowledge(table)
+        self.knowledge = Knowledge()
         self.unwrap_misses = 0
         self.knowledge.learn_key(individual_key)
 
@@ -393,9 +390,8 @@ class ServerProtocol(ABC):
         return {}
 
     @abstractmethod
-    def build_member(self, bootstrap: Bootstrap, table: dict[bytes, bytes]) -> MemberView:
-        """Construct the client view a bootstrap delivery creates; its
-        knowledge interns key values in ``table``, and it shares
+    def build_member(self, bootstrap: Bootstrap) -> MemberView:
+        """Construct the client view a bootstrap delivery creates; it shares
         ``derivations``.  A member meters each derivation it needs whether
         or not the table already held it."""
 

@@ -373,9 +373,6 @@ class TraceRecord:
     node_key_log: dict[bytes, set[int]] = field(default_factory=dict)
     sibling_pairs: set[tuple[int, int, int]] = field(default_factory=set)
     wrap_log: dict[bytes, bytes] = field(default_factory=dict)
-    # the key values the tracked members held, each value to its one bytes
-    # object: every member's knowledge lists its values from this table
-    key_table: dict[bytes, bytes] = field(default_factory=dict)
 
     @property
     def rows(self) -> list[dict]:
@@ -413,7 +410,7 @@ def run(scenario: Scenario, track_members: bool = True) -> TraceRecord:
     if track_members:
         _log_tree(trace)
         for boot in server.initial_bootstraps():
-            trace.members[boot.member_id] = server.build_member(boot, trace.key_table)
+            trace.members[boot.member_id] = server.build_member(boot)
             trace.join_epoch[boot.member_id] = 0
         _run_probe(trace, probe_rng, seq=0)
 
@@ -489,7 +486,7 @@ def _deliver(trace: TraceRecord, event: MembershipEvent, output: EventOutput, me
     """
     seq = event.seq
     for boot in output.bootstraps:
-        trace.members[boot.member_id] = trace.server.build_member(boot, trace.key_table)
+        trace.members[boot.member_id] = trace.server.build_member(boot)
         trace.join_epoch[boot.member_id] = seq
     if event.op == "leave":
         for member in event.member_ids:
@@ -619,9 +616,6 @@ def _trace_digest(trace: TraceRecord) -> str:
         update(separator + head.encode())
         for delivery, tail in zip(sent, tails, strict=True):
             runs = delivery.recipient_runs()
-            if not runs:
-                update(b'"recipients":[]' + tail.encode())
-                continue
             # the id list is the bulk of the bytes: hash it a run of the
             # shared roster at a time rather than copy it into a larger string
             update(b'"recipients":["')

@@ -2,9 +2,9 @@
 
 Each test prints ``C<k>: PASS|FAIL`` with the measured numbers so a plain
 pytest run shows the whole scorecard.  Expected values come from the
-independent oracles in the sibling test modules (cover_oracle, fold_oracle)
-or from closed-form counts checked there; nothing here re-derives expected
-values from the code under test.
+independent oracles in the sibling test modules (cover_oracle in
+tree_reference, fold_oracle) or from closed-form counts checked there;
+nothing here re-derives expected values from the code under test.
 """
 
 import math
@@ -27,8 +27,7 @@ from gkms.harness import generate_random_scenario, parse_scenario, run, sweep
 
 from test_baselines import fold_oracle
 from test_ckcs import deliver
-from test_tree import cover_oracle
-from tree_reference import reference_subtree_members
+from tree_reference import cover_oracle, reference_subtree_members
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 N_VALUES = [256, 1024, 4096, 8192]
@@ -389,7 +388,7 @@ def test_c8_oracle_equivalences():
         rng = Random(f"c8-coded/{seed}")
         n = rng.randint(2, 24)
         server = CkcsServer([f"u{i}" for i in range(1, n + 1)], rng)
-        views = {b.member_id: server.build_member(b, {}) for b in server.initial_bootstraps()}
+        views = {b.member_id: server.build_member(b) for b in server.initial_bootstraps()}
         next_id = n + 1
         for seq in range(1, rng.randint(2, 6) + 1):
             if rng.random() < 0.5 or server.member_count < 3:
@@ -403,7 +402,7 @@ def test_c8_oracle_equivalences():
                 op = "leave"
             output = server.handle_event(MembershipEvent(seq, op, ids), rng, CostMeter())
             for bootstrap in output.bootstraps:
-                views[bootstrap.member_id] = server.build_member(bootstrap, {})
+                views[bootstrap.member_id] = server.build_member(bootstrap)
             deliver(views, output)
             if op == "leave":
                 for member in ids:

@@ -42,7 +42,7 @@ def deliver(views, output, meter=None):
 
 
 def build_views(server):
-    return {b.member_id: server.build_member(b, {}) for b in server.initial_bootstraps()}
+    return {b.member_id: server.build_member(b) for b in server.initial_bootstraps()}
 
 
 def handle(server, rng, seq, op, ids):
@@ -104,7 +104,7 @@ def test_lkh_join_splits_full_tree_with_chained_unicast():
     assert len(multicast.payloads) == 2 * len(chain) - 1  # joiner leaf served by unicast
 
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot, {})
+        views[boot.member_id] = server.build_member(boot)
     deliver(views, output)
     assert_agreement(server, views)
 
@@ -134,7 +134,7 @@ def test_lkh_leave_keeps_slot_and_redraws_surviving_path():
     assert output.messages[0].aux["split"] is None
     assert cost.keygen == 1 + 3
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot, {})
+        views[boot.member_id] = server.build_member(boot)
     deliver(views, output)
     assert_agreement(server, views)
 
@@ -147,7 +147,7 @@ def test_lkh_member_takes_payloads_in_message_order():
 
     def member():
         boot = Bootstrap(member_id="u1", individual_key=leaf, leaf_id=10, extra={"chain": [10, 5, 1]})
-        return LkhMember(boot, {}, {})
+        return LkhMember(boot, {})
 
     def message(*payloads):
         wrapped = tuple(wrap(kek, key, meter, kek_id=kek_id) for kek, key, kek_id, _ in payloads)
@@ -237,7 +237,7 @@ def test_oft_join_refreshes_victim_then_adverts():
     assert server.check_fold_invariant()
     assert fold_oracle(server.tree) == server.group_key
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot, {})
+        views[boot.member_id] = server.build_member(boot)
     deliver(views, output)
     assert_agreement(server, views)
 
@@ -273,7 +273,7 @@ def test_oft_fold_invariant_through_churn():
     for seq, (op, ids) in enumerate(plan, start=1):
         output, _ = handle(server, rng, seq, op, ids)
         for boot in output.bootstraps:
-            views[boot.member_id] = server.build_member(boot, {})
+            views[boot.member_id] = server.build_member(boot)
         for gone in ids if op == "leave" else ():
             views.pop(gone)
         deliver(views, output)
@@ -339,7 +339,7 @@ def test_oft_members_fold_from_the_lowest_changed_level(n, steps, seed):
                 ids = leaver_layout(server.tree, m, "random", rng)
         output, _ = handle(server, rng, seq, op, ids)
         for boot in output.bootstraps:
-            views[boot.member_id] = server.build_member(boot, {})
+            views[boot.member_id] = server.build_member(boot)
         for gone in ids if op == "leave" else ():
             views.pop(gone)
         for delivery in output.deliveries:
@@ -360,7 +360,7 @@ def test_oft_fold_without_a_blind_names_its_level():
     server = OftServer(members(4), rng)
     output, _ = handle(server, rng, 1, "join", ["u5"])
     (boot,) = output.bootstraps
-    joiner = server.build_member(boot, {})  # no blinds until its bundle arrives
+    joiner = server.build_member(boot)  # no blinds until its bundle arrives
     with pytest.raises(EventError, match=f"missing blinded key below node {joiner.chain[1]}"):
         joiner._fold(CostMeter())
 
@@ -409,7 +409,7 @@ def test_okd_join_steps_path_keys_one_way():
     assert set(notice.recipients) == set(members(9))
 
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot, {})
+        views[boot.member_id] = server.build_member(boot)
     tally = CostMeter()
     deliver(views, output, tally)
     assert tally.member_derivations > 0  # members stepped their own copies
@@ -419,7 +419,7 @@ def test_okd_join_steps_path_keys_one_way():
     output, _ = handle(server, rng, 2, "join", ["u11"])
     assert output.messages[0].aux["split"] is None
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot, {})
+        views[boot.member_id] = server.build_member(boot)
     deliver(views, output)
     assert_agreement(server, views)
 
@@ -440,7 +440,7 @@ def test_okd_resplit_of_same_member_never_repeats_node_keys():
         if split is not None:
             splits.append((split["member"], server.node_key(split["new_node"]).data))
         for boot in output.bootstraps:
-            views[boot.member_id] = server.build_member(boot, {})
+            views[boot.member_id] = server.build_member(boot)
         deliver(views, output)
         assert_agreement(server, views)
     assert [m for m, _ in splits].count("u1") == 2  # u1 really split twice
@@ -454,7 +454,7 @@ def test_okd_join_keeps_joiner_out_of_old_epochs():
     old_group = server.group_key
     output, _ = handle(server, rng, 1, "join", ["u10"])
     (boot,) = output.bootstraps
-    joiner = server.build_member(boot, {})
+    joiner = server.build_member(boot)
     deliver({"u10": joiner}, output)
     assert joiner.group_key == server.group_key == derive(old_group)
     assert old_group.data not in joiner.knowledge.key_bytes
@@ -590,3 +590,54 @@ def test_recipients_equal_a_fresh_snapshot_under_churn(server_class, n, steps, s
             assert delivery.recipient_set == frozenset(snapshot)
             assert [member for run in delivery.recipient_runs() for member in run] == list(snapshot)
         sent.clear()
+
+
+# -- lkh and okd leave structure under churn -------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    server_class=st.sampled_from([LkhServer, OkdServer]),
+    n=st.integers(2, 40),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["join", "leave"]), st.integers(1, 8), st.sampled_from(LAYOUTS)),
+        min_size=1,
+        max_size=10,
+    ),
+    seed=st.integers(0, 2**16),
+)
+@example(server_class=LkhServer, n=3, steps=[("leave", 1, "random")], seed=0)
+def test_no_leave_deletes_a_node_on_a_recipients_chain(server_class, n, steps, seed):
+    # detach_leaf removes only the leaver's leaf and the ancestors it
+    # empties, so a member that stays never holds a deleted node: members
+    # read no "deleted" list
+    rng = Random(seed)
+    server = server_class(members(n), rng)
+    views = build_views(server)
+    joined = n
+    for seq, (op, m, layout) in enumerate(steps, start=1):
+        if op == "join":
+            ids = [f"u{joined + k}" for k in range(1, m + 1)]
+            joined += m
+        else:
+            m = min(m, server.member_count - 1)
+            if m < 1:
+                continue
+            try:
+                ids = leaver_layout(server.tree, m, layout, rng)
+            except ScenarioError:  # best-half needs a root subtree of m members
+                ids = leaver_layout(server.tree, m, "random", rng)
+        output, _ = handle(server, rng, seq, op, ids)
+        for boot in output.bootstraps:
+            views[boot.member_id] = server.build_member(boot)
+        for gone in ids if op == "leave" else ():
+            views.pop(gone)
+        for delivery in output.deliveries:
+            for view in filter(None, map(views.get, delivery.recipients)):
+                if isinstance(delivery, Notice):
+                    view.apply_notice(delivery, CostMeter())
+                    continue
+                if delivery.aux["op"] == "leave":
+                    assert view.chain_set.isdisjoint(delivery.aux["deleted"]), (seq, view.member_id)
+                view.apply_message(delivery, CostMeter())
+        assert_agreement(server, views)

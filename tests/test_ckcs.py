@@ -13,8 +13,8 @@ from gkms import tree as kt
 from gkms.ckcs import CkcsServer
 from gkms.core import CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
 from gkms.crypto import decode_code, derive, derive_with_code, unwrap
-from gkms.harness import parse_scenario, run
-from tree_reference import reference_subtree_members
+from gkms.harness import LAYOUTS, ScenarioError, leaver_layout, parse_scenario, run
+from tree_reference import cover_oracle, reference_subtree_members
 
 
 def members(n):
@@ -40,7 +40,7 @@ def deliver(views, output, meter=None):
 
 
 def build_initial_views(server):
-    return {b.member_id: server.build_member(b, {}) for b in server.initial_bootstraps()}
+    return {b.member_id: server.build_member(b) for b in server.initial_bootstraps()}
 
 
 # -- initial state ----------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_join_delivery_brings_everyone_to_the_new_key():
     views = build_initial_views(server)
     output = server.handle_event(MembershipEvent(1, "join", ("u5", "u6")), rng, CostMeter())
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot, {})
+        views[boot.member_id] = server.build_member(boot)
     tally = CostMeter()
     deliver(views, output, tally)
     for member_id, view in views.items():
@@ -152,7 +152,7 @@ def test_repeated_joins_shorten_then_reset_the_root_code():
     # first join: "27" shortens to "2"
     output = server.handle_event(MembershipEvent(1, "join", ("u5",)), rng, CostMeter())
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot, {})
+        views[boot.member_id] = server.build_member(boot)
     deliver(views, output)
     assert server.tree.root.code == "2"
 
@@ -179,7 +179,7 @@ def test_repeated_joins_shorten_then_reset_the_root_code():
         assert decode_code(block.data) == fresh
 
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot, {})
+        views[boot.member_id] = server.build_member(boot)
     deliver(views, output)
     for member_id, view in views.items():
         assert view.group_key == server.group_key, member_id
@@ -197,7 +197,7 @@ def test_first_join_onto_single_member_group_starts_a_lineage():
     assert len(server.tree.root.code) == kt.ROOT_CODE_LEN
     assert output.stats["code_resets"] == 1
     for boot in output.bootstraps:
-        views[boot.member_id] = server.build_member(boot, {})
+        views[boot.member_id] = server.build_member(boot)
     deliver(views, output)
     assert views["u1"].group_key == server.group_key
     assert views["u2"].group_key == server.group_key
@@ -491,3 +491,58 @@ def test_codes_of_separate_subtrees_stay_prefix_disjoint_under_churn():
             continue
         traces += 1
     assert traces > 100 and pairs > 50_000, (traces, pairs)
+
+
+# -- per-event costs under churn ---------------------------------------------------
+
+
+def predicted_cost(tree, event):
+    """(keygen, encrypt, unicast, multicast, payload_keys, notices) of one
+    event, from the tree before it.
+
+    A join of m draws m individual keys and steps the group key, wraps it
+    once per joiner, and multicasts those wraps; when the old root is a bare
+    leaf or its code cannot shorten, each of the r old members also gets the
+    fresh root code by unicast.  A leave draws one group key and wraps it
+    once per cover node in one multicast.
+    """
+    if event.op == "join":
+        m, root = len(event.member_ids), tree.root
+        r = tree.member_count if root.is_leaf or len(root.code) < 2 else 0
+        return (m + 1, m + r, r, 1, m + r, 1)
+    cover = len(cover_oracle(tree, list(event.member_ids)))
+    return (1, cover, 0, 1, cover, 0)
+
+
+def test_event_costs_follow_the_pre_event_tree_under_churn():
+    events = resets = 0
+    for seed in range(200):
+        rng = Random(f"ckcs-cost/{seed}")
+        n = rng.randint(1, 32)
+        root_code = rng.choice([None, "5", "27", "278"]) if n > 1 else None
+        server = CkcsServer(members(n), rng, root_code=root_code)
+        fresh = n
+        try:
+            for seq in range(1, 37):
+                size = rng.randint(1, 8)
+                if rng.random() < 0.5 and server.member_count > size:
+                    layout = rng.choice(LAYOUTS)
+                    try:
+                        leavers = leaver_layout(server.tree, size, layout, rng)
+                    except ScenarioError:  # best-half needs a root subtree of m members
+                        leavers = leaver_layout(server.tree, size, "random", rng)
+                    event = MembershipEvent(seq, "leave", tuple(leavers))
+                else:
+                    event = MembershipEvent(seq, "join", tuple(f"u{fresh + i}" for i in range(1, size + 1)))
+                    fresh += size
+                expected = predicted_cost(server.tree, event)
+                meter = CostMeter()
+                server.handle_event(event, rng, meter)
+                got = (meter.keygen, meter.encrypt, meter.unicast)
+                got += (meter.multicast, meter.payload_keys, meter.notices)
+                assert got == expected, (seed, seq, event)
+                events += 1
+                resets += expected[2] > 0
+        except kt.CodeSpaceError:
+            continue
+    assert events > 7000 and resets > 200, (events, resets)

@@ -63,6 +63,10 @@ def test_message_shapes():
     with pytest.raises(ValueError):
         msg(recipients=())
     with pytest.raises(ValueError):
+        Notice(kind="join", recipients=(), aux={})
+    with pytest.raises(ValueError):
+        Notice(kind="join", recipients=RosterView(("a", "b"), 2, [(0, 0), (1, 1)], 2), aux={})
+    with pytest.raises(ValueError):
         msg(channel="unicast", recipients=("a", "b"))
     assert msg(channel="unicast", recipients=("a",)).size_in_keys == 2
 
@@ -135,7 +139,7 @@ class _ProbeView(MemberView):
 
 
 def test_member_view_basics():
-    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {}, {})
+    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {})
     assert view.group_key is None
     assert view.individual_key.data in view.knowledge.key_bytes
     view._check_addressed(msg(recipients=("bob", "alice")))
@@ -150,7 +154,7 @@ def test_member_view_basics():
 
 
 def test_recipient_check_against_the_delivery_set():
-    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {}, {})
+    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {})
     message = msg(recipients=("carol", "alice", "bob"))
     assert message.recipient_set == frozenset(("alice", "bob", "carol"))
     assert message.recipient_set is message.recipient_set  # built once
@@ -185,7 +189,7 @@ def test_roster_views_read_as_the_tuples_they_stand_for(n, data):
 
 
 def test_check_addressed_names_a_view_as_its_tuple():
-    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {}, {})
+    view = _ProbeView("alice", SymKey(bytes([1]) * 32), {})
     members = ("alice", "bob", "carol", "dave")
     cuts = [(0, 0), (3, 1)]  # alice leaves first, then dave
     message = RekeyMessage(
@@ -200,7 +204,7 @@ def test_check_addressed_names_a_view_as_its_tuple():
         with pytest.raises(EventError) as info:
             view._check_addressed(delivery)
         assert str(info.value) == text
-    _ProbeView("carol", SymKey(bytes([2]) * 32), {}, {})._check_addressed(message)
+    _ProbeView("carol", SymKey(bytes([2]) * 32), {})._check_addressed(message)
 
 
 def test_dropped_recipient_set_is_built_again_on_demand():
@@ -216,38 +220,17 @@ def _keys(count, salt):
     return [SymKey(bytes([salt, i]) * 16) for i in range(count)]
 
 
-def test_private_and_shared_knowledge_agree():
-    shared_table = {}
-    crowd = Knowledge(shared_table)  # another principal fills the shared table first
-    for key in _keys(21, salt=1):
-        crowd.learn_key(key)
+def test_knowledge_holds_the_values_learned():
+    knowledge = Knowledge()
     learned = _keys(13, salt=2) + _keys(21, salt=1)[3:9]
-    private, shared = Knowledge({}), Knowledge(shared_table)
     for key in learned:
-        private.learn_key(key)
-        shared.learn_key(key)
-    assert private.table is not shared.table
-    assert private.key_bytes == shared.key_bytes == {key.data for key in learned}
+        knowledge.learn_key(key)
+    assert knowledge.key_bytes == {key.data for key in learned}
     for key in learned[:4]:  # learning a value twice changes no key_bytes
-        private.learn_key(key)
-    assert private.key_bytes == shared.key_bytes
-    unknown = _keys(21, salt=1)[:3] + _keys(5, salt=3)  # in the shared table, or in none
-    assert not {key.data for key in unknown} & (private.key_bytes | shared.key_bytes)
-
-
-def test_knowledge_interns_each_value_once():
-    table = {}
-    first, second = Knowledge(table), Knowledge(table)
-    a, b = _keys(2, salt=4)
-    twin = SymKey(bytes(bytearray(a.data)))  # an equal value in another object
-    assert twin.data is not a.data
-    first.learn_key(a)
-    second.learn_key(twin)
-    second.learn_key(b)
-    assert table == {a.data: a.data, b.data: b.data}
-    assert first.keys == [a.data] and second.keys == [a.data, b.data]
-    assert first.keys[0] is a.data and second.keys[0] is a.data  # the table's object
-    assert b.data not in first.key_bytes and second.key_bytes == {a.data, b.data}
+        knowledge.learn_key(SymKey(bytes(bytearray(key.data))))
+    assert knowledge.key_bytes == {key.data for key in learned}
+    unknown = _keys(21, salt=1)[:3] + _keys(5, salt=3)
+    assert not {key.data for key in unknown} & knowledge.key_bytes
 
 
 class _StubServer(ServerProtocol):
@@ -264,7 +247,7 @@ class _StubServer(ServerProtocol):
     def handle_event(self, event, rng, meter):
         raise NotImplementedError
 
-    def build_member(self, bootstrap, table):
+    def build_member(self, bootstrap):
         raise NotImplementedError
 
 

@@ -611,20 +611,6 @@ def test_member_outputs_match_frozen_hash(protocol):
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_tracked_knowledge_holds_each_value_once(protocol):
-    trace = run(_churn_scenario(protocol))
-    table = trace.key_table
-    views = [*trace.members.values(), *trace.departed.values()]
-    assert all(view.knowledge.table is table for view in views)
-    held = [value for view in views for value in view.knowledge.keys]
-    distinct = set(held)
-    # one object per distinct value across every member and departed member
-    assert len({id(value) for value in held}) == len(distinct)
-    assert all(table[value] is value for value in held)
-    assert len(table) == len(distinct)
-
-
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_members_learn_each_value_once(protocol):
     # Knowledge.learn_key appends without a lookup: the list holds one slot
     # per distinct value only because every member learns a value once

@@ -86,7 +86,7 @@ def drive(protocol: str, n: int, steps, seed: int, build_members: bool = True):
     table = server.derivations = StampedTable()
     views = {}
     if build_members:
-        views = {b.member_id: server.build_member(b, {}) for b in server.initial_bootstraps()}
+        views = {b.member_id: server.build_member(b) for b in server.initial_bootstraps()}
     joined = n
     for seq, (op, m, layout) in enumerate(steps, start=1):
         if op == "join":
@@ -111,7 +111,7 @@ def drive(protocol: str, n: int, steps, seed: int, build_members: bool = True):
         assert table.clears == clears + 1
         if build_members:
             for boot in output.bootstraps:
-                views[boot.member_id] = server.build_member(boot, {})
+                views[boot.member_id] = server.build_member(boot)
             for gone in ids if op == "leave" else ():
                 views.pop(gone)
             meter = CostMeter()
@@ -180,7 +180,7 @@ def test_oft_fold_step_is_keyed_by_its_side():
     # two folds over the same keys and blinds but opposite sides are two
     # different steps: the second must not read the first one's entries
     server = make_server("oft", [f"u{i}" for i in range(1, 9)], Random(4))
-    view = server.build_member(server.initial_bootstraps()[0], {})
+    view = server.build_member(server.initial_bootstraps()[0])
     assert server.derivations  # the founding fold filled the table
     view.sides = [1 - side for side in view.sides]
     view._dirty = 0
@@ -200,7 +200,7 @@ A, B, ROOT = (SymKey(bytes([i]) * 32) for i in (10, 11, 1))
 def lkh_member(member_id: str, leaf_key: SymKey, derivations: dict) -> LkhMember:
     """A member at leaf 10 under root 1, sharing ``derivations``."""
     boot = Bootstrap(member_id=member_id, individual_key=leaf_key, leaf_id=10, extra={"chain": [10, 1]})
-    return LkhMember(boot, {}, derivations)
+    return LkhMember(boot, derivations)
 
 
 def root_rekey(kek: SymKey, kek_id: int = 10) -> RekeyMessage:

@@ -12,6 +12,7 @@ from gkms import tree as kt
 from gkms.crypto import SymKey
 from tree_reference import (
     assert_insert_matches_reference,
+    cover_oracle,
     reference_attach_subtree,
     reference_subtree_members,
 )
@@ -448,26 +449,6 @@ def test_remove_promotes_into_root():
 
 
 # -- cover computation --------------------------------------------------------------------
-
-
-def cover_oracle(tree: kt.KeyTree, leavers: list[str]) -> list[int]:
-    """Maximal leaver-free subtrees by direct definition, in DFS order."""
-    leaver_leaves = {tree.leaf_of(m).node_id for m in leavers}
-
-    def clean(node_id: int) -> bool:
-        return not any(n.node_id in leaver_leaves for n in tree.walk(node_id))
-
-    out: list[int] = []
-
-    def visit(node_id: int) -> None:
-        if clean(node_id):
-            out.append(node_id)
-            return
-        for child in tree.nodes[node_id].children:
-            visit(child)
-
-    visit(tree.root_id)
-    return out
 
 
 def assert_cover_properties(tree: kt.KeyTree, leavers: list[str], cover: list[int]) -> None:

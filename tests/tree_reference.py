@@ -19,6 +19,8 @@ one build in place.
 ``reference_subtree_members`` lists the members under a node over
 ``KeyTree.walk``: the direct form of the best-half layout's stack pass, and
 the tests' way to name the members a cover node or subtree stands for.
+``cover_oracle`` is the direct definition of ``compute_cover``: the
+maximal leaver-free subtrees, found by walking each candidate whole.
 """
 
 from __future__ import annotations
@@ -34,6 +36,26 @@ from gkms.crypto import SymKey, blind, mix, random_key
 def reference_subtree_members(tree, node_id):
     """The members of the leaves under ``node_id``, in ``walk()`` order."""
     return [n.member for n in tree.walk(node_id) if n.is_leaf and n.member]
+
+
+def cover_oracle(tree: kt.KeyTree, leavers: list[str]) -> list[int]:
+    """Maximal leaver-free subtrees by direct definition, in DFS order."""
+    leaver_leaves = {tree.leaf_of(m).node_id for m in leavers}
+
+    def clean(node_id: int) -> bool:
+        return not any(n.node_id in leaver_leaves for n in tree.walk(node_id))
+
+    out: list[int] = []
+
+    def visit(node_id: int) -> None:
+        if clean(node_id):
+            out.append(node_id)
+            return
+        for child in tree.nodes[node_id].children:
+            visit(child)
+
+    visit(tree.root_id)
+    return out
 
 
 @dataclass
