@@ -52,6 +52,34 @@ def handle(server, rng, seq, op, ids):
     return output, meter
 
 
+CHURN_STEPS = st.lists(
+    st.tuples(st.sampled_from(["join", "leave"]), st.integers(1, 8), st.sampled_from(LAYOUTS)),
+    min_size=1,
+    max_size=10,
+)
+
+
+def churn_steps(server, rng, steps):
+    """Yield ``(seq, op, ids)`` for each ``(op, m, layout)`` step that can
+    run: m fresh joiners, or up to m leavers in ``layout`` (random where
+    best-half finds no root subtree of that size).  Read lazily, so each
+    leave is drawn from the tree the events before it left."""
+    joined = server.member_count
+    for seq, (op, m, layout) in enumerate(steps, start=1):
+        if op == "join":
+            ids = [f"u{joined + k}" for k in range(1, m + 1)]
+            joined += m
+        else:
+            m = min(m, server.member_count - 1)
+            if m < 1:
+                continue
+            try:
+                ids = leaver_layout(server.tree, m, layout, rng)
+            except ScenarioError:
+                ids = leaver_layout(server.tree, m, "random", rng)
+        yield seq, op, ids
+
+
 def assert_agreement(server, views):
     assert set(views) == set(server.member_ids)
     for member_id, view in views.items():
@@ -324,19 +352,7 @@ def test_oft_members_fold_from_the_lowest_changed_level(n, steps, seed):
     rng = Random(seed)
     server = OftServer(members(n), rng)
     views = build_views(server)
-    joined = n
-    for seq, (op, m, layout) in enumerate(steps, start=1):
-        if op == "join":
-            ids = [f"u{joined + k}" for k in range(1, m + 1)]
-            joined += m
-        else:
-            m = min(m, server.member_count - 1)
-            if m < 1:
-                continue
-            try:
-                ids = leaver_layout(server.tree, m, layout, rng)
-            except ScenarioError:  # best-half needs a root subtree of m members
-                ids = leaver_layout(server.tree, m, "random", rng)
+    for seq, op, ids in churn_steps(server, rng, steps):
         output, _ = handle(server, rng, seq, op, ids)
         for boot in output.bootstraps:
             views[boot.member_id] = server.build_member(boot)
@@ -552,30 +568,14 @@ def _record_snapshots(server):
 @given(
     server_class=st.sampled_from([LkhServer, OftServer, OkdServer]),
     n=st.integers(2, 40),
-    steps=st.lists(
-        st.tuples(st.sampled_from(["join", "leave"]), st.integers(1, 8), st.sampled_from(LAYOUTS)),
-        min_size=1,
-        max_size=10,
-    ),
+    steps=CHURN_STEPS,
     seed=st.integers(0, 2**16),
 )
 def test_recipients_equal_a_fresh_snapshot_under_churn(server_class, n, steps, seed):
     rng = Random(seed)
     server = server_class(members(n), rng)
     sent = _record_snapshots(server)
-    joined = n
-    for seq, (op, m, layout) in enumerate(steps, start=1):
-        if op == "join":
-            ids = [f"u{joined + k}" for k in range(1, m + 1)]
-            joined += m
-        else:
-            m = min(m, server.member_count - 1)
-            if m < 1:
-                continue
-            try:
-                ids = leaver_layout(server.tree, m, layout, rng)
-            except ScenarioError:  # best-half needs a root subtree of m members
-                ids = leaver_layout(server.tree, m, "random", rng)
+    for seq, op, ids in churn_steps(server, rng, steps):
         output, _ = handle(server, rng, seq, op, ids)
         assert len(sent) == len(output.deliveries)
         for delivery, snapshot in sent:
@@ -599,11 +599,7 @@ def test_recipients_equal_a_fresh_snapshot_under_churn(server_class, n, steps, s
 @given(
     server_class=st.sampled_from([LkhServer, OkdServer]),
     n=st.integers(2, 40),
-    steps=st.lists(
-        st.tuples(st.sampled_from(["join", "leave"]), st.integers(1, 8), st.sampled_from(LAYOUTS)),
-        min_size=1,
-        max_size=10,
-    ),
+    steps=CHURN_STEPS,
     seed=st.integers(0, 2**16),
 )
 @example(server_class=LkhServer, n=3, steps=[("leave", 1, "random")], seed=0)
@@ -614,19 +610,7 @@ def test_no_leave_deletes_a_node_on_a_recipients_chain(server_class, n, steps, s
     rng = Random(seed)
     server = server_class(members(n), rng)
     views = build_views(server)
-    joined = n
-    for seq, (op, m, layout) in enumerate(steps, start=1):
-        if op == "join":
-            ids = [f"u{joined + k}" for k in range(1, m + 1)]
-            joined += m
-        else:
-            m = min(m, server.member_count - 1)
-            if m < 1:
-                continue
-            try:
-                ids = leaver_layout(server.tree, m, layout, rng)
-            except ScenarioError:  # best-half needs a root subtree of m members
-                ids = leaver_layout(server.tree, m, "random", rng)
+    for seq, op, ids in churn_steps(server, rng, steps):
         output, _ = handle(server, rng, seq, op, ids)
         for boot in output.bootstraps:
             views[boot.member_id] = server.build_member(boot)
