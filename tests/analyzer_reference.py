@@ -146,8 +146,3 @@ class ReferenceProver:
                     known.add(value)
                     changed = True
         return known, known_codes
-
-    def knows_key(self, key, seed_keys: set[bytes], seed_codes: set[str]) -> bool:
-        data = key.data if isinstance(key, SymKey) else key
-        known, _ = self.reachable(seed_keys, seed_codes)
-        return data in known

@@ -3,7 +3,7 @@
 Each test prints ``C<k>: PASS|FAIL`` with the measured numbers so a plain
 pytest run shows the whole scorecard.  Expected values come from the
 independent oracles in the sibling test modules (cover_oracle in
-tree_reference, fold_oracle) or from closed-form counts checked there;
+tree_reference, fold_oracle in churn) or from closed-form counts checked there;
 nothing here re-derives expected values from the code under test.
 """
 
@@ -25,8 +25,7 @@ from gkms.ckcs import CkcsServer
 from gkms.core import CostMeter, MembershipEvent
 from gkms.harness import generate_random_scenario, parse_scenario, run, sweep
 
-from test_baselines import fold_oracle
-from test_ckcs import deliver
+from churn import deliver, fold_oracle
 from tree_reference import cover_oracle, reference_subtree_members
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"

@@ -2,45 +2,26 @@
 (shortening, exhaustion, confidential reset), and server/member agreement."""
 
 import re
+from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from churn import build_views, churn, deliver, members, random_steps
 from ckcs_reference import reference_fresh_root_code
 from gkms import tree as kt
 from gkms.ckcs import CkcsServer
 from gkms.core import CostMeter, EventError, MembershipEvent, Notice, RekeyMessage
 from gkms.crypto import decode_code, derive, derive_with_code, unwrap
-from gkms.harness import LAYOUTS, ScenarioError, leaver_layout, parse_scenario, run
-from tree_reference import cover_oracle, reference_subtree_members
-
-
-def members(n):
-    return [f"u{i}" for i in range(1, n + 1)]
+from gkms.harness import parse_scenario, run
+from tree_reference import reference_subtree_members
 
 
 def make(n=4, root_code="278", seed=1):
     rng = Random(seed)
     return CkcsServer(members(n), rng, root_code=root_code), rng
-
-
-def deliver(views, output, meter=None):
-    meter = meter or CostMeter()
-    for delivery in output.deliveries:
-        for member_id in delivery.recipients:
-            view = views.get(member_id)
-            if view is None:
-                continue
-            if isinstance(delivery, Notice):
-                view.apply_notice(delivery, meter)
-            else:
-                view.apply_message(delivery, meter)
-
-
-def build_initial_views(server):
-    return {b.member_id: server.build_member(b) for b in server.initial_bootstraps()}
 
 
 # -- initial state ----------------------------------------------------------------
@@ -67,7 +48,7 @@ def test_initial_tree_and_node_keys():
 
 def test_initial_members_agree_with_server():
     server, _ = make(n=8)
-    views = build_initial_views(server)
+    views = build_views(server)
     for view in views.values():
         assert view.group_key == server.group_key
         for entry in view.path[:-1]:
@@ -114,7 +95,7 @@ def test_join_batch_costs_and_structure():
 
 def test_join_delivery_brings_everyone_to_the_new_key():
     server, rng = make(n=4, root_code="278")
-    views = build_initial_views(server)
+    views = build_views(server)
     output = server.handle_event(MembershipEvent(1, "join", ("u5", "u6")), rng, CostMeter())
     for boot in output.bootstraps:
         views[boot.member_id] = server.build_member(boot)
@@ -130,7 +111,7 @@ def test_join_delivery_brings_everyone_to_the_new_key():
 
 def test_joiner_multicast_is_opaque_to_old_members():
     server, rng = make(n=4, root_code="278")
-    views = build_initial_views(server)
+    views = build_views(server)
     output = server.handle_event(
         MembershipEvent(1, "join", ("u5",)), rng, CostMeter()
     )
@@ -146,7 +127,7 @@ def test_joiner_multicast_is_opaque_to_old_members():
 
 def test_repeated_joins_shorten_then_reset_the_root_code():
     server, rng = make(n=4, root_code="27", seed=3)
-    views = build_initial_views(server)
+    views = build_views(server)
     codes_before_reset = set(server.all_codes())
 
     # first join: "27" shortens to "2"
@@ -191,7 +172,7 @@ def test_repeated_joins_shorten_then_reset_the_root_code():
 def test_first_join_onto_single_member_group_starts_a_lineage():
     rng = Random(5)
     server = CkcsServer(["u1"], rng)
-    views = build_initial_views(server)
+    views = build_views(server)
     assert server.tree.root.is_leaf  # no code yet
     output = server.handle_event(MembershipEvent(1, "join", ("u2",)), rng, CostMeter())
     assert len(server.tree.root.code) == kt.ROOT_CODE_LEN
@@ -290,7 +271,7 @@ def test_all_codes_accumulates_history():
 
 def test_leave_spread_uses_the_pre_removal_cover():
     server, rng = make(n=8, root_code="27")
-    views = build_initial_views(server)
+    views = build_views(server)
     expected_cover = kt.compute_cover(server.tree, ["u1", "u4", "u8"])
     old_key = server.group_key
 
@@ -338,7 +319,7 @@ def test_leave_of_a_whole_subtree_needs_one_encryption():
 
 def test_departed_member_cannot_open_the_leave_multicast():
     server, rng = make(n=4, root_code="278")
-    views = build_initial_views(server)
+    views = build_views(server)
     leaver = views["u1"]
     output = server.handle_event(MembershipEvent(1, "leave", ("u1",)), rng, CostMeter())
     (message,) = output.messages
@@ -370,7 +351,7 @@ def test_event_validation_errors():
 
 def test_member_rejects_unknown_traffic():
     server, _ = make(n=4)
-    views = build_initial_views(server)
+    views = build_views(server)
     view = views["u1"]
     bogus = RekeyMessage(
         channel="multicast",
@@ -451,98 +432,29 @@ def test_join_fails_exactly_when_the_joiners_codes_overflow(root_len):
 
 
 
-# -- code invariant under churn ----------------------------------------------------
-
-
-def _separated_code_pairs(tree):
-    """Code pairs of live internal nodes where neither is the other's ancestor."""
-    internal = [node for node in tree.walk() if node.children]
-    above = {node.node_id: set(tree.ancestors(node.node_id)) for node in internal}
-    for i, a in enumerate(internal):
-        for b in internal[i + 1:]:
-            if a.node_id not in above[b.node_id] and b.node_id not in above[a.node_id]:
-                yield a.code, b.code
-
-
-def test_codes_of_separate_subtrees_stay_prefix_disjoint_under_churn():
-    # an ancestor's code need not prefix its descendants' (a fresh lineage
-    # replaces the root code only), but two nodes in separate subtrees must
-    # never hold codes where one prefixes the other
-    pairs = traces = 0
-    for seed in range(150):
-        rng = Random(seed)
-        server = CkcsServer(members(rng.randint(2, 32)), rng)
-        fresh = server.tree.member_count
-        try:
-            for seq in range(1, rng.randint(1, 60) + 1):
-                size = rng.randint(1, 8)
-                if rng.random() < 0.5 and server.tree.member_count > size:
-                    leavers = tuple(rng.sample(server.member_ids, size))
-                    event = MembershipEvent(seq, "leave", leavers)
-                else:
-                    joiners = tuple(f"u{fresh + i}" for i in range(1, size + 1))
-                    fresh += size
-                    event = MembershipEvent(seq, "join", joiners)
-                server.handle_event(event, rng, CostMeter())
-                for a, b in _separated_code_pairs(server.tree):
-                    assert not a.startswith(b) and not b.startswith(a), (seed, seq, a, b)
-                    pairs += 1
-        except kt.CodeSpaceError:
-            continue
-        traces += 1
-    assert traces > 100 and pairs > 50_000, (traces, pairs)
-
-
-# -- per-event costs under churn ---------------------------------------------------
-
-
-def predicted_cost(tree, event):
-    """(keygen, encrypt, unicast, multicast, payload_keys, notices) of one
-    event, from the tree before it.
-
-    A join of m draws m individual keys and steps the group key, wraps it
-    once per joiner, and multicasts those wraps; when the old root is a bare
-    leaf or its code cannot shorten, each of the r old members also gets the
-    fresh root code by unicast.  A leave draws one group key and wraps it
-    once per cover node in one multicast.
-    """
-    if event.op == "join":
-        m, root = len(event.member_ids), tree.root
-        r = tree.member_count if root.is_leaf or len(root.code) < 2 else 0
-        return (m + 1, m + r, r, 1, m + r, 1)
-    cover = len(cover_oracle(tree, list(event.member_ids)))
-    return (1, cover, 0, 1, cover, 0)
+# -- codes and per-event costs under churn ----------------------------------------
 
 
 def test_event_costs_follow_the_pre_event_tree_under_churn():
-    events = resets = 0
-    for seed in range(200):
-        rng = Random(f"ckcs-cost/{seed}")
-        n = rng.randint(1, 32)
-        root_code = rng.choice([None, "5", "27", "278"]) if n > 1 else None
-        server = CkcsServer(members(n), rng, root_code=root_code)
-        fresh = n
-        try:
-            for seq in range(1, 37):
-                size = rng.randint(1, 8)
-                if rng.random() < 0.5 and server.member_count > size:
-                    layout = rng.choice(LAYOUTS)
-                    try:
-                        leavers = leaver_layout(server.tree, size, layout, rng)
-                    except ScenarioError:  # best-half needs a root subtree of m members
-                        leavers = leaver_layout(server.tree, size, "random", rng)
-                    event = MembershipEvent(seq, "leave", tuple(leavers))
-                else:
-                    event = MembershipEvent(seq, "join", tuple(f"u{fresh + i}" for i in range(1, size + 1)))
-                    fresh += size
-                expected = predicted_cost(server.tree, event)
-                meter = CostMeter()
-                server.handle_event(event, rng, meter)
-                got = (meter.keygen, meter.encrypt, meter.unicast)
-                got += (meter.multicast, meter.payload_keys, meter.notices)
-                assert got == expected, (seed, seq, event)
-                events += 1
-                resets += expected[2] > 0
-        except kt.CodeSpaceError:
-            continue
-    assert events > 7000 and resets > 200, (events, resets)
+    # the driver predicts each event's six counts from the tree before it,
+    # and after each event checks that two nodes in separate subtrees never
+    # hold codes where one prefixes the other (an ancestor's code need not
+    # prefix its descendants': a fresh lineage replaces the root code only)
+    total = Counter()
+    for seed in range(210):
+        plan = Random(f"ckcs-churn/{seed}")
+        n = plan.randint(1, 32)
+        root_code = plan.choice([None, "5", "27", "278"]) if n > 1 else None
+        total += churn("ckcs", n, random_steps(plan, 36, 8), seed, root_code, track=False)
+    assert total["events"] > 7000 and total["code_resets"] > 200, total
+    assert total["code_pairs"] > 50_000, total
+
+
+def test_a_churn_that_runs_out_of_codes_ends_with_nothing_changed():
+    # the driver checks that the failing event left the server as it was:
+    # the 80th single join from n=64 finds no fresh root code, and a join
+    # of 16 below a 31-digit root code needs codes of 34 digits
+    out_of_roots = churn("ckcs", 64, [("join", 1, "random")] * 90, seed=1)
+    assert (out_of_roots["events"], out_of_roots["code_space_ends"]) == (79, 1)
+    too_long = churn("ckcs", 4, [("join", 16, "random")], seed=1, root_code="1" * 31)
+    assert (too_long["events"], too_long["code_space_ends"]) == (0, 1)
