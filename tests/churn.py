@@ -28,8 +28,9 @@ invariant below that applies to the protocol:
 A join step adds m fresh members; a leave step takes up to m in ``layout``
 (random where best-half finds no root subtree of that size), clamped so one
 member stays, and is skipped when only one is left.  Steps come from the
-``STEPS`` hypothesis strategy, which shrinks a failing plan to its shortest
-form, or from ``random_steps``.  The driver returns how many of each check
+``STEPS`` hypothesis strategy (or ``SMALL_STEPS``, of shorter plans and
+smaller batches), which shrinks a failing plan to its shortest form, or
+from ``random_steps``.  The driver returns how many of each check
 it made, so a test can assert its coverage.
 """
 
@@ -53,6 +54,11 @@ STEPS = st.lists(
     st.tuples(st.sampled_from(["join", "leave"]), st.integers(1, 8), st.sampled_from(LAYOUTS)),
     min_size=1,
     max_size=10,
+)
+SMALL_STEPS = st.lists(
+    st.tuples(st.sampled_from(["join", "leave"]), st.integers(1, 6), st.sampled_from(LAYOUTS)),
+    min_size=1,
+    max_size=8,
 )
 
 

@@ -4,8 +4,20 @@
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from churn import assert_agreement, build_views, churn, deliver, fold_oracle, members, random_steps
+from churn import (
+    SMALL_STEPS,
+    STEPS,
+    assert_agreement,
+    build_views,
+    churn,
+    deliver,
+    fold_oracle,
+    members,
+    random_steps,
+)
 from gkms.baselines import LkhServer, OftServer, OkdServer
 from gkms.baselines.lkh import LkhMember
 from gkms.core import Bootstrap, CostMeter, EventError, MembershipEvent, RekeyMessage
@@ -212,6 +224,13 @@ def test_oft_leave_splices_and_refreshes_promoted_leaf():
     assert departed.group_key == old_group  # stuck on the pre-leave key
 
 
+def test_oft_fold_invariant_through_churn():
+    # the driver checks the server's fold and a refold from the leaf keys
+    # alone after every event, and that members agree with the server
+    plan = [("join", 2, "random"), ("leave", 1, "random"), ("join", 1, "random"), ("leave", 2, "random")]
+    assert churn("oft", 6, plan, seed=5)["events"] == 4
+
+
 def test_oft_rejects_degenerate_groups():
     rng = Random(6)
     with pytest.raises(EventError):
@@ -219,6 +238,21 @@ def test_oft_rejects_degenerate_groups():
     server = OftServer(members(2), rng)
     with pytest.raises(EventError):
         server.handle_event(MembershipEvent(1, "leave", ("u1", "u2")), rng, CostMeter())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), steps=SMALL_STEPS, seed=st.integers(0, 2**16))
+@example(n=1, steps=[("join", 1, "random"), ("leave", 1, "random")], seed=0)
+@example(
+    n=2,
+    steps=[("join", 6, "random"), ("leave", 6, "worst-spread"), ("leave", 1, "best-half"), ("join", 2, "random")],
+    seed=1,
+)
+def test_oft_members_fold_from_the_lowest_changed_level(n, steps, seed):
+    # the driver checks that after every message a member's unfolded levels
+    # start at or below its path's end, and that after every event its path
+    # is a whole fresh fold that holds the server's keys
+    churn("oft", n, steps, seed)
 
 
 def test_oft_fold_without_a_blind_names_its_level():
@@ -363,3 +397,37 @@ def test_joiners_land_where_a_fresh_scan_says_under_churn(server_class):
         n = plan.randint(2, 30)
         placed += churn(server_class.name, n, random_steps(plan, 20, 24), seed, track=False)["placements"]
     assert placed > 5000
+
+
+# -- recipient addressing under churn --------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol=st.sampled_from(["lkh", "oft", "okd"]),
+    n=st.integers(2, 40),
+    steps=STEPS,
+    seed=st.integers(0, 2**16),
+)
+def test_recipients_equal_a_fresh_snapshot_under_churn(protocol, n, steps, seed):
+    # the driver pairs every delivery with a fresh tuple(tree.members) taken
+    # where its single join or leave stands, with no members tracked
+    churn(protocol, n, steps, seed, track=False)
+
+
+# -- lkh and okd leave structure under churn -------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol=st.sampled_from(["lkh", "okd"]),
+    n=st.integers(2, 40),
+    steps=STEPS,
+    seed=st.integers(0, 2**16),
+)
+@example(protocol="lkh", n=3, steps=[("leave", 1, "random")], seed=0)
+def test_no_leave_deletes_a_node_on_a_recipients_chain(protocol, n, steps, seed):
+    # detach_leaf removes only the leaver's leaf and the ancestors it
+    # empties, so the driver finds no member that stays holding a deleted
+    # node: members read no "deleted" list
+    churn(protocol, n, steps, seed)

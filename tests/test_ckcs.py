@@ -435,6 +435,20 @@ def test_join_fails_exactly_when_the_joiners_codes_overflow(root_len):
 # -- codes and per-event costs under churn ----------------------------------------
 
 
+def test_codes_of_separate_subtrees_stay_prefix_disjoint_under_churn():
+    # an ancestor's code need not prefix its descendants' (a fresh lineage
+    # replaces the root code only), but the driver finds no two nodes in
+    # separate subtrees holding codes where one prefixes the other
+    pairs = traces = 0
+    for seed in range(150):
+        plan = Random(f"ckcs-codes/{seed}")
+        n = plan.randint(2, 32)
+        counts = churn("ckcs", n, random_steps(plan, plan.randint(1, 60), 8), seed, track=False)
+        pairs += counts["code_pairs"]
+        traces += not counts["code_space_ends"]
+    assert traces > 100 and pairs > 50_000, (traces, pairs)
+
+
 def test_event_costs_follow_the_pre_event_tree_under_churn():
     # the driver predicts each event's six counts from the tree before it,
     # and after each event checks that two nodes in separate subtrees never

@@ -6,18 +6,32 @@ hands to each member it builds.  Members look a one-way derivation or an
 unwrap up there under its full inputs before they compute it; the server
 empties the table at the start of every ``handle_event`` and never reads or
 writes an entry.  The churn driver checks this after every event of its
-plans (``churn.py``, invariant (h)); the tests here pin single cases.
+plans (``churn.py``, invariant (h)); the first test feeds it small groups,
+the others pin single cases.
 """
 
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from churn import PROTOCOLS, churn
+from churn import PROTOCOLS, SMALL_STEPS, churn
 from gkms.baselines.lkh import LkhMember
 from gkms.core import Bootstrap, CostMeter, RekeyMessage
 from gkms.crypto import SymKey, UnwrapError, blind, mix, wrap
 from gkms.harness import generate_random_scenario, make_server, run
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 12), steps=SMALL_STEPS, seed=st.integers(0, 2**16))
+@example(n=1, steps=[("join", 1, "random"), ("leave", 1, "random")], seed=0)
+@example(n=9, steps=[("join", 6, "random"), ("join", 5, "random"), ("leave", 4, "worst-spread")], seed=3)
+def test_table_holds_only_this_events_true_derivations(protocol, n, steps, seed):
+    # the driver checks after every event that the server never touched the
+    # table and that every entry is this event's and true to its inputs
+    churn(protocol, n, steps, seed)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
