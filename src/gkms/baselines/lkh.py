@@ -13,6 +13,7 @@ events are processed as a sequence of single joins or leaves.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 from gkms.core import (
     Bootstrap,
@@ -184,26 +185,34 @@ class LkhMember(MemberView):
         if root_key is not None:
             self.group_key = root_key  # learned when it came into self.keys
 
-    def _apply_structure(self, aux: dict) -> None:
-        split = aux.get("split")
-        if split and split["member"] == self.member_id:
-            self.chain.insert(1, split["new_node"])
-            self.chain_set.add(split["new_node"])
+    def _apply_split(self, split: dict) -> None:
+        """This member's leaf was split: the new internal node joins its chain."""
+        self.chain.insert(1, split["new_node"])
+        self.chain_set.add(split["new_node"])
 
-    def apply_message(self, message: RekeyMessage, meter: CostMeter) -> None:
-        self._check_addressed(message)
-        self._apply_structure(message.aux)
-        targets = message.aux["targets"]
-        matched = False
-        # in message order: a key learned from one payload may wrap a later one
-        for payload, target in zip(message.payloads, targets):
-            kek = self.keys.get(payload.kek_id)
-            if kek is None or target not in self.chain_set:
-                continue
-            new_key = self._unwrap(kek, payload)
-            self.keys[target] = new_key
-            self.knowledge.learn_key(new_key)
-            matched = True
-        if not matched:
-            self.unwrap_misses += 1
-        self._refresh_group_key()
+    @classmethod
+    def receive_message(cls, message: RekeyMessage, views: Sequence[LkhMember], meter: CostMeter) -> None:
+        aux = message.aux
+        split = aux.get("split")
+        split_member = split["member"] if split else None
+        # a list, not an iterator: every view scans all of it, in message
+        # order, since a key learned from one payload may wrap a later one
+        targets = [
+            (payload.kek_id, target, payload) for payload, target in zip(message.payloads, aux["targets"])
+        ]
+        for view in views:
+            if view.member_id == split_member:
+                view._apply_split(split)
+            keys = view.keys
+            chain_set = view.chain_set
+            matched = False
+            for kek_id, target, payload in targets:
+                if target not in chain_set or kek_id not in keys:
+                    continue
+                new_key = view._unwrap(keys[kek_id], payload)
+                keys[target] = new_key
+                view.knowledge.learn_key(new_key)
+                matched = True
+            if not matched:
+                view.unwrap_misses += 1
+            view._refresh_group_key()

@@ -20,6 +20,7 @@ already knows.  Batch events run as a sequence of single joins or leaves.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 from gkms.core import (
     Bootstrap,
@@ -32,7 +33,7 @@ from gkms.core import (
     RosterView,
     ServerProtocol,
 )
-from gkms.crypto import SymKey, blind, mix, random_key, random_keys, wrap
+from gkms.crypto import SymKey, WrappedKey, blind, mix, random_key, random_keys, wrap
 from gkms.tree import KeyTree, Node, build_balanced, remove_leaves
 
 
@@ -60,13 +61,6 @@ class OftServer(ServerProtocol):
         """The mix of the blinded keys of an internal node's two children."""
         left, right = (self.tree.node(c) for c in node.children)
         return mix(blind(left.key), blind(right.key))
-
-    def check_fold_invariant(self) -> bool:
-        """True when every internal key equals the mix of its children's blinds."""
-        for node in self.tree.walk():
-            if not node.is_leaf and node.key != self._folded(node):
-                return False
-        return True
 
     # -- event handling ---------------------------------------------------
 
@@ -320,19 +314,19 @@ class OftMember(MemberView):
         meter.member_derivations += 2 * len(path)
         self.group_key = key  # learned by the fold that computed it
 
-    def _apply_structure(self, aux: dict) -> None:
-        split = aux.get("split")
-        if split and split["member"] == self.member_id:
-            self.chain.insert(1, split["new_node"])
-            self.siblings.insert(0, split["joiner_leaf"])
-            self.sides.insert(0, split["joiner_side"])
-            self.blinds.insert(0, None)
-            self._dirty = 0
-            self._index_chain()
-        deleted = aux.get("deleted")
-        if not deleted or (self.pos.keys().isdisjoint(deleted) and set(deleted).isdisjoint(self.siblings)):
+    def _apply_split(self, split: dict) -> None:
+        """This member's leaf was split: a new level below its old first."""
+        self.chain.insert(1, split["new_node"])
+        self.siblings.insert(0, split["joiner_leaf"])
+        self.sides.insert(0, split["joiner_side"])
+        self.blinds.insert(0, None)
+        self._dirty = 0
+        self._index_chain()
+
+    def _apply_splice(self, deleted: set[int]) -> None:
+        """Drop the levels a leave's splice removed from this member's path."""
+        if self.pos.keys().isdisjoint(deleted) and deleted.isdisjoint(self.siblings):
             return  # the splice is off this member's levels
-        deleted = set(deleted)
         for i in reversed(range(len(self.siblings))):
             if self.chain[i + 1] in deleted:
                 # my former ancestor was spliced out
@@ -346,30 +340,29 @@ class OftMember(MemberView):
             self._dirty = min(self._dirty, i)
         self._index_chain()
 
-    def _apply_refresh(self, message: RekeyMessage, meter: CostMeter) -> None:
-        self._apply_structure(message.aux)
-        payload = message.payloads[0]
+    def _apply_refresh(self, payload: WrappedKey, fold: bool, meter: CostMeter) -> None:
         if payload.kek_id != self.leaf_id:
             self.unwrap_misses += 1
             return
         self.individual_key = self._unwrap(self.individual_key, payload)
         self.knowledge.learn_key(self.individual_key)
         self._dirty = 0
-        if message.aux.get("fold", False):
+        if fold:
             self._fold(meter)
 
-    def apply_message(self, message: RekeyMessage, meter: CostMeter) -> None:
-        self._check_addressed(message)
-        aux = message.aux
-        if aux.get("op") == "refresh":
-            self._apply_refresh(message, meter)
-            return
-        self._apply_structure(aux)
-        for payload, target in zip(message.payloads, aux["targets"]):
+    def _apply_adverts(self, targets: list[tuple[int, int, WrappedKey]]) -> None:
+        """Take the new blinds this member's levels need from the adverts,
+        given as ``(kek_id, target, payload)`` in message order."""
+        pos = self.pos
+        siblings = self.siblings
+        top = len(siblings)
+        for kek_id, target, payload in targets:
             # an advert keyed under a chain node below the root carries the
             # new blind of that node's sibling, so it fills the node's level
-            index = self.pos.get(payload.kek_id)
-            if index is None or index == len(self.siblings):
+            if kek_id not in pos:
+                continue
+            index = pos[kek_id]
+            if index == top:
                 continue
             if index:
                 kek = self.path[index - 1]
@@ -380,17 +373,39 @@ class OftMember(MemberView):
                     # also sets every level's blind, so the fold that follows
                     # computes this key; it is left wrapped
                     continue
-                if target in self.siblings:
+                if target in siblings:
                     # the joiner bundle keys every level under the leaf and
                     # names it by its sibling
-                    index = self.siblings.index(target)
-            self.siblings[index] = target
+                    index = siblings.index(target)
+            siblings[index] = target
             self.blinds[index] = blinded = self._unwrap(kek, payload)
             self.knowledge.learn_key(blinded)
             self._dirty = min(self._dirty, index)
-        if self._dirty < len(self.siblings):
-            self._fold(meter)
-        elif aux.get("refresh_leaf") != self.leaf_id:
-            # the refreshed member was fully served by its unicast; anyone
-            # else should always find at least one decryptable advert
-            self.unwrap_misses += 1
+
+    @classmethod
+    def receive_message(cls, message: RekeyMessage, views: Sequence[OftMember], meter: CostMeter) -> None:
+        aux = message.aux
+        split = aux.get("split")
+        split_member = split["member"] if split else None
+        deleted = set(aux.get("deleted", ()))
+        refresh = aux.get("op") == "refresh"
+        fold = aux.get("fold", False)
+        refresh_leaf = aux.get("refresh_leaf")
+        targets = [
+            (payload.kek_id, target, payload) for payload, target in zip(message.payloads, aux["targets"])
+        ]
+        for view in views:
+            if view.member_id == split_member:
+                view._apply_split(split)
+            if deleted:
+                view._apply_splice(deleted)
+            if refresh:
+                view._apply_refresh(message.payloads[0], fold, meter)
+                continue
+            view._apply_adverts(targets)
+            if view._dirty < len(view.siblings):
+                view._fold(meter)
+            elif refresh_leaf != view.leaf_id:
+                # the refreshed member was fully served by its unicast; anyone
+                # else should always find at least one decryptable advert
+                view.unwrap_misses += 1

@@ -19,6 +19,7 @@ them wrapped under child keys, as in the key hierarchy.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 from gkms.baselines.lkh import LkhMember, LkhServer
 from gkms.core import (
@@ -116,21 +117,26 @@ class OkdMember(LkhMember):
     derivation table, under the old key before it is hashed.
     """
 
-    def apply_notice(self, notice: Notice, meter: CostMeter) -> None:
-        self._check_addressed(notice)
+    @classmethod
+    def receive_notice(cls, notice: Notice, views: Sequence[OkdMember], meter: CostMeter) -> None:
         aux = notice.aux
         split = aux.get("split")
         new_node = split["new_node"] if split else None
-        for node_id in aux["chain"]:
-            if node_id == new_node:
-                continue  # fresh node: its key travels by unicast, not stepping
-            old = self.keys.get(node_id)
-            if old is None:
-                continue
-            new = self.derivations.get(old.data)
-            if new is None:
-                new = self.derivations[old.data] = derive(old)
-            self.keys[node_id] = new
-            meter.member_derivations += 1
-            self.knowledge.learn_key(new)
-        self._refresh_group_key()
+        # a fresh node's key travels by unicast, not stepping
+        stepped = [node_id for node_id in aux["chain"] if node_id != new_node]
+        derivations_made = 0
+        for view in views:
+            keys = view.keys
+            derivations = view.derivations
+            for node_id in stepped:
+                old = keys.get(node_id)
+                if old is None:
+                    continue
+                new = derivations.get(old.data)
+                if new is None:
+                    new = derivations[old.data] = derive(old)
+                keys[node_id] = new
+                derivations_made += 1
+                view.knowledge.learn_key(new)
+            view._refresh_group_key()
+        meter.member_derivations += derivations_made

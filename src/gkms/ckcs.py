@@ -19,6 +19,7 @@ publishing them breaks forward secrecy.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from random import Random
 
 from gkms import tree as kt
@@ -36,6 +37,7 @@ from gkms.core import (
 from gkms.crypto import (
     KEY_LEN,
     SymKey,
+    WrappedKey,
     decode_code,
     derive,
     derive_with_code,
@@ -306,11 +308,15 @@ class CkcsMember(MemberView):
             self.middle_keys[entry.node_id] = key
             self.knowledge.learn_key(key)
 
-    def apply_notice(self, notice: Notice, meter) -> None:
+    @classmethod
+    def receive_notice(cls, notice: Notice, views: Sequence[CkcsMember], meter) -> None:
         if notice.kind != "join":
             raise EventError(f"unexpected notice kind {notice.kind!r}")
-        self._check_addressed(notice)
         new_root_id = notice.aux["new_root"]
+        for view in views:
+            view._apply_join_notice(new_root_id, meter)
+
+    def _apply_join_notice(self, new_root_id: int, meter) -> None:
         if self._pending_root is not None and self._pending_root.node_id == new_root_id:
             entry = self._pending_root
             self._pending_root = None
@@ -330,44 +336,48 @@ class CkcsMember(MemberView):
         self._learn_group_key(new)
         self._recompute_middle_keys(meter)
 
-    def apply_message(self, message: RekeyMessage, meter) -> None:
-        self._check_addressed(message)
+    @classmethod
+    def receive_message(cls, message: RekeyMessage, views: Sequence[CkcsMember], meter) -> None:
         op = message.aux.get("op")
+        payloads = message.payloads
         if op == "join":
-            self._apply_join_delivery(message, meter)
+            for view in views:
+                view._apply_join_delivery(payloads, meter)
         elif op == "leave":
-            self._apply_leave(message, meter)
+            deleted = set(message.aux["deleted"])
+            for view in views:
+                view._apply_leave(payloads, deleted, meter)
         elif op == "code_reset":
-            self._apply_code_reset(message)
+            new_root_id = message.aux["new_root"]
+            for view in views:
+                view._apply_code_reset(payloads[0], new_root_id)
         else:
             raise EventError(f"unexpected message op {op!r}")
 
-    def _apply_code_reset(self, message: RekeyMessage) -> None:
+    def _apply_code_reset(self, payload: WrappedKey, new_root_id: int) -> None:
         """A fresh root code, individually wrapped; held until the join notice
         names the node it belongs to."""
-        payload = message.payloads[0]
         if payload.kek_id != self.leaf_id:
             self.unwrap_misses += 1
             return
         code = decode_code(self._unwrap(self.individual_key, payload).data)
-        self._pending_root = kt.PathEntry(message.aux["new_root"], code)
+        self._pending_root = kt.PathEntry(new_root_id, code)
         self.knowledge.learn_code(code)
 
-    def _apply_join_delivery(self, message: RekeyMessage, meter) -> None:
-        for payload in message.payloads:
+    def _apply_join_delivery(self, payloads: tuple[WrappedKey, ...], meter) -> None:
+        for payload in payloads:
             if payload.kek_id == self.leaf_id:
                 self._learn_group_key(self._unwrap(self.individual_key, payload))
                 self._recompute_middle_keys(meter)
                 return
         self.unwrap_misses += 1
 
-    def _apply_leave(self, message: RekeyMessage, meter) -> None:
-        deleted = set(message.aux["deleted"])
+    def _apply_leave(self, payloads: tuple[WrappedKey, ...], deleted: set[int], meter) -> None:
         if deleted:
             self.path = [e for e in self.path if e.node_id not in deleted]
             for node_id in deleted:
                 self.middle_keys.pop(node_id, None)
-        for payload in message.payloads:
+        for payload in payloads:
             kek: SymKey | None = None
             if payload.kek_id == self.leaf_id:
                 kek = self.individual_key

@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 from abc import ABC, abstractmethod
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
@@ -119,13 +120,9 @@ class _Addressed:
 
     @cached_property
     def recipient_set(self) -> frozenset[str]:
-        """The recipients as a set, built once for every member's check."""
+        """The recipients as a set, built on the first direct member check;
+        the batched delivery of ``MemberView.deliver`` never needs it."""
         return frozenset(self.recipients)
-
-    def drop_recipient_set(self) -> None:
-        """Forget the recipient set: once every recipient has the delivery,
-        it only costs memory.  A later check builds it again."""
-        vars(self).pop("recipient_set", None)
 
 
 @dataclass(frozen=True)
@@ -334,11 +331,48 @@ class MemberView(ABC):
                 f"message not addressed to {self.member_id}: {tuple(delivery.recipients)}"
             )
 
-    @abstractmethod
-    def apply_message(self, message: RekeyMessage, meter) -> None: ...
+    @staticmethod
+    def deliver(delivery: RekeyMessage | Notice, members: Mapping[str, MemberView], meter) -> None:
+        """Apply one delivery to every recipient that ``members`` tracks, in
+        recipient order, with one call on their class.
+
+        The views are looked up by the delivery's own recipients, so only
+        an addressed member can be reached; a recipient ``members`` does not
+        hold (departed or untracked) is skipped.  Every view of one
+        ``members`` map comes from one server, so they share a class.
+        """
+        get = members.get
+        views = [view for run in delivery.recipient_runs() for view in map(get, run) if view is not None]
+        if not views:
+            return
+        if isinstance(delivery, Notice):
+            type(views[0]).receive_notice(delivery, views, meter)
+        else:
+            type(views[0]).receive_message(delivery, views, meter)
+
+    def apply_message(self, message: RekeyMessage, meter) -> None:
+        """Apply one message to this member alone, after checking that it is
+        addressed to it."""
+        self._check_addressed(message)
+        self.receive_message(message, (self,), meter)
 
     def apply_notice(self, notice: Notice, meter) -> None:
-        raise EventError(f"{type(self).__name__} does not handle notices")
+        """Apply one notice to this member alone, after checking that it is
+        addressed to it."""
+        self._check_addressed(notice)
+        self.receive_notice(notice, (self,), meter)
+
+    @classmethod
+    @abstractmethod
+    def receive_message(cls, message: RekeyMessage, views: Sequence[MemberView], meter) -> None:
+        """Apply one message to ``views``, recipients of it of this class, in
+        order.  The message is parsed once; each view then does only its own
+        work."""
+
+    @classmethod
+    def receive_notice(cls, notice: Notice, views: Sequence[MemberView], meter) -> None:
+        """Apply one notice to ``views`` as :meth:`receive_message` does."""
+        raise EventError(f"{cls.__name__} does not handle notices")
 
     def _learn_group_key(self, key: SymKey) -> None:
         self.group_key = key

@@ -481,8 +481,8 @@ def _deliver(trace: TraceRecord, event: MembershipEvent, output: EventOutput, me
     """Hand the event's output to the tracked members, in emission order.
 
     Members count their derivations on ``meter``, the event's own meter.
-    Each delivery's recipient set is dropped once its recipients have it;
-    the trace keeps only the delivery.
+    Each delivery reaches all of its tracked recipients in one
+    ``MemberView.deliver`` call.
     """
     seq = event.seq
     for boot in output.bootstraps:
@@ -493,15 +493,7 @@ def _deliver(trace: TraceRecord, event: MembershipEvent, output: EventOutput, me
             trace.departed[member] = trace.members.pop(member)
             trace.leave_epoch[member] = seq
     for delivery in output.deliveries:
-        for recipient in delivery.recipients:
-            view = trace.members.get(recipient)
-            if view is None:
-                continue  # departed or untracked
-            if isinstance(delivery, Notice):
-                view.apply_notice(delivery, meter)
-            else:
-                view.apply_message(delivery, meter)
-        delivery.drop_recipient_set()
+        MemberView.deliver(delivery, trace.members, meter)
 
 
 def _run_probe(trace: TraceRecord, probe_rng: Random, seq: int) -> None:

@@ -15,11 +15,12 @@ invariant below that applies to the protocol:
 (d) ckcs: no code of a live internal node prefixes the code of another
     that is neither its ancestor nor its descendant;
 (e) ckcs: the six counts equal ``predicted_cost`` of the pre-event tree;
-(f) oft: the fold holds: ``check_fold_invariant()``, a refold from the leaf
-    keys alone, ``_dirty <= len(path)`` after every message, and each
-    member's path is a fresh fold of its own levels holding the server's
-    keys;
-(g) lkh, okd: no leave deletes a node on a recipient's chain;
+(f) oft: the fold holds: ``fold_oracle``, a refold from the leaf keys
+    alone, matches every internal node, ``_dirty <= len(path)`` holds for
+    every recipient after every message, and each member's path is a fresh
+    fold of its own levels holding the server's keys;
+(g) lkh, okd: no leave deletes a node on a recipient's chain, checked on
+    every recipient before the leave message reaches them;
 (h) the derivation table is cleared once per event, the server never
     touches it, and every entry is this event's and equals a recomputation
     of its inputs; without tracked members it stays empty;
@@ -32,6 +33,11 @@ member stays, and is skipped when only one is left.  Steps come from the
 smaller batches), which shrinks a failing plan to its shortest form, or
 from ``random_steps``.  The driver returns how many of each check
 it made, so a test can assert its coverage.
+
+Members get each delivery as a tracked run hands it to them: all of its
+recipients in one ``MemberView.deliver`` call (``deliver``).
+``deliver_one_by_one`` hands it over member by member instead, through
+``apply_message`` and ``apply_notice``, to compare the two.
 """
 
 from collections import Counter
@@ -42,7 +48,7 @@ from hypothesis import strategies as st
 
 from gkms import core
 from gkms import tree as kt
-from gkms.core import CostMeter, MembershipEvent, Notice, RosterView
+from gkms.core import CostMeter, MembershipEvent, MemberView, Notice, RosterView
 from gkms.crypto import SymKey, WrappedKey, blind, derive, derive_with_code, mix, unwrap
 from gkms.harness import LAYOUTS, ScenarioError, leaver_layout, make_server
 from tree_reference import assert_insert_matches_reference, cover_oracle
@@ -80,6 +86,16 @@ def build_views(server):
 
 
 def deliver(views, output, meter=None):
+    """Hand ``output`` to ``views`` as a tracked run does: each delivery to
+    all of its recipients in ``views`` with one ``MemberView.deliver`` call."""
+    meter = meter or CostMeter()
+    for delivery in output.deliveries:
+        MemberView.deliver(delivery, views, meter)
+
+
+def deliver_one_by_one(views, output, meter=None):
+    """Hand ``output`` to ``views`` member by member, through each view's
+    own ``apply_message`` or ``apply_notice``, in recipient order."""
     meter = meter or CostMeter()
     for delivery in output.deliveries:
         for view in filter(None, map(views.get, delivery.recipients)):
@@ -97,16 +113,22 @@ def assert_agreement(server, views):
 
 
 def fold_oracle(tree):
-    """Recompute the root key from leaf keys only (ignores stored internals)."""
+    """Refold an oft tree from its leaf keys alone, check every internal
+    node's stored key against the refold, and return the refolded root key.
 
-    def go(node_id):
-        node = tree.node(node_id)
+    In reverse preorder every child comes before its parent, so one pass
+    folds each internal node from its children's refolded keys, never from
+    a stored internal key.
+    """
+    folded = {}
+    for node in reversed(list(tree.walk())):
         if node.is_leaf:
-            return node.key
+            folded[node.node_id] = node.key
+            continue
         left, right = node.children
-        return mix(blind(go(left)), blind(go(right)))
-
-    return go(tree.root_id)
+        folded[node.node_id] = key = mix(blind(folded[left]), blind(folded[right]))
+        assert node.key == key, f"internal node {node.node_id} breaks the fold"
+    return folded[tree.root_id]
 
 
 def reference_path(individual_key, blinds, sides):
@@ -269,6 +291,26 @@ def _assert_oft_paths(server, views):
         assert view.path == [server.node_key(i) for i in view.chain[1:]]
 
 
+def plan_events(server, n, steps, rng):
+    """The events ``steps`` make of a server founded with ``n`` members,
+    each built from the server as the previous event left it; leavers are
+    drawn from ``rng``."""
+    joined = n
+    for seq, (op, m, layout) in enumerate(steps, start=1):
+        if op == "join":
+            ids = [f"u{joined + k}" for k in range(1, m + 1)]
+            joined += m
+        else:
+            m = min(m, server.member_count - 1)
+            if m < 1:
+                continue
+            try:
+                ids = leaver_layout(server.tree, m, layout, rng)
+            except ScenarioError:
+                ids = leaver_layout(server.tree, m, "random", rng)
+        yield MembershipEvent(seq, op, tuple(ids))
+
+
 def churn(protocol, n, steps, seed, root_code=None, track=True) -> Counter:
     """Run ``steps`` on a fresh ``protocol`` server of ``n`` members, seeded
     with ``seed``, checking every invariant of the module docstring after
@@ -287,20 +329,8 @@ def churn(protocol, n, steps, seed, root_code=None, track=True) -> Counter:
         return assert_insert_matches_reference(tree, member)
 
     with mock.patch.object(core, "insert_leaf", checked_insert):
-        joined = n
-        for seq, (op, m, layout) in enumerate(steps, start=1):
-            if op == "join":
-                ids = [f"u{joined + k}" for k in range(1, m + 1)]
-                joined += m
-            else:
-                m = min(m, server.member_count - 1)
-                if m < 1:
-                    continue
-                try:
-                    ids = leaver_layout(server.tree, m, layout, rng)
-                except ScenarioError:
-                    ids = leaver_layout(server.tree, m, "random", rng)
-            event = MembershipEvent(seq, op, tuple(ids))
+        for event in plan_events(server, n, steps, rng):
+            seq = event.seq
             if protocol == "ckcs":
                 expected = predicted_cost(server.tree, event)
                 before = _ckcs_state(server, rng)
@@ -329,24 +359,22 @@ def churn(protocol, n, steps, seed, root_code=None, track=True) -> Counter:
                 counts["code_resets"] += expected[2] > 0
                 counts["code_pairs"] += assert_codes_prefix_disjoint(server.tree)
             if protocol == "oft":  # (f)
-                assert server.check_fold_invariant()
                 assert fold_oracle(server.tree) == server.group_key
             if track:
                 for boot in output.bootstraps:
                     views[boot.member_id] = server.build_member(boot)
-                for gone in ids if op == "leave" else ():
+                for gone in event.member_ids if event.op == "leave" else ():
                     views.pop(gone)
                 meter = CostMeter()
                 for delivery in output.deliveries:
-                    for view in filter(None, map(views.get, delivery.recipients)):
-                        if isinstance(delivery, Notice):
-                            view.apply_notice(delivery, meter)
-                            continue
-                        if protocol in ("lkh", "okd") and delivery.aux["op"] == "leave":  # (g)
+                    recipients = list(filter(None, map(views.get, delivery.recipients)))
+                    if protocol in ("lkh", "okd") and delivery.aux["op"] == "leave":  # (g)
+                        for view in recipients:
                             assert view.chain_set.isdisjoint(delivery.aux["deleted"]), (seq, view.member_id)
-                        view.apply_message(delivery, meter)
-                        if protocol == "oft":  # (f)
-                            assert view._dirty <= len(view.path)
+                    MemberView.deliver(delivery, views, meter)
+                    if protocol == "oft":  # (f)
+                        for view in recipients:
+                            assert view._dirty <= len(view.path), (seq, view.member_id)
                 assert_agreement(server, views)  # (a)
                 if protocol == "oft":  # (f)
                     _assert_oft_paths(server, views)
