@@ -20,6 +20,7 @@ already knows.  Batch events run as a sequence of single joins or leaves.
 from __future__ import annotations
 
 import random
+from collections import deque
 from collections.abc import Sequence
 
 from gkms.core import (
@@ -206,9 +207,9 @@ class OftServer(ServerProtocol):
         return [n.node_id for n in chain]
 
     def _first_leaf_below(self, node_id: int) -> Node:
-        queue = [node_id]
+        queue = deque([node_id])
         while queue:
-            node = self.tree.node(queue.pop(0))
+            node = self.tree.node(queue.popleft())
             if node.is_leaf:
                 return node
             queue.extend(node.children)

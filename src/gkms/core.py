@@ -63,8 +63,8 @@ class RosterView:
     tuple and its ``cuts`` list, so a batch of m single joins or leaves
     copies the membership once, not m times.  A view iterates as the tuple
     a fresh ``tuple(tree.members)`` gave at that single join or leave; it
-    is read through :meth:`runs`, C-level slices of ``members``, never a
-    Python-level filter over the members.
+    is read through :meth:`spans`, ranges of ``members``, or :meth:`runs`,
+    C-level slices of it, never a Python-level filter over the members.
     """
 
     __slots__ = ("members", "present", "cuts", "gone")
@@ -81,21 +81,25 @@ class RosterView:
         self.cuts = cuts
         self.gone = gone
 
-    def runs(self) -> list[tuple[str, ...]]:
-        """The view as the non-empty slices of ``members`` between the
-        members gone so far, in order."""
-        members = self.members
+    def spans(self) -> list[tuple[int, int]]:
+        """The view as the non-empty ``[start, end)`` ranges of ``members``
+        between the members gone so far, in order."""
         gone = self.gone
-        runs = []
+        spans = []
         start = 0
         for cut, index in self.cuts:
             if index < gone:
                 if start < cut:
-                    runs.append(members[start:cut])
+                    spans.append((start, cut))
                 start = cut + 1
         if start < self.present:
-            runs.append(members[start : self.present])
-        return runs
+            spans.append((start, self.present))
+        return spans
+
+    def runs(self) -> list[tuple[str, ...]]:
+        """The view as the slices of ``members`` that :meth:`spans` names."""
+        members = self.members
+        return [members[start:end] for start, end in self.spans()]
 
     def __iter__(self):
         return itertools.chain.from_iterable(self.runs())

@@ -24,6 +24,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from random import Random
 
 from gkms.baselines import LkhServer, OftServer, OkdServer
@@ -35,11 +36,12 @@ from gkms.core import (
     MemberView,
     Notice,
     RekeyMessage,
+    RosterView,
     ServerProtocol,
     csv_row,
 )
 from gkms.crypto import KEY_LEN, SymKey, UnwrapError, random_key, unwrap, wrap
-from gkms.tree import KeyTree
+from gkms.tree import KeyTree, Node
 
 OPS = ("join", "leave")
 LAYOUTS = ("random", "best-half", "worst-spread")
@@ -287,56 +289,53 @@ def _worst_spread(tree: KeyTree, m: int) -> list[str]:
     """Greedy max-untainted-path picks, ties to the lowest registration index.
 
     Each pick taints its leaf's whole root path, so the tainted set is closed
-    upward and a leaf's gain (untainted nodes on its path) is its depth minus
-    the depth of its deepest tainted ancestor.  All leaves under one untainted
-    child of a tainted node therefore share that ancestor, and the best of
-    them is the subtree's deepest leaf.  A heap holds these frontier subtrees
-    keyed by (-gain, registration index) of their best leaf; a pick pops the
-    top and pushes the off-path children of the path it taints.  That is
+    upward.  Below an untainted child of a tainted node (or the untainted
+    root) every node is untainted, so a leaf's gain (untainted nodes on its
+    path) is its depth below that child plus one, and the best leaf of the
+    subtree is its deepest.  One reverse pass over a preorder list gives each
+    node the key ``(-(height + 1), registration index)`` of its best leaf,
+    height being that leaf's depth below the node, packed into one int as
+    ``index - (height + 1)·n`` for n members: a leaf's is ``index - n``, an
+    internal node's the smallest of its children's less n.  A frontier
+    subtree's key thus orders it by its best leaf's (-gain, registration
+    index) as it stands, with no depth arithmetic, and ``key % n`` names that
+    leaf's member.  A heap holds the frontier under those keys; a pick pops
+    the top and pushes the off-path children of the path it taints.  That is
     O(n) set-up plus O(depth·arity·log n) per pick.  Memberless leaves are
     never picked.
     """
     nodes = tree.nodes
-    registration = {member: index for index, member in enumerate(tree.members)}
-    depth = {tree.root_id: 0}
-    top_down: list[int] = []  # every node after its parent
+    members = tree.members
+    n = len(members)
+    registration = dict(zip(members, range(n)))
+    top_down: list[Node] = []  # every node after its parent
     stack = [tree.root_id]
     while stack:
-        node_id = stack.pop()
-        top_down.append(node_id)
-        child_depth = depth[node_id] + 1
-        for child_id in nodes[node_id].children:
-            depth[child_id] = child_depth
-            stack.append(child_id)
-    # best[node] = (-depth, registration index, leaf id) of its subtree's best leaf
-    best: dict[int, tuple[int, int, int]] = {}
-    for node_id in reversed(top_down):
-        node = nodes[node_id]
+        node = nodes[stack.pop()]
+        top_down.append(node)
+        stack.extend(node.children)
+    best: dict[int, int] = {}
+    get = best.get
+    for node in reversed(top_down):
         if node.children:
-            ranked = [best[c] for c in node.children if c in best]
-            if ranked:
-                best[node_id] = min(ranked)
+            key = min(map(get, node.children, repeat(0)))  # 0: no member below
+            if key < 0:
+                best[node.node_id] = key - n
         elif node.member is not None:
-            best[node_id] = (-depth[node_id], registration[node.member], node_id)
+            best[node.node_id] = registration[node.member] - n
 
-    frontier: list[tuple[int, int, int, int]] = []
-
-    def push(child_id: int, parent_depth: int) -> None:
-        if child_id in best:
-            neg_depth, index, leaf_id = best[child_id]
-            heapq.heappush(frontier, (neg_depth + parent_depth, index, leaf_id, child_id))
-
-    push(tree.root_id, -1)  # type: ignore[arg-type]
+    frontier = [(best[tree.root_id], tree.root_id)]  # type: ignore[index]
     chosen: list[str] = []
     for _ in range(m):
-        _, _, leaf_id, top = heapq.heappop(frontier)
-        chosen.append(nodes[leaf_id].member)  # type: ignore[arg-type]
-        below, node_id = leaf_id, leaf_id
+        key, top = heapq.heappop(frontier)
+        member = members[key % n]
+        chosen.append(member)
+        below = node_id = tree.leaf_of(member).node_id
         while node_id != top:
             node_id = nodes[node_id].parent  # type: ignore[assignment]
             for child_id in nodes[node_id].children:
-                if child_id != below:
-                    push(child_id, depth[node_id])
+                if child_id != below and child_id in best:
+                    heapq.heappush(frontier, (best[child_id], child_id))
             below = node_id
     return chosen
 
@@ -553,6 +552,23 @@ def _run_probe(trace: TraceRecord, probe_rng: Random, seq: int) -> None:
 _DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+def _encoded_roster(members: tuple[str, ...]) -> tuple[memoryview, list[int]]:
+    """A batch roster's ids joined by ``","`` and encoded once, with the
+    length of the first ``i`` ids, separators left out, at ``offsets[i]``.
+
+    Id ``i`` starts at character ``offsets[i] + 3i``.  Characters are bytes
+    because every member id in a trace is ASCII (see :func:`_trace_digest`).
+    """
+    return memoryview('","'.join(members).encode()), list(accumulate(map(len, members), initial=0))
+
+
+def _span_bytes(encoded: memoryview, offsets: list[int], spans: list[tuple[int, int]]) -> list[memoryview]:
+    """Each ``[a, b)`` span of a roster as the slice of its
+    :func:`_encoded_roster` bytes that holds ids ``a`` to ``b - 1`` and the
+    separators between them: no id is joined or encoded again."""
+    return [encoded[offsets[a] + 3 * a : offsets[b] + 3 * b - 3] for a, b in spans]
+
+
 def _trace_digest(trace: TraceRecord) -> str:
     """Stable digest over costs and wire bytes; replays must reproduce it.
 
@@ -569,10 +585,19 @@ def _trace_digest(trace: TraceRecord) -> str:
     key, and a quoted key can only occur unescaped where it is a key, so
     splitting the encoded event at ``"recipients":[]`` finds exactly one
     place per delivery.
+
+    The id lists are the bulk of the bytes.  A sequential batch's
+    deliveries address :class:`RosterView` spans of one shared roster, so
+    that roster is joined and encoded once per batch
+    (:func:`_encoded_roster`) and each span is hashed as a slice of those
+    bytes: one O(n) join per batch and, per delivery, a walk over the
+    batch's cuts, not a join of O(n) ids per delivery.  Tuple recipients
+    (unicasts, ckcs messages and notices) are joined as they stand.
     """
     digest = hashlib.sha256(b"[")
     update = digest.update
     separator = b""
+    roster = None
     for record in trace.events:
         sent = record.output.deliveries
         deliveries = []
@@ -607,14 +632,19 @@ def _trace_digest(trace: TraceRecord) -> str:
         head, *tails = _DIGEST_ENCODER.encode(event).split('"recipients":[]')
         update(separator + head.encode())
         for delivery, tail in zip(sent, tails, strict=True):
-            runs = delivery.recipient_runs()
-            # the id list is the bulk of the bytes: hash it a run of the
-            # shared roster at a time rather than copy it into a larger string
+            recipients = delivery.recipients
+            if isinstance(recipients, RosterView):
+                if recipients.members is not roster:
+                    roster = recipients.members
+                    encoded, offsets = _encoded_roster(roster)
+                first, *rest = _span_bytes(encoded, offsets, recipients.spans())
+            else:
+                first, rest = '","'.join(recipients).encode(), ()
             update(b'"recipients":["')
-            update('","'.join(runs[0]).encode())
-            for run in runs[1:]:
+            update(first)
+            for piece in rest:
                 update(b'","')
-                update('","'.join(run).encode())
+                update(piece)
             update(b'"]' + tail.encode())
         separator = b","
     digest.update(b"]")

@@ -182,6 +182,7 @@ def test_roster_views_read_as_the_tuples_they_stand_for(n, data):
         view = RosterView(members, present, cuts, gone)
         expected = tuple(m for m in members[:present] if m not in leavers[:gone])
         runs = view.runs()
+        assert runs == [members[start:end] for start, end in view.spans()]
         assert tuple(member for run in runs for member in run) == expected
         for run in runs:  # each run is a non-empty slice of the members
             start = members.index(run[0])

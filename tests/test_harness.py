@@ -7,7 +7,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from churn import fold_oracle
@@ -334,6 +334,31 @@ def test_worst_spread_matches_reference_greedy_up_to_n_minus_1(protocol):
             assert leaver_layout(tree, m, "worst-spread", Random(0)) == reference_worst_spread(tree, m)
 
 
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_worst_spread_matches_reference_greedy_at_benchmark_scale(protocol):
+    # the trees a 2048-member untracked replay leaves after 20 alternating
+    # batches of 16, deep and uneven after a worst-spread and a best-half leave
+    scenario = generate_churn_scenario(protocol, 2048, 20, 2801, (16,))
+    tree = run(scenario, track_members=False).server.tree
+    assert tree.member_count == 2048
+    assert leaver_layout(tree, 16, "worst-spread", Random(0)) == reference_worst_spread(tree, 16)
+
+
+def test_worst_spread_breaks_equal_gains_by_registration_index():
+    # the late members get the first subtree and the lower node ids; then
+    # the early ones are registered first, so registration order disagrees
+    # with both tree order and node-id order on every tie
+    tree = build_balanced(["late1", "late2", "early1", "early2"], 2)
+    leaf_ids = tree._member_leaf
+    tree._member_leaf = {member: leaf_ids[member] for member in ("early1", "early2", "late1", "late2")}
+    assert tree.members == ("early1", "early2", "late1", "late2")
+    # after early1 and late1, early2 and late2 are two frontier leaves of
+    # gain 1 each; registration, not tree order, picks early2
+    expected = ["early1", "late1", "early2"]
+    assert leaver_layout(tree, 3, "worst-spread", Random(0)) == expected
+    assert reference_worst_spread(tree, 3) == expected
+
+
 def test_random_layout_is_seed_stable():
     tree = balanced_tree(8)
     assert leaver_layout(tree, 3, "random", Random(5)) == leaver_layout(
@@ -467,6 +492,73 @@ def test_untracked_churn_digest_matches_reference():
         assert max(len(d.recipients) for d in trace.deliveries) >= 256
         if scenario.protocol in ("ckcs", "okd"):
             assert any(isinstance(d, Notice) for d in trace.deliveries)
+
+
+@st.composite
+def _roster_cuts(draw):
+    """Distinct ``u<k>`` ids of mixed lengths, how many of them are present,
+    and the positions of the leavers in leave order."""
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=40, unique=True))
+    present = draw(st.integers(0, len(ids)))
+    order = draw(st.permutations(range(present)))
+    return tuple(f"u{k}" for k in ids), present, order[: draw(st.integers(0, present))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(roster=_roster_cuts())
+@example(roster=(("u1", "u22", "u333", "u4", "u55", "u6"), 6, [0, 5, 2, 3]))  # ends, adjacent
+@example(roster=(("u7", "u8", "u9"), 3, [1, 0, 2]))  # every member gone
+@example(roster=(("u10", "u2", "u3"), 2, []))  # no cut, members past present
+def test_roster_spans_hash_as_the_joined_view(roster):
+    members, present, positions = roster
+    cuts = sorted((position, index) for index, position in enumerate(positions))
+    encoded, offsets = harness._encoded_roster(members)
+    for gone in range(len(cuts) + 1):
+        view = core.RosterView(members, present, cuts, gone)
+        pieces = harness._span_bytes(encoded, offsets, view.spans())
+        assert all(len(piece) for piece in pieces)
+        joined = '","'.join(view).encode()
+        assert b'","'.join(pieces) == joined
+        spanned = hashlib.sha256()
+        for index, piece in enumerate(pieces):
+            spanned.update(b'","' if index else b"")
+            spanned.update(piece)
+        assert spanned.digest() == hashlib.sha256(joined).digest()
+
+
+class _CountedRoster(tuple):
+    """A roster tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        type(self).passes += 1
+        return super().__iter__()
+
+
+def test_digest_encodes_each_batch_roster_once(monkeypatch):
+    scenario = generate_churn_scenario("lkh", 256, 20, 31, (16,))
+    trace = run(scenario, track_members=False)
+    batches = {}
+    for delivery in trace.deliveries:
+        if isinstance(delivery.recipients, core.RosterView):
+            batches.setdefault(id(delivery.recipients.members), []).append(delivery.recipients)
+    assert len(batches) == len(scenario.steps)
+    monkeypatch.setattr(_CountedRoster, "passes", 0)
+    for views in batches.values():
+        assert len(views) >= 16
+        counted = _CountedRoster(views[0].members)
+        for view in views:
+            view.members = counted
+
+    def refuse(view):
+        raise AssertionError("the digest reads a roster view run by run")
+
+    monkeypatch.setattr(core.RosterView, "runs", refuse)
+    monkeypatch.setattr(core.RosterView, "__iter__", refuse)
+    assert harness._trace_digest(trace) == trace.digest
+    # one join and one length pass per batch roster, not one per delivery
+    assert _CountedRoster.passes == 2 * len(batches)
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
