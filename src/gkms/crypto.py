@@ -57,7 +57,7 @@ class MeterLike(Protocol):
     wrap_log: dict[bytes, bytes] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymKey:
     """A symmetric key value, compared and hashed by its bytes."""
 
@@ -76,7 +76,7 @@ class SymKey:
         return f"SymKey({self.fingerprint}..)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WrappedKey:
     """A key encrypted under another key.
 
@@ -96,13 +96,21 @@ def _hash(domain: bytes, payload: bytes) -> bytes:
     return hashlib.sha256(domain + payload).digest()
 
 
+# The slot descriptors' setters, which fill a frozen record's fields
+# directly: the hot constructors below skip the frozen dataclass's
+# ``__init__`` and ``__post_init__``.
+_set_key_data = SymKey.__dict__["data"].__set__
+_set_ciphertext = WrappedKey.__dict__["ciphertext"].__set__
+_set_kek_id = WrappedKey.__dict__["kek_id"].__set__
+
+
 def _own_key(data: bytes) -> SymKey:
     """A SymKey for bytes this module made itself, built without the check
     in ``SymKey.__post_init__``.  The caller knows ``data`` is ``KEY_LEN``
     bytes: a SHA-256 digest, a ``randbytes(KEY_LEN)`` draw, or an unwrap
     output whose length it has checked."""
     key = object.__new__(SymKey)
-    object.__setattr__(key, "data", data)
+    _set_key_data(key, data)
     return key
 
 
@@ -179,7 +187,10 @@ def wrap(kek: SymKey, payload: SymKey, meter: MeterLike, kek_id: int | str) -> W
     ciphertext = _cipher(kek.data).encrypt(payload.data, None)
     if meter.wrap_log is not None:
         meter.wrap_log[ciphertext] = kek.data
-    return WrappedKey(ciphertext=ciphertext, kek_id=kek_id)
+    wrapped = object.__new__(WrappedKey)
+    _set_ciphertext(wrapped, ciphertext)
+    _set_kek_id(wrapped, kek_id)
+    return wrapped
 
 
 def unwrap(kek: SymKey, wrapped: WrappedKey) -> SymKey:

@@ -1,6 +1,7 @@
 """Crypto layer: golden vectors pinned by an independent SHA-256, wrap/unwrap
 behaviour, domain separation, code encoding, and operation metering."""
 
+from dataclasses import FrozenInstanceError
 from random import Random
 
 import pytest
@@ -102,17 +103,18 @@ def test_domain_separation(data):
 
 @given(KEY_BYTES, st.integers(min_value=0, max_value=2**64))
 def test_digest_keys_equal_checked_keys(data, seed):
-    # derivations, unwraps and fresh keys are built without
-    # SymKey.__post_init__; the keys must still be indistinguishable from
-    # checked ones
+    # derivations, unwraps, fresh keys and wraps are built through the slot
+    # setters, without the dataclass __init__; the records must still be
+    # indistinguishable from checked ones, slotted and frozen
     key = SymKey(data)
     rng = Random(seed)
+    wrapped = wrap(SymKey(K1), key, CostMeter(), kek_id=1)
     made_keys = [
         derive(key),
         blind(key),
         mix(key, key),
         derive_with_code(key, "7"),
-        unwrap(SymKey(K1), wrap(SymKey(K1), key, CostMeter(), kek_id=1)),
+        unwrap(SymKey(K1), wrapped),
         random_key(rng, CostMeter()),
         *random_keys(rng, CostMeter(), 3),
     ]
@@ -120,6 +122,15 @@ def test_digest_keys_equal_checked_keys(data, seed):
         checked = SymKey(made.data)
         assert type(made) is SymKey and len(made.data) == KEY_LEN
         assert made == checked and hash(made) == hash(checked)
+        assert not hasattr(made, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            made.data = data
+    built = WrappedKey(ciphertext=wrapped.ciphertext, kek_id=wrapped.kek_id)
+    assert type(wrapped) is WrappedKey and wrapped.kek_id == 1
+    assert wrapped == built and hash(wrapped) == hash(built)
+    assert not hasattr(wrapped, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        wrapped.kek_id = 2
 
 
 def test_unwrap_still_checks_the_payload_length():

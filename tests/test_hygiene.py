@@ -1,5 +1,6 @@
 """Source hygiene that no installed linter checks: every import is used,
-and every test helper is read.
+every test helper is read, and every private module-level name under
+``src/`` is read.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``tools/``.  A
 name an import binds counts as used when the module reads it anywhere, names
@@ -10,6 +11,13 @@ A second scan covers ``tests/`` as one whole: a module-level function or
 class there counts as used when some module under ``tests/`` reads its name,
 imports it by name, or reads it as an attribute of the module that defines
 it (under any alias).  Tests (``test_*``), pytest hooks (``pytest_*``) and fixtures are exempt.
+
+A third scan covers the private module-level names of ``src/``: each name a
+module binds at its top level with ``_name = ...``, ``def _name`` or ``class
+_Name`` (dunders exempt) counts as read when some module under ``src/``,
+``tests/``, ``tools/`` or ``bench/`` loads it by name or as an attribute.  A
+module-level binding left behind by a refactor, such as a cached bound method
+nothing calls any more, is what it finds.
 """
 
 import ast
@@ -20,6 +28,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests", "tools") for p in (ROOT / d).rglob("*.py"))
 TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
+SRC_MODULES = sorted((ROOT / "src").rglob("*.py"))
+READER_MODULES = sorted(
+    p for d in ("src", "tests", "tools", "bench") for p in (ROOT / d).rglob("*.py")
+)
 
 
 def _annotations(node: ast.AST) -> list[ast.expr | None]:
@@ -125,3 +137,54 @@ def test_the_scan_finds_an_unused_helper():
         "test_mod": "import helpers as h\nfrom helpers import imported\nh.by_attribute()\nx = 'unused'\n",
     }
     assert unused_helpers(sources) == [("helpers", 5, "unused"), ("helpers", 6, "Unused")]
+
+
+def unread_private_names(
+    defining: dict[str, str], readers: list[str]
+) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each private name that a module of
+    ``defining`` (module name to source) binds at its top level and that no
+    source in ``readers`` loads by name or as an attribute."""
+    bound = []
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            bound += [
+                (module, node.lineno, name)
+                for name in names
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+            ]
+    read: set[str] = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [entry for entry in bound if entry[2] not in read]
+
+
+def test_every_private_module_name_is_read():
+    defining = {str(path.relative_to(ROOT)): path.read_text() for path in SRC_MODULES}
+    assert unread_private_names(defining, [path.read_text() for path in READER_MODULES]) == []
+
+
+def test_the_scan_finds_an_unread_private_name():
+    defining = {
+        "mod": (
+            "_called = 1\n_by_attribute: int = 2\n_unread, _pair = 3, 4\n__all__ = []\n"
+            "def _stale(): ...\nclass _Stale: ...\ndef _used(): return _called\n"
+            "_object_setattr = object.__setattr__\npublic = _used()\n"
+        ),
+    }
+    readers = [defining["mod"], "import mod\nmod._by_attribute\nmod._pair = 5\nx = '_stale'\n"]
+    assert unread_private_names(defining, readers) == [
+        ("mod", 3, "_unread"), ("mod", 3, "_pair"), ("mod", 5, "_stale"),
+        ("mod", 6, "_Stale"), ("mod", 8, "_object_setattr"),
+    ]
