@@ -62,9 +62,11 @@ class RosterView:
     sorted by position.  Every view of one batch shares its ``members``
     tuple and its ``cuts`` list, so a batch of m single joins or leaves
     copies the membership once, not m times.  A view iterates as the tuple
-    a fresh ``tuple(tree.members)`` gave at that single join or leave; it
-    is read through :meth:`spans`, ranges of ``members``, or :meth:`runs`,
-    C-level slices of it, never a Python-level filter over the members.
+    a fresh ``tuple(tree.members)`` gave at that single join or leave, by
+    chaining the C-level slices of ``members`` that :meth:`spans` names;
+    member delivery and the recipient check read it that way, ``in``
+    included.  The trace digest reads :meth:`spans` itself.  Nothing reads
+    it through a Python-level filter over the members.
     """
 
     __slots__ = ("members", "present", "cuts", "gone")
@@ -96,41 +98,16 @@ class RosterView:
             spans.append((start, self.present))
         return spans
 
-    def runs(self) -> list[tuple[str, ...]]:
-        """The view as the slices of ``members`` that :meth:`spans` names."""
-        members = self.members
-        return [members[start:end] for start, end in self.spans()]
-
     def __iter__(self):
-        return itertools.chain.from_iterable(self.runs())
+        members = self.members
+        return itertools.chain.from_iterable(members[start:end] for start, end in self.spans())
 
     def __len__(self) -> int:
         return self.present - self.gone
 
 
-class _Addressed:
-    """A delivery to a fixed sequence of recipients: a tuple, or a view of
-    its sequential batch's membership."""
-
-    recipients: tuple[str, ...] | RosterView
-
-    def recipient_runs(self) -> list[tuple[str, ...]]:
-        """The recipients as consecutive non-empty tuples, in order, without
-        copying them into one."""
-        recipients = self.recipients
-        if isinstance(recipients, RosterView):
-            return recipients.runs()
-        return [recipients]
-
-    @cached_property
-    def recipient_set(self) -> frozenset[str]:
-        """The recipients as a set, built on the first direct member check;
-        the batched delivery of ``MemberView.deliver`` never needs it."""
-        return frozenset(self.recipients)
-
-
-@dataclass(frozen=True)
-class RekeyMessage(_Addressed):
+@dataclass(frozen=True, slots=True)
+class RekeyMessage:
     """One wire message carrying wrapped keys.
 
     ``aux`` is plaintext routing metadata (node ids for each payload,
@@ -154,8 +131,8 @@ class RekeyMessage(_Addressed):
         return len(self.payloads)
 
 
-@dataclass(frozen=True)
-class Notice(_Addressed):
+@dataclass(frozen=True, slots=True)
+class Notice:
     """Zero-payload signal (for example a join announcement)."""
 
     kind: str
@@ -329,8 +306,11 @@ class MemberView(ABC):
         return key
 
     def _check_addressed(self, delivery: RekeyMessage | Notice) -> None:
-        """Raise unless this member is one of the delivery's recipients."""
-        if self.member_id not in delivery.recipient_set:
+        """Raise unless this member is one of the delivery's recipients,
+        looked for by iterating them.  Only a direct :meth:`apply_message`
+        or :meth:`apply_notice` checks: :meth:`deliver` reaches addressed
+        members only."""
+        if self.member_id not in delivery.recipients:
             raise EventError(
                 f"message not addressed to {self.member_id}: {tuple(delivery.recipients)}"
             )
@@ -340,13 +320,13 @@ class MemberView(ABC):
         """Apply one delivery to every recipient that ``members`` tracks, in
         recipient order, with one call on their class.
 
-        The views are looked up by the delivery's own recipients, so only
-        an addressed member can be reached; a recipient ``members`` does not
-        hold (departed or untracked) is skipped.  Every view of one
+        The views are looked up by iterating the delivery's own recipients,
+        so only an addressed member can be reached; a recipient ``members``
+        does not hold (departed or untracked) is skipped.  Every view of one
         ``members`` map comes from one server, so they share a class.
         """
         get = members.get
-        views = [view for run in delivery.recipient_runs() for view in map(get, run) if view is not None]
+        views = [view for view in map(get, delivery.recipients) if view is not None]
         if not views:
             return
         if isinstance(delivery, Notice):

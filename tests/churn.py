@@ -9,7 +9,8 @@ invariant below that applies to the protocol:
 (b) lkh, oft, okd: every multicast and notice a single join or leave sends
     addresses a fresh ``tuple(tree.members)`` taken where that single event
     stands (before the joiner is placed, after the leaver is gone), also
-    through ``recipient_set`` and ``recipient_runs``; unicasts are 1-tuples;
+    as the ids of its ``spans()`` over its ``members``, the ranges the trace
+    digest hashes; unicasts are 1-tuples;
 (c) lkh, oft, okd: every ``insert_leaf`` lands where a fresh breadth-first
     scan says (``tree_reference.assert_insert_matches_reference``);
 (d) ckcs: no code of a live internal node prefixes the code of another
@@ -270,8 +271,8 @@ def _assert_addressed_to_snapshots(sent, output):
         assert list(recipients) == list(snapshot)
         assert len(recipients) == len(snapshot)
         assert tuple(recipients) == snapshot
-        assert delivery.recipient_set == frozenset(snapshot)
-        assert [member for run in delivery.recipient_runs() for member in run] == list(snapshot)
+        members = recipients.members
+        assert tuple(m for start, end in recipients.spans() for m in members[start:end]) == snapshot
     sent.clear()
 
 

@@ -158,14 +158,11 @@ def test_member_view_basics():
 def test_recipient_check_against_the_delivery_set():
     view = _ProbeView("alice", SymKey(bytes([1]) * 32), {})
     message = msg(recipients=("carol", "alice", "bob"))
-    assert message.recipient_set == frozenset(("alice", "bob", "carol"))
-    assert message.recipient_set is message.recipient_set  # built once
     view._check_addressed(message)
     other = msg(recipients=("carol", "bob"))
     with pytest.raises(EventError, match=r"not addressed to alice: \('carol', 'bob'\)"):
         view._check_addressed(other)
     notice = Notice(kind="join", recipients=("bob",), aux={})
-    assert notice.recipient_set == frozenset(("bob",))
     with pytest.raises(EventError):
         view._check_addressed(notice)
 
@@ -181,14 +178,13 @@ def test_roster_views_read_as_the_tuples_they_stand_for(n, data):
     for gone in range(len(leavers) + 1):
         view = RosterView(members, present, cuts, gone)
         expected = tuple(m for m in members[:present] if m not in leavers[:gone])
-        runs = view.runs()
-        assert runs == [members[start:end] for start, end in view.spans()]
+        runs = [members[start:end] for start, end in view.spans()]
+        assert all(runs)  # each span is non-empty
         assert tuple(member for run in runs for member in run) == expected
-        for run in runs:  # each run is a non-empty slice of the members
-            start = members.index(run[0])
-            assert run == members[start : start + len(run)]
         assert tuple(view) == expected
         assert len(view) == len(expected)
+        for member in members:  # ids past present and ids cut before gone too
+            assert (member in view) == (member in expected)
 
 
 def test_check_addressed_names_a_view_as_its_tuple():

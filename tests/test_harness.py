@@ -552,9 +552,8 @@ def test_digest_encodes_each_batch_roster_once(monkeypatch):
             view.members = counted
 
     def refuse(view):
-        raise AssertionError("the digest reads a roster view run by run")
+        raise AssertionError("the digest iterates a roster view")
 
-    monkeypatch.setattr(core.RosterView, "runs", refuse)
     monkeypatch.setattr(core.RosterView, "__iter__", refuse)
     assert harness._trace_digest(trace) == trace.digest
     # one join and one length pass per batch roster, not one per delivery
@@ -714,22 +713,6 @@ def test_members_learn_each_value_once(protocol):
         for member, view in [*trace.members.items(), *trace.departed.items()]:
             keys = view.knowledge.keys
             assert len(keys) == len(set(keys)), (scenario.seed, member)
-
-
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_finished_trace_keeps_no_recipient_sets(protocol, monkeypatch):
-    # members are looked up by the recipients themselves, so no delivery of
-    # a tracked run ever builds its recipient set
-    built = []
-
-    def recipient_set(delivery):
-        built.append(delivery)
-        return frozenset(delivery.recipients)
-
-    monkeypatch.setattr(core._Addressed, "recipient_set", property(recipient_set))
-    trace = run(_churn_scenario(protocol))
-    assert trace.deliveries
-    assert built == []
 
 
 def _server_state(server, rng):

@@ -1,6 +1,6 @@
 """Source hygiene that no installed linter checks: every import is used,
-every test helper is read, and every private module-level name under
-``src/`` is read.
+every test helper is read, every private module-level name under ``src/``
+is read, and every definition under ``src/`` is read.
 
 An AST scan of every module under ``src/``, ``tests/`` and ``tools/``.  A
 name an import binds counts as used when the module reads it anywhere, names
@@ -18,6 +18,12 @@ _Name`` (dunders exempt) counts as read when some module under ``src/``,
 ``tests/``, ``tools/`` or ``bench/`` loads it by name or as an attribute.  A
 module-level binding left behind by a refactor, such as a cached bound method
 nothing calls any more, is what it finds.
+
+A fourth scan covers every definition under ``src/``: each function,
+method, property and class, at any depth (dunders exempt), counts as read
+when some module under ``src/``, ``tests/``, ``tools/`` or ``bench/`` loads
+its name by name or as an attribute.  A method or property a refactor left
+behind, such as a view method nothing calls any more, is what it finds.
 """
 
 import ast
@@ -157,14 +163,21 @@ def unread_private_names(
                 for name in names
                 if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
             ]
+    read = _loaded_names(readers)
+    return [entry for entry in bound if entry[2] not in read]
+
+
+def _loaded_names(sources: list[str]) -> set[str]:
+    """Every name that some source in ``sources`` loads by name or as an
+    attribute."""
     read: set[str] = set()
-    for source in readers:
+    for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    return [entry for entry in bound if entry[2] not in read]
+    return read
 
 
 def test_every_private_module_name_is_read():
@@ -187,3 +200,42 @@ def test_the_scan_finds_an_unread_private_name():
         ("mod", 3, "_unread"), ("mod", 3, "_pair"), ("mod", 5, "_stale"),
         ("mod", 6, "_Stale"), ("mod", 8, "_object_setattr"),
     ]
+
+
+def unread_definitions(defining: dict[str, str], readers: list[str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each function, method, property or class,
+    at any depth of a module of ``defining`` (module name to source), that
+    no source in ``readers`` loads by name or as an attribute.  Dunders are
+    exempt."""
+    read = _loaded_names(readers)
+    return [
+        (module, node.lineno, node.name)
+        for module, source in defining.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    ]
+
+
+def test_every_definition_under_src_is_read():
+    defining = {
+        str(path.relative_to(ROOT)): path.read_text() for path in (ROOT / "src").rglob("*.py")
+    }
+    assert unread_definitions(defining, [path.read_text() for path in READER_MODULES]) == []
+
+
+def test_the_scan_finds_an_unread_definition():
+    defining = {
+        "mod": (
+            "class Record:\n    def __init__(self): ...\n    def read(self): ...\n"
+            "    def left_behind(self): ...\n    @property\n    def size(self): ...\n"
+            "    @classmethod\n    def build(cls): ...\n"
+            "def outer():\n    def inner(): ...\n    return inner()\n"
+        ),
+    }
+    readers = [
+        defining["mod"],
+        "import mod\nr = mod.Record.build()\nr.read()\nr.size\nmod.outer()\nx = 'left_behind'\n",
+    ]
+    assert unread_definitions(defining, readers) == [("mod", 4, "left_behind")]
