@@ -60,8 +60,9 @@ class OftServer(ServerProtocol):
 
     def _folded(self, node: Node) -> SymKey:
         """The mix of the blinded keys of an internal node's two children."""
-        left, right = (self.tree.node(c) for c in node.children)
-        return mix(blind(left.key), blind(right.key))
+        nodes = self.tree.nodes
+        left, right = node.children
+        return mix(blind(nodes[left].key), blind(nodes[right].key))
 
     # -- event handling ---------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from gkms.crypto import KEY_LEN, SymKey
 
@@ -37,17 +37,6 @@ def parent_code(code: str) -> str:
     if len(code) < 2:
         raise CodeSpaceError(f"code {code!r} too short to have a parent code")
     return code[:-1]
-
-
-def child_code(parent: str, rng: Random, used: Iterable[str] = ()) -> str:
-    """Extend ``parent`` by one random digit not used by existing siblings."""
-    if len(parent) >= KEY_LEN:
-        raise CodeSpaceError(f"code {parent!r} has no room for a child digit")
-    taken = {code[-1] for code in used}
-    free = [d for d in DIGITS if d not in taken]
-    if not free:
-        raise CodeSpaceError(f"all sibling digits under code {parent!r} are taken")
-    return parent + rng.choice(free)
 
 
 @dataclass(slots=True)
@@ -376,20 +365,32 @@ def assign_codes_below(tree: KeyTree, top_id: int, rng: Random) -> None:
     """Code the uncoded internal children of the coded node ``top_id``,
     and every internal node below the ones it codes.
 
-    Breadth-first, children in stored order: one ``rng.choice`` per code
-    drawn, avoiding the digits of siblings coded so far.  A child that
-    already has a code keeps it, and its subtree is not visited.
+    Breadth-first, children in stored order.  Each parent keeps one string
+    of free digits: ``DIGITS`` less the last digits of its children that
+    already have codes, and less each digit drawn.  Every code drawn is one
+    ``rng.choice`` from that string.  A child that already has a code keeps
+    it, and its subtree is not visited.
     """
     nodes = tree.nodes
+    choice = rng.choice
     queue = deque([top_id])
     while queue:
         node = nodes[queue.popleft()]
+        code = node.code
         kids = [nodes[c] for c in node.children]
-        used = [kid.code for kid in kids if kid.code is not None]
+        free = DIGITS
+        for kid in kids:
+            if kid.code is not None:
+                free = free.replace(kid.code[-1], "")
         for kid in kids:
             if kid.children and kid.code is None:
-                kid.code = child_code(node.code, rng, used)  # type: ignore[arg-type]
-                used.append(kid.code)
+                if len(code) >= KEY_LEN:  # type: ignore[arg-type]
+                    raise CodeSpaceError(f"code {code!r} has no room for a child digit")
+                if not free:
+                    raise CodeSpaceError(f"all sibling digits under code {code!r} are taken")
+                digit = choice(free)
+                kid.code = code + digit  # type: ignore[operator]
+                free = free.replace(digit, "")
                 queue.append(kid.node_id)
 
 

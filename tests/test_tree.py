@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkms import tree as kt
-from gkms.crypto import SymKey
+from gkms.crypto import KEY_LEN, SymKey
 from tree_reference import (
     assert_insert_matches_reference,
     cover_oracle,
+    reference_assign_codes_below,
     reference_attach_subtree,
     reference_subtree_members,
 )
@@ -38,20 +39,38 @@ def test_parent_code_needs_two_digits():
         kt.parent_code("7")
 
 
-@given(CODES, st.sets(DIGIT, max_size=9))
-def test_child_code_extends_and_avoids_used_digits(parent, used_digits):
-    used = [parent + d for d in used_digits]
-    code = kt.child_code(parent, Random(0), used)
-    assert code[:-1] == parent
-    assert len(code) == len(parent) + 1
-    assert code[-1] not in used_digits
-    assert kt.parent_code(code) == parent
+@given(CODES, st.sets(DIGIT, max_size=9), st.data())
+def test_child_code_extends_and_avoids_used_digits(parent, used_digits, data):
+    # a parent of k internal children, some of them coded first, the way an
+    # attach leaves the old root coded; assign_codes_below draws the rest
+    k = len(used_digits) + data.draw(
+        st.integers(min_value=max(1, 2 - len(used_digits)), max_value=10 - len(used_digits))
+    )
+    tree = kt.build_balanced(members(2 * k), k)
+    tree.root.code = parent
+    kids = [tree.nodes[c] for c in tree.root.children]
+    coded = data.draw(st.permutations(range(k)))[: len(used_digits)]
+    for index, digit in zip(coded, sorted(used_digits)):
+        kids[index].code = parent + digit
+    before = {kid.node_id: kid.code for kid in kids if kid.code is not None}
+    kt.assign_codes_below(tree, tree.root_id, Random(data.draw(st.integers(0, 2**32))))
+    drawn = [kid.code for kid in kids if kid.node_id not in before]
+    assert {kid.node_id: kid.code for kid in kids if kid.node_id in before} == before
+    for code in drawn:
+        assert code[:-1] == parent
+        assert len(code) == len(parent) + 1
+        assert code[-1] not in used_digits
+        assert kt.parent_code(code) == parent
+    assert len({kid.code[-1] for kid in kids}) == k
 
 
 def test_child_code_exhaustion():
-    used = ["5" + d for d in kt.DIGITS]
-    with pytest.raises(kt.CodeSpaceError):
-        kt.child_code("5", Random(0), used)
+    # the root's eleventh internal child finds no free digit
+    with pytest.raises(kt.CodeSpaceError, match="all sibling digits under code"):
+        kt.assign_codes(kt.build_balanced(members(22), 11), Random(0))
+    # a root code of KEY_LEN digits leaves no room for a child digit
+    with pytest.raises(kt.CodeSpaceError, match="has no room for a child digit"):
+        kt.assign_codes(kt.build_balanced(members(4), 2), Random(0), "1" * KEY_LEN)
 
 
 # -- balanced builds ----------------------------------------------------------------
@@ -371,8 +390,10 @@ def test_attach_in_place_matches_the_clone_based_attach(arity, n, steps):
             got = kt.attach_subtree(tree, incoming, "1")
             want = reference_attach_subtree(ref, kt.build_balanced(incoming, arity), "1")
             assert got == want
-            kt.assign_codes_below(tree, got[0], Random(pick))
-            kt.assign_codes_below(ref, want[0], Random(pick))
+            rng, ref_rng = Random(pick), Random(pick)
+            kt.assign_codes_below(tree, got[0], rng)
+            reference_assign_codes_below(ref, want[0], ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
         elif op == "remove":
             live = tree.members
             leavers = Random(pick).sample(live, min(size, len(live) - 1))

@@ -1,13 +1,14 @@
 """Plain reference versions of the servers' initial tree set-up.
 
 ``gkms.tree.build_balanced`` builds in one explicit-stack preorder pass,
-``assign_codes_below`` reads each parent's children once, and the servers
-draw all set-up keys in one ``randbytes`` call and fold OFT keys in one
-reverse pass over the node ids.  The functions here are the direct forms
-those replace: the recursive build over list slices, the per-child sibling
-scan for used digits, one ``random_key`` call per set-up key, and the OFT
-fold over a reversed ``walk()``.  Tests require every node, key, code and
-the generator's state to come out the same.
+``assign_codes_below`` keeps one string of free digits per parent, and the
+servers draw all set-up keys in one ``randbytes`` call and fold OFT keys in
+one reverse pass over the node ids.  The functions here are the direct
+forms those replace: the recursive build over list slices, ``child_code``'s
+per-child draw from a list built by scanning the siblings for used digits,
+one ``random_key`` call per set-up key, and the OFT fold over a reversed
+``walk()``.  Tests require every node, key, code and the generator's state
+to come out the same.
 
 ``reference_placement`` is the direct form of ``insert_leaf``'s placement
 rule, a fresh breadth-first scan per insert, which the tree replaces with
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 from gkms import tree as kt
 from gkms.core import CostMeter
-from gkms.crypto import SymKey, blind, mix, random_key
+from gkms.crypto import KEY_LEN, SymKey, blind, mix, random_key
 
 
 def reference_subtree_members(tree, node_id):
@@ -107,21 +108,32 @@ def reference_assign_codes(tree, rng, root_code=None):
     reference_assign_codes_below(tree, root.node_id, rng)
 
 
+def child_code(parent, rng, used=()):
+    """Extend ``parent`` by one random digit not used by existing siblings."""
+    if len(parent) >= KEY_LEN:
+        raise kt.CodeSpaceError(f"code {parent!r} has no room for a child digit")
+    taken = {code[-1] for code in used}
+    free = [d for d in kt.DIGITS if d not in taken]
+    if not free:
+        raise kt.CodeSpaceError(f"all sibling digits under code {parent!r} are taken")
+    return parent + rng.choice(free)
+
+
 def reference_assign_codes_below(tree, top_id, rng):
-    """Breadth-first; every child rescans all its siblings for used digits."""
+    """Breadth-first; every child drawn rescans all its siblings for used
+    digits.  A child already coded is left whole, subtree and all."""
     queue = deque([top_id])
     while queue:
         node = tree.nodes[queue.popleft()]
         for child_id in node.children:
             child = tree.nodes[child_id]
-            if not child.is_leaf:
-                if child.code is None:
-                    used = [
-                        tree.nodes[s].code
-                        for s in node.children
-                        if tree.nodes[s].code is not None and s != child_id
-                    ]
-                    child.code = kt.child_code(node.code, rng, used)
+            if not child.is_leaf and child.code is None:
+                used = [
+                    tree.nodes[s].code
+                    for s in node.children
+                    if tree.nodes[s].code is not None and s != child_id
+                ]
+                child.code = child_code(node.code, rng, used)
                 queue.append(child_id)
 
 
