@@ -108,7 +108,7 @@ def reference_assign_codes(tree, rng, root_code=None):
     reference_assign_codes_below(tree, root.node_id, rng)
 
 
-def child_code(parent, rng, used=()):
+def child_code(parent, rng, used):
     """Extend ``parent`` by one random digit not used by existing siblings."""
     if len(parent) >= KEY_LEN:
         raise kt.CodeSpaceError(f"code {parent!r} has no room for a child digit")
